@@ -15,8 +15,7 @@ Three hard invariants are verified before anything is written:
   uninterrupted run, for every transient plan x system cell, converging
   within the default bounded retry budget.
 * **Failure semantics** — the fatal ``worker-crash`` plan propagates
-  without a single retry, and a stalled pipelined map stage under a
-  watchdog converts into a recoverable timeout.
+  without a single retry.
 
 Usage::
 
@@ -56,11 +55,6 @@ NUM_FRAMES = 8
 TRACKING_ITERATIONS = 6
 MAPPING_ITERATIONS = 2
 AUTOCHECKPOINT_EVERY = 2
-# Must sit between a legitimate small-config stage (~0.1s, but several
-# times that under end-of-bench CPU load) and the map-stall plan delay
-# (1.2s): spurious trips are transient and recovery stays bit-identical,
-# but each one burns a retry.
-WATCHDOG_TIMEOUT = 0.8
 
 SYSTEMS = ("splatam", "gaussian-slam", "orb", "droid", "ags")
 SMOKE_PLAN = "chaos"
@@ -167,28 +161,6 @@ def build_results() -> dict:
         fatal_ok = False
     targets["fatal worker-crash propagates without retries"] = fatal_ok
 
-    # Watchdog: a stalled pipelined map stage becomes a recoverable
-    # timeout (whole-run attempts; no periodic checkpoints needed).  The
-    # enlarged retry budget absorbs spurious trips under load — every
-    # retry restarts from scratch, so bit-identity is unaffected.
-    watchdog_service = SlamService(
-        perf=PerfRecorder(),
-        watchdog_timeout=WATCHDOG_TIMEOUT,
-        retry=RetryPolicy(max_retries=6),
-    )
-    watchdog_result = watchdog_service.run(
-        _key("splatam", faults="map-stall", execution="pipelined")
-    )
-    watchdog_counters = watchdog_service.perf.counters.as_dict()
-    watchdog_cell = {
-        "identical": _results_identical(clean["splatam"], watchdog_result),
-        "retries": watchdog_service.retries,
-        "watchdog_timeouts": int(watchdog_counters.get("session.watchdog_timeouts", 0)),
-    }
-    targets["watchdog converts stall to recoverable timeout (splatam/pipelined)"] = bool(
-        watchdog_cell["identical"] and watchdog_cell["watchdog_timeouts"] >= 1
-    )
-
     return {
         "benchmark": "faults",
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -198,7 +170,6 @@ def build_results() -> dict:
             "tracking_iterations": TRACKING_ITERATIONS,
             "mapping_iterations": MAPPING_ITERATIONS,
             "autocheckpoint_every": AUTOCHECKPOINT_EVERY,
-            "watchdog_timeout": WATCHDOG_TIMEOUT,
             "retry_budget": budget,
             "plans": list(available_fault_plans()),
             "systems": list(SYSTEMS),
@@ -206,7 +177,6 @@ def build_results() -> dict:
         "elapsed_seconds": round(time.perf_counter() - start, 2),
         "disarmed": disarmed,
         "matrix": matrix,
-        "watchdog": watchdog_cell,
         "targets_met": targets,
     }
 

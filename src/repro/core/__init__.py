@@ -12,8 +12,8 @@ the video CODEC's motion-estimation metadata:
   contribution-aware mapping: full mapping + contribution recording on key
   frames, selective mapping that skips predicted non-contributory
   Gaussians on non-key frames.
-* :mod:`repro.core.pipeline` — the complete AGS SLAM pipeline with the
-  overlapped execution model of Fig. 9 and trace export for the hardware
+* :mod:`repro.core.pipeline` — the complete AGS SLAM pipeline with
+  per-frame track/map sub-stages and trace export for the hardware
   simulator.
 """
 

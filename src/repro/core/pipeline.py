@@ -7,17 +7,13 @@ frame traces the hardware simulator consumes.
 
 Execution model.  As in Fig. 9 of the paper, AGS's coarse pose estimation
 does not depend on the Gaussians being updated by mapping, so on hardware
-the tracking of frame ``t+1`` overlaps the mapping of frame ``t``.  With
-``AgsSlam(..., execution="pipelined")`` the software pipeline reproduces
-that overlap: the ``_track`` sub-stage (CODEC covisibility against the
-previous frame + movement-adaptive tracking) runs concurrently with the
-previous frame's ``_map`` sub-stage (keyframe covisibility, contribution-
-aware mapping, keyframe registration), and only the fine-grained
-refinement — taken on low-covisibility frames — stalls on the map.  The
-default sequential execution runs the same computations in the same
-dependency order, so both modes are bit-identical; the overlap is also
-accounted for by the hardware timing model, which receives both
-workloads in the trace.
+the tracking of frame ``t+1`` overlaps the mapping of frame ``t``.  The
+software runs the two sub-stages back to back — ``_track`` (CODEC
+covisibility against the previous frame + movement-adaptive tracking),
+then ``_map`` (keyframe covisibility, contribution-aware mapping,
+keyframe registration) — and the overlap is accounted for by the
+hardware timing model (:mod:`repro.hardware.accelerator`), which
+receives both workloads in the trace.
 """
 
 from __future__ import annotations
@@ -78,18 +74,10 @@ class AgsSlam(SessionRunner):
         anchor_first_pose_to_gt: bool = True,
         collect_trace: bool = True,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
         health_config: HealthConfig | None = None,
-        watchdog_timeout: float | None = None,
     ) -> None:
         self.config = config or AGSConfig()
-        super().__init__(
-            intrinsics,
-            collect_trace=collect_trace,
-            perf=perf,
-            execution=execution,
-            watchdog_timeout=watchdog_timeout,
-        )
+        super().__init__(intrinsics, collect_trace=collect_trace, perf=perf)
         covisibility_config = covisibility_config or CovisibilityConfig(
             sad_scale=self.config.covisibility_sad_scale
         )
@@ -173,21 +161,13 @@ class AgsSlam(SessionRunner):
         """Process one frame sequentially through FC detection, tracking, mapping."""
         return self._step(index, frame)
 
-    def _mapped_model(self) -> GaussianModel:
-        """The Gaussian map, gated on all pending map stages (stalls)."""
-        self._await_mapped()
-        return self.model
-
     def _track(self, index: int, frame) -> _AgsTrackedFrame:
         """Tracking sub-stage: frame covisibility + movement-adaptive pose.
 
         Everything here is independent of the previous frame's mapping —
         CODEC covisibility compares gray frames and the coarse tracker
         aligns against the previous observation — except the fine-grained
-        refinement, which renders the map.  The map is handed to the
-        tracker *lazily* (:meth:`_mapped_model`), so only the refinement
-        of low-covisibility frames stalls the pipeline, exactly like the
-        AGS hardware's FC-engine/GPE overlap.
+        refinement of low-covisibility frames, which renders the map.
         """
         gray = frame.gray
         perf = self.perf
@@ -217,7 +197,7 @@ class AgsSlam(SessionRunner):
             prev_pose = self._prev_pose
             with perf.section("ags/tracking"):
                 outcome = self.tracking.track(
-                    self._mapped_model,
+                    self.model,
                     prev_frame.gray,
                     prev_frame.depth,
                     prev_pose,
@@ -288,7 +268,7 @@ class AgsSlam(SessionRunner):
         ``retry_iterations``, since a frame the monitor flagged is exactly
         the kind the movement-adaptive schedule under-provisioned.
         """
-        model = self._mapped_model()
+        model = self.model
         if len(model) == 0:
             return seed_pose, 0.0, 0, TrackingWorkload(coarse_flops=0.0, refine_iterations=0)
         iterations = (

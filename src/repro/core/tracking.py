@@ -11,7 +11,6 @@ than the baseline's ``N_T`` — is required.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class MovementAdaptiveTracker:
     # ------------------------------------------------------------------
     def track(
         self,
-        model: GaussianModel | Callable[[], GaussianModel],
+        model: GaussianModel,
         prev_gray: np.ndarray,
         prev_depth: np.ndarray,
         prev_pose: Pose,
@@ -100,12 +99,7 @@ class MovementAdaptiveTracker:
         """Track one frame.
 
         Args:
-            model: the current Gaussian map (used only by the refinement),
-                or a zero-argument callable returning it.  The callable
-                form lets the pipelined session executor defer the map
-                read — and the dependency stall it implies — until the
-                refinement actually needs it; the coarse path never
-                resolves it.
+            model: the current Gaussian map (used only by the refinement).
             prev_gray / prev_depth / prev_pose: previous frame observation
                 and its estimated pose.
             cur_color / cur_depth / cur_gray: current frame observation.
@@ -139,8 +133,6 @@ class MovementAdaptiveTracker:
         pose = coarse_pose
         tracking_loss = 0.0
         iterations_run = 0
-        if needs_refinement and refine_iterations > 0:
-            model = model() if callable(model) else model
         if needs_refinement and refine_iterations > 0 and len(model) > 0:
             outcome = self.fine_tracker.track(
                 model,

@@ -21,7 +21,7 @@ Determinism rules (the invariants tests and checkpoints rely on):
    seeded by ``(scenario seed, transform domain, frame index)``.  Frame
    ``i`` of a scenario is therefore a pure function of ``i`` and the
    underlying source: independent of access order, of how many sessions
-   share the wrapper, of sequential vs pipelined execution, and of
+   share the wrapper, of batch ``run`` vs streaming ``feed``, and of
    whether the consumer was resumed mid-stream from a checkpoint in a
    fresh process.
 2. **Windows are fractions of the stream.**  Transform windows are

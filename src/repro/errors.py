@@ -1,15 +1,15 @@
 """The repo-wide error taxonomy for fault handling and recovery.
 
 Every layer that can fail mid-run — streaming sessions, disk
-checkpoints, the pipelined executor, the evaluation service — raises
+checkpoints, the ingestion workers, the evaluation service — raises
 errors from this taxonomy so that the recovery tier
 (:class:`repro.eval.service.SlamService`) can decide *mechanically* what
 to do with a failure:
 
 * :class:`TransientError` — the operation may succeed if repeated: a
-  flaky frame read, an injected stage crash, a watchdog timeout.  The
-  service retries these with bounded exponential backoff, resuming from
-  the newest valid checkpoint.
+  flaky frame read, an injected stage crash, an ingest watchdog timeout.
+  The recovery layers retry these with bounded exponential backoff,
+  resuming from the newest valid checkpoint or per-frame snapshot.
 * :class:`FatalError` — retrying cannot help: a mis-configured run, a
   deterministic crash, an exhausted retry budget surfacing the last
   transient cause.  The service reports these per key and moves on.
@@ -61,12 +61,12 @@ class CheckpointCorruptError(FatalError):
 
 
 class StageTimeoutError(TransientError):
-    """The watchdog declared a pipeline stage stalled.
+    """The ingest watchdog declared a session's drain stalled.
 
-    Raised by the pipelined session executor when a submitted ``_map``
-    stage makes no progress within ``watchdog_timeout`` seconds.  The
-    session is left restorable (recovered to the last fully-mapped
-    frame), so the service can retry from a checkpoint.
+    Raised by :class:`repro.serve.ingest.AsyncSessionHandle` when a
+    blocked ``submit`` or ``flush`` sees no drain progress within
+    ``watchdog_timeout`` seconds.  The stalled frame stays queued and
+    the session keeps its state, so the caller may simply wait again.
     """
 
 

@@ -63,10 +63,6 @@ class EvalSettings:
     # Worker threads the experiment functions hand to SlamService.run_many;
     # 1 keeps everything on the caller's thread.
     workers: int = 1
-    # Session executor mode for every run of the experiment grid:
-    # "sequential" or "pipelined" (intra-run tracking/mapping overlap,
-    # bit-identical results — see repro.slam.session).
-    execution: str = "sequential"
 
 
 DEFAULT_SETTINGS = EvalSettings()
@@ -83,7 +79,6 @@ def run_slam(
     thresh_n: int | None = None,
     enable_mat: bool = True,
     enable_gcm: bool = True,
-    execution: str = DEFAULT_SETTINGS.execution,
     faults: str | None = None,
 ):
     """Run (and cache) one SLAM configuration on one sequence.
@@ -105,8 +100,6 @@ def run_slam(
         iter_t: AGS refinement iterations.
         thresh_m / thresh_n: AGS mapping thresholds.
         enable_mat / enable_gcm: AGS ablation switches.
-        execution: session executor mode, ``"sequential"`` (default) or
-            ``"pipelined"`` (bit-identical intra-run overlap).
         faults: deterministic fault plan injected into the run (a name
             from :data:`repro.faults.FAULT_PLANS`), or ``None`` for a
             fault-free run.  Fault runs engage the service's recovery
@@ -126,7 +119,6 @@ def run_slam(
         thresh_n=thresh_n,
         enable_mat=enable_mat,
         enable_gcm=enable_gcm,
-        execution=execution,
         faults=faults,
     )
     return default_service().run(key)

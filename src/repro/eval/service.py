@@ -40,12 +40,7 @@ from repro.errors import CheckpointCorruptError, RunManyError, TransientError
 from repro.perf import PerfRecorder, global_recorder
 from repro.serve.registry import LruMap, ParkingLot
 from repro.slam.results import SlamResult
-from repro.slam.session import (
-    EXECUTION_MODES,
-    SessionState,
-    load_session_state,
-    save_session_state,
-)
+from repro.slam.session import SessionState, load_session_state, save_session_state
 
 __all__ = [
     "KNOWN_ALGORITHMS",
@@ -91,9 +86,6 @@ class RunKey:
     thresh_n: int | None = None
     enable_mat: bool = True
     enable_gcm: bool = True
-    # Session executor mode: "sequential" or "pipelined" (bit-identical
-    # results; pipelined overlaps tracking t+1 with mapping t).
-    execution: str = "sequential"
     # Adversarial stream scenario applied to the input sequence (a name
     # from repro.datasets.scenarios.SCENARIOS), or None for the clean
     # stream.  "clean" and None produce identical runs but distinct keys.
@@ -110,10 +102,6 @@ class RunKey:
         if self.algorithm not in KNOWN_ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm '{self.algorithm}'; expected one of {KNOWN_ALGORITHMS}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode '{self.execution}'; expected one of {EXECUTION_MODES}"
             )
         if self.num_frames < 1:
             raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
@@ -147,12 +135,10 @@ class RunKey:
         """Build the key for one run of an :class:`EvalSettings` experiment.
 
         ``settings.num_frames`` sizes the run (the quantity experiments
-        previously re-derived at every call site) and
-        ``settings.execution`` selects the session executor mode;
-        iteration counts keep the ``run_slam`` defaults unless
-        overridden, matching the historical experiment configuration.
+        previously re-derived at every call site); iteration counts keep
+        the ``run_slam`` defaults unless overridden, matching the
+        historical experiment configuration.
         """
-        overrides.setdefault("execution", getattr(settings, "execution", "sequential"))
         return cls(algorithm=algorithm, sequence=sequence, num_frames=settings.num_frames, **overrides)
 
     def slug(self) -> str:
@@ -169,8 +155,6 @@ class RunKey:
             f"mat{int(self.enable_mat)}",
             f"gcm{int(self.enable_gcm)}",
         ]
-        if self.execution != "sequential":
-            parts.append(f"ex-{self.execution}")
         if self.scenario is not None:
             parts.append(f"sc-{self.scenario}")
         if not self.fallbacks:
@@ -191,9 +175,7 @@ def build_session(
     enable_mat: bool = True,
     enable_gcm: bool = True,
     fallbacks: bool = True,
-    execution: str = "sequential",
     perf: PerfRecorder | None = None,
-    watchdog_timeout: float | None = None,
 ):
     """Instantiate one configured :class:`SlamSession` for ``algorithm``.
 
@@ -223,7 +205,6 @@ def build_session(
     )
 
     health = HealthConfig(enabled=fallbacks)
-    common = dict(perf=perf, execution=execution, watchdog_timeout=watchdog_timeout)
 
     if algorithm == "splatam":
         return SplaTam(
@@ -233,7 +214,7 @@ def build_session(
                 mapping_iterations=mapping_iterations,
                 health=health,
             ),
-            **common,
+            perf=perf,
         )
     if algorithm == "gaussian-slam":
         return GaussianSlam(
@@ -243,12 +224,12 @@ def build_session(
                 mapping_iterations=mapping_iterations,
                 health=health,
             ),
-            **common,
+            perf=perf,
         )
     if algorithm == "orb":
-        return OrbLiteSlam(intrinsics, **common)
+        return OrbLiteSlam(intrinsics, perf=perf)
     if algorithm == "droid":
-        return DroidLiteSlam(intrinsics, **common)
+        return DroidLiteSlam(intrinsics, perf=perf)
     if algorithm in ("ags", "ags-gaussian-slam"):
         config = AGSConfig(
             iter_t=iter_t,
@@ -263,7 +244,7 @@ def build_session(
             config,
             mapping_iterations=mapping_iterations,
             health_config=health,
-            **common,
+            perf=perf,
         )
     if algorithm == "droid-splatam":
         # Direct integration of the coarse tracker with SplaTAM mapping:
@@ -280,14 +261,14 @@ def build_session(
             config,
             mapping_iterations=mapping_iterations,
             health_config=health,
-            **common,
+            perf=perf,
         )
     raise AssertionError(  # pragma: no cover - validated above
         f"unhandled algorithm '{algorithm}'"
     )
 
 
-def _build_system(key: RunKey, perf: PerfRecorder, watchdog_timeout: float | None = None):
+def _build_system(key: RunKey, perf: PerfRecorder):
     """Instantiate the system + sequence for ``key``.
 
     Returns ``(system, sequence, finish)`` where ``finish(result)``
@@ -313,9 +294,7 @@ def _build_system(key: RunKey, perf: PerfRecorder, watchdog_timeout: float | Non
         enable_mat=key.enable_mat,
         enable_gcm=key.enable_gcm,
         fallbacks=key.fallbacks,
-        execution=key.execution,
         perf=perf,
-        watchdog_timeout=watchdog_timeout,
     )
 
     if key.algorithm == "droid-splatam":
@@ -366,7 +345,7 @@ class RetryPolicy:
     jitter_seed: int = 0
 
     # Keeps jitter draws from colliding with scenario (1-4), fault
-    # (101-105) and serving-fault (201-202) domains.
+    # (101-104) and serving-fault (201-202) domains.
     _JITTER_DOMAIN = 301
 
     def __post_init__(self) -> None:
@@ -414,9 +393,7 @@ class SlamService:
         retry: the :class:`RetryPolicy` for transient run failures, or
             ``None`` for the default policy.  Retries engage only when
             the recovery driver does (a fault plan on the key, periodic
-            checkpoints, or a watchdog configured).
-        watchdog_timeout: per-stage watchdog (seconds) threaded into the
-            systems' pipelined executor; ``None`` disables it.
+            checkpoints, or an explicit policy).
     """
 
     def __init__(
@@ -426,7 +403,6 @@ class SlamService:
         perf: PerfRecorder | None = None,
         autocheckpoint_every: int = 0,
         retry: "RetryPolicy | None" = None,
-        watchdog_timeout: float | None = None,
         keep_parked: bool = False,
     ) -> None:
         if autocheckpoint_every < 0:
@@ -439,7 +415,6 @@ class SlamService:
         self.perf = perf or global_recorder()
         self.autocheckpoint_every = autocheckpoint_every
         self.retry = retry
-        self.watchdog_timeout = watchdog_timeout
         self.keep_parked = keep_parked
         self._lock = threading.Lock()
         self.hits = 0
@@ -493,14 +468,13 @@ class SlamService:
     def _recovery_engaged(self, key: RunKey) -> bool:
         """Whether ``key`` runs under the recovery driver.
 
-        The plain path (no fault plan, no checkpoints, no watchdog, no
-        explicit policy) calls :func:`_execute_run` directly and stays
+        The plain path (no fault plan, no checkpoints, no explicit
+        policy) calls :func:`_execute_run` directly and stays
         bit-and-call-compatible with the pre-recovery service.
         """
         return (
             key.faults is not None
             or self.autocheckpoint_every > 0
-            or self.watchdog_timeout is not None
             or self.retry is not None
         )
 
@@ -513,7 +487,7 @@ class SlamService:
         """Execute ``key`` with checkpoints, bounded retries and recovery.
 
         Transient failures (:class:`repro.errors.TransientError` — injected
-        faults, flaky reads, watchdog timeouts) are retried up to
+        faults, flaky reads) are retried up to
         ``retry.max_retries`` times with exponential backoff, each retry
         resuming from the newest *valid* on-disk checkpoint generation
         (corrupt generations are skipped — see
@@ -564,22 +538,17 @@ class SlamService:
     ) -> SlamResult:
         """One attempt of ``key``: build, arm faults, resume, drive, finish."""
         with perf.section(f"eval/{key.algorithm}/{key.sequence}"):
-            system, sequence, finish = _build_system(
-                key, perf, watchdog_timeout=self.watchdog_timeout
-            )
+            system, sequence, finish = _build_system(key, perf)
             total = min(key.num_frames, len(sequence))
             if injector is not None:
                 injector.arm(system, total)
                 sequence = injector.wrap_source(sequence)
             every = self.autocheckpoint_every
             if every <= 0:
-                # Whole-run attempts: the configured executor (sequential
-                # or pipelined + watchdog) drives the frames; retries
-                # restart from scratch.
+                # Whole-run attempts: retries restart from scratch.
                 return finish(system.run(sequence, num_frames=total))
-            # Periodic-checkpoint attempts drive frames through the
-            # synchronous feed loop (bit-identical to run(); the PR 4
-            # pipelined overlap only engages inside run()).
+            # Periodic-checkpoint attempts drive the feed loop themselves
+            # (bit-identical to run()) so they can checkpoint in between.
             state = self._newest_valid_generation(generations)
             if state is not None:
                 system.restore(state)

@@ -5,13 +5,7 @@ client-misbehavior plans (stalls, mid-upload disconnects, admission
 storms) in :mod:`repro.faults.serving`.
 """
 
-from repro.faults.injector import (
-    CheckpointFaults,
-    FaultInjector,
-    FaultPlan,
-    StageFaults,
-    StallFaults,
-)
+from repro.faults.injector import CheckpointFaults, FaultInjector, FaultPlan, StageFaults
 from repro.faults.plans import FAULT_PLANS, available_fault_plans, get_fault_plan
 from repro.faults.serving import (
     SERVING_FAULT_PLANS,
@@ -32,7 +26,6 @@ __all__ = [
     "SERVING_FAULT_PLANS",
     "ServingFaultPlan",
     "StageFaults",
-    "StallFaults",
     "available_fault_plans",
     "available_serving_fault_plans",
     "get_fault_plan",

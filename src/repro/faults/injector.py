@@ -2,13 +2,12 @@
 
 Robustness claims are only testable if failures are *reproducible*.  This
 module injects faults — stage exceptions in ``_track``/``_map``, flaky
-frame-source reads, stage stalls that trip the pipeline watchdog, and
-torn checkpoint writes — on a schedule that is a pure function of the
-fault plan and the run length, using exactly the
+frame-source reads and torn checkpoint writes — on a schedule that is a
+pure function of the fault plan and the run length, using exactly the
 ``SeedSequence((seed, domain, index))`` per-index draws of
 :mod:`repro.datasets.scenarios`.  Every fault therefore fires at the same
-frame index on every run of the same plan, independent of execution mode,
-retry count or process restarts, which is what lets the recovery
+frame index on every run of the same plan, independent of the driving
+loop, retry count or process restarts, which is what lets the recovery
 invariant be *property-tested*: a run that crashes at an injected fault
 and resumes from checkpoint must be bit-identical to the uninterrupted
 run.
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 
 import numpy as np
 
@@ -45,7 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "StageFaults",
-    "StallFaults",
 ]
 
 # Seed domains, disjoint from the scenario domains (1-4) so a fault plan
@@ -54,14 +51,12 @@ _DOMAIN_TRACK = 101
 _DOMAIN_MAP = 102
 _DOMAIN_SOURCE = 103
 _DOMAIN_CHECKPOINT = 104
-_DOMAIN_STALL = 105
 
 _DOMAIN_NAMES = {
     _DOMAIN_TRACK: "track",
     _DOMAIN_MAP: "map",
     _DOMAIN_SOURCE: "source",
     _DOMAIN_CHECKPOINT: "checkpoint",
-    _DOMAIN_STALL: "stall",
 }
 
 # How a torn checkpoint write manifests on disk.  All three are detected
@@ -109,21 +104,6 @@ class CheckpointFaults:
 
 
 @dataclasses.dataclass(frozen=True)
-class StallFaults:
-    """Injected stage stalls: sleep ``delay`` seconds before the stage.
-
-    Long enough relative to a configured ``watchdog_timeout``, a stall
-    converts into a :class:`~repro.errors.StageTimeoutError` on the
-    pipelined executor; without a watchdog it is only a slowdown.
-    """
-
-    delay: float = 0.25
-    probability: float = 0.3
-    window: Window = Window()
-    max_fires: int = 1
-
-
-@dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """One named, seeded bundle of faults (mirror of ``ScenarioSpec``)."""
 
@@ -133,7 +113,6 @@ class FaultPlan:
     map_errors: StageFaults | None = None
     source_errors: StageFaults | None = None
     checkpoint_tears: CheckpointFaults | None = None
-    map_stalls: StallFaults | None = None
 
     @property
     def is_clean(self) -> bool:
@@ -145,7 +124,6 @@ class FaultPlan:
                 "map_errors",
                 "source_errors",
                 "checkpoint_tears",
-                "map_stalls",
             )
         )
 
@@ -158,7 +136,6 @@ class FaultPlan:
                 self.track_errors,
                 self.map_errors,
                 self.source_errors,
-                self.map_stalls,
             )
             if fault is not None
         )
@@ -231,7 +208,6 @@ class FaultInjector:
             _DOMAIN_MAP: self.plan.map_errors,
             _DOMAIN_SOURCE: self.plan.source_errors,
             _DOMAIN_CHECKPOINT: self.plan.checkpoint_tears,
-            _DOMAIN_STALL: self.plan.map_stalls,
         }[domain]
 
     def schedule(self, domain: int, total: int) -> frozenset[int]:
@@ -320,12 +296,10 @@ class FaultInjector:
                 return __orig(index, frame)
 
             system._track = _faulted_track
-        if plan.map_errors is not None or plan.map_stalls is not None:
+        if plan.map_errors is not None:
             original_map = system._map
 
             def _faulted_map(index, frame, tracked, __orig=original_map):
-                if self._consume(plan.map_stalls, _DOMAIN_STALL, index, total):
-                    time.sleep(plan.map_stalls.delay)
                 self.maybe_raise(plan.map_errors, _DOMAIN_MAP, index, total)
                 return __orig(index, frame, tracked)
 

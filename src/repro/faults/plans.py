@@ -18,12 +18,7 @@ refuses to retry what declares itself unretryable.
 from __future__ import annotations
 
 from repro.datasets.scenarios import Window
-from repro.faults.injector import (
-    CheckpointFaults,
-    FaultPlan,
-    StageFaults,
-    StallFaults,
-)
+from repro.faults.injector import CheckpointFaults, FaultPlan, StageFaults
 
 __all__ = [
     "FAULT_PLANS",
@@ -57,16 +52,6 @@ FAULT_PLANS: dict[str, FaultPlan] = {
         seed=24,
         checkpoint_tears=CheckpointFaults(probability=0.8, window=Window(0.0, 0.7), max_fires=2),
         map_errors=StageFaults(probability=0.5, window=Window(0.7, 1.0), max_fires=1),
-    ),
-    # A stalled map stage: with a watchdog armed this becomes a
-    # StageTimeoutError on the pipelined executor; otherwise a slowdown.
-    # The delay is sized well above a legitimate small-config stage
-    # (~0.1s) so a watchdog a few times the stage time still separates
-    # stall from work cleanly.
-    "map-stall": FaultPlan(
-        name="map-stall",
-        seed=25,
-        map_stalls=StallFaults(delay=1.2, probability=0.3, window=Window(0.25, 0.9), max_fires=1),
     ),
     # A fatal mid-run crash: must propagate without retries and must not
     # poison sibling keys in run_many.

@@ -36,7 +36,7 @@ __all__ = [
     "get_serving_fault_plan",
 ]
 
-# Domains 1-4 belong to stream scenarios and 101-105 to pipeline fault
+# Domains 1-4 belong to stream scenarios and 101-104 to pipeline fault
 # injection; serving-level faults take the 200 block.
 _DOMAIN_STALL = 201
 _DOMAIN_DISCONNECT = 202

@@ -3,7 +3,7 @@
 Counters accumulate named integer/float quantities (SAD evaluations,
 blended pairs, frames processed, ...) with dictionary-add overhead — cheap
 enough to leave enabled inside per-frame loops.  Updates are guarded by a
-lock so concurrent stages (the pipelined session executor, service worker
+lock so concurrent writers (serving drain workers, service worker
 merges) never lose increments to interleaved read-modify-write cycles.
 """
 

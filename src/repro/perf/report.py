@@ -25,13 +25,12 @@ __all__ = [
 # The session-health counters every report surfaces explicitly (zero
 # when they never fired): a clean run *showing* zero degraded frames is
 # evidence, a missing key is just ambiguity.  The PR 7 fault-tolerance
-# counters (watchdog trips, service retries/recoveries) follow the same
+# counters (ingest watchdog trips, service retries/recoveries) follow the same
 # rule: silent runs report them as explicit zeros.
 ROBUSTNESS_COUNTERS = (
     "session.frames_degraded",
     "session.tracking_fallbacks",
     "session.relocalizations",
-    "session.pipeline_stalls",
     "session.watchdog_timeouts",
     "service.retries",
     "service.recoveries",

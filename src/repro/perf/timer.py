@@ -8,8 +8,8 @@ hot paths can take a timer object unconditionally.
 
 Timers are safe to use from several threads at once: the section stack is
 per-thread (each thread nests its own call tree) and the accumulated
-statistics are guarded by a lock, so the pipelined session executor's
-track and map stages can record into one recorder concurrently.
+statistics are guarded by a lock, so concurrent sessions (service
+worker pools, serving drain workers) can record into one recorder.
 """
 
 from __future__ import annotations

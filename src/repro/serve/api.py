@@ -28,7 +28,10 @@ instead of queueing it:
   (:meth:`SlamServer.stop` with a ``drain_timeout``) and admits no new
   work; reads (``/healthz``, ``/result``) still answer.
 * ``400`` — an undecodable frame body (e.g. a mid-upload disconnect
-  truncated the npz); the frame was never admitted into a session.
+  truncated the npz); the frame was never admitted into a session.  A
+  malformed ``POST /sessions`` spec (not a JSON object, or a key the
+  session builder does not accept) is refused the same way, naming the
+  offending key, and registers nothing.
 
 Per-frame deadlines ride the ``X-Deadline-Ms`` request header: a frame
 whose deadline expires while queued is rejected whole (never
@@ -50,6 +53,7 @@ fully disarmed and the server behaves exactly like the PR 9 one.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import threading
@@ -152,8 +156,10 @@ def default_session_factory(spec: dict):
     ``spec`` must name the ``algorithm`` and the camera geometry
     (``width``, ``height``, optional ``fov_x_deg``); every remaining key
     is forwarded to :func:`repro.eval.service.build_session` (iteration
-    budgets, AGS knobs, execution mode, ...).  Imported lazily: the
-    service layer itself depends on :mod:`repro.serve.registry`.
+    budgets, AGS knobs, ...).  A key ``build_session`` does not accept
+    raises ``ValueError`` here, before any session is registered.
+    Imported lazily: the service layer itself depends on
+    :mod:`repro.serve.registry`.
     """
     from repro.eval.service import build_session
     from repro.gaussians.camera import Intrinsics
@@ -167,6 +173,19 @@ def default_session_factory(spec: dict):
     except KeyError as exc:
         raise ValueError(f"session spec is missing {exc.args[0]!r}") from None
     fov_x_deg = float(spec.pop("fov_x_deg", 75.0))
+    # The builder's configuration keywords; ``perf`` is a process-side
+    # recorder, not something a wire spec can carry.
+    accepted = set(inspect.signature(build_session).parameters) - {
+        "algorithm",
+        "intrinsics",
+        "perf",
+    }
+    unknown = sorted(set(spec) - accepted)
+    if unknown:
+        raise ValueError(
+            f"session spec has unknown key(s) {unknown}; "
+            f"accepted: {sorted(accepted)}"
+        )
     intrinsics = Intrinsics.from_fov(width, height, fov_x_deg)
     return lambda: build_session(algorithm, intrinsics, **spec)
 
@@ -373,6 +392,10 @@ class SlamServer:
             self.admission.release()
 
     def create_session(self, spec: dict) -> dict:
+        if not isinstance(spec, dict):
+            raise ValueError(
+                f"session spec must be a JSON object, got {type(spec).__name__}"
+            )
         session_id = spec.get("session_id")
         if not session_id or not isinstance(session_id, str):
             raise ValueError("session spec needs a non-empty string 'session_id'")

@@ -8,8 +8,7 @@ the queue in arrival order through the ordinary ``feed`` path, which is
 what makes asynchronous ingestion *bit-identical* to synchronous feeding
 by construction (property-tested per system in ``tests/test_serve.py``).
 
-The handle reuses the ``_TwoStagePipeline`` conventions from
-:mod:`repro.slam.session`:
+The handle's contract:
 
 * **bounded queue** — at most ``queue_depth`` frames may be in flight
   per session; a ``submit`` beyond the bound blocks the producer
@@ -96,7 +95,7 @@ class AsyncSessionHandle:
             frame-granular retry of :class:`TransientError` drain
             failures.  ``None`` propagates the first failure.
         watchdog_timeout: no-progress bound for blocked ``submit`` /
-            ``flush`` waits (None disables, matching the pipeline).
+            ``flush`` waits (None disables).
         perf: recorder for the serving counters (default process-wide).
         on_result: optional callback invoked with each
             :class:`FrameResult` as its frame completes, on the drain

@@ -15,7 +15,6 @@ from repro.slam.health import (
 )
 from repro.slam.results import FrameResult, SlamResult
 from repro.slam.session import (
-    EXECUTION_MODES,
     SessionRunner,
     SessionState,
     SlamSession,
@@ -34,7 +33,6 @@ from repro.slam.gaussian_slam import GaussianSlam, GaussianSlamConfig
 from repro.slam.quality import evaluate_mapping_quality
 
 __all__ = [
-    "EXECUTION_MODES",
     "DroidLiteConfig",
     "DroidLiteSlam",
     "DroidLiteTracker",

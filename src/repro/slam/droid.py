@@ -392,16 +392,12 @@ class DroidLiteSlam(SessionRunner):
         intrinsics: Intrinsics,
         config: DroidLiteConfig | None = None,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
-        watchdog_timeout: float | None = None,
     ) -> None:
         self.config = config or DroidLiteConfig()
         super().__init__(
             intrinsics,
             collect_trace=False,
             perf=perf,
-            execution=execution,
-            watchdog_timeout=watchdog_timeout,
         )
         self.tracker = DroidLiteTracker(intrinsics, self.config)
         self._prev_gray: np.ndarray | None = None

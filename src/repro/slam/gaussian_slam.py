@@ -75,16 +75,12 @@ class GaussianSlam(SessionRunner):
         intrinsics: Intrinsics,
         config: GaussianSlamConfig | None = None,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
-        watchdog_timeout: float | None = None,
     ) -> None:
         self.config = config or GaussianSlamConfig()
         super().__init__(
             intrinsics,
             collect_trace=self.config.collect_trace,
             perf=perf,
-            execution=execution,
-            watchdog_timeout=watchdog_timeout,
         )
         tracker_config = dataclasses.replace(
             self.config.tracker, num_iterations=self.config.tracking_iterations
@@ -194,12 +190,7 @@ class GaussianSlam(SessionRunner):
         return self._step(index, frame)
 
     def _track(self, index: int, frame) -> TrackedFrame:
-        """Tracking sub-stage: optimize the pose against the active sub-map.
-
-        The tracker renders the active sub-map — mapping-owned state — so
-        ``_await_mapped`` gates the read (full dependency stall under
-        pipelined execution, as for SplaTAM).
-        """
+        """Tracking sub-stage: optimize the pose against the active sub-map."""
         health_events: list = []
         degraded = False
         fallbacks_used = 0
@@ -211,7 +202,6 @@ class GaussianSlam(SessionRunner):
         else:
             prev_pose = self._pose_history[-1]
             initial = self.tracker.initial_guess(self._pose_history)
-            self._await_mapped()
             active_model = self.active_submap.model if self.active_submap else GaussianModel.empty()
             with self.perf.section("gaussian_slam/tracking"):
                 outcome = self.tracker.track(

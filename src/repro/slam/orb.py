@@ -234,16 +234,12 @@ class OrbLiteSlam(SessionRunner):
         intrinsics: Intrinsics,
         config: OrbLiteConfig | None = None,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
-        watchdog_timeout: float | None = None,
     ) -> None:
         self.config = config or OrbLiteConfig()
         super().__init__(
             intrinsics,
             collect_trace=False,
             perf=perf,
-            execution=execution,
-            watchdog_timeout=watchdog_timeout,
         )
         self._rng = np.random.default_rng(self.config.seed)
         self._prev_gray: np.ndarray | None = None

@@ -26,22 +26,6 @@ the same or a freshly constructed, identically configured system) yields
 the same trajectory, losses, covisibility decisions and traces as the
 uninterrupted run.  ``tests/test_session.py`` property-tests this for
 all five systems.
-
-Pipelined execution.  The AGS hardware overlaps the FC-engine/GPE
-tracking of frame ``t+1`` with the mapping of frame ``t`` (Fig. 9 of the
-paper).  ``SessionRunner(..., execution="pipelined")`` reproduces that
-overlap in software: ``run(sequence)`` drives the ``_track`` sub-stage
-on the calling thread and the ``_map`` sub-stage on a worker thread
-connected by a bounded two-stage queue.  A system's ``_track`` calls
-:meth:`SessionRunner._await_mapped` immediately before touching any
-mapping-owned state (the Gaussian map, keyframes); the gate blocks until
-every submitted map stage has completed — each actual wait bumps the
-``session.pipeline_stalls`` counter — so pipelined execution is
-*bit-identical* to sequential execution by construction: the same
-computations run in the same dependency order, only independent work
-(coarse pose estimation, CODEC covisibility, frame materialization)
-overlaps mapping.  The stage invocations are timed under
-``session/track_overlap`` and ``session/map_overlap``.
 """
 
 from __future__ import annotations
@@ -51,7 +35,6 @@ import copy
 import dataclasses
 import json
 import pathlib
-import queue as queue_module
 import threading
 import time
 import zlib
@@ -59,7 +42,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import CheckpointCorruptError, StageTimeoutError
+from repro.errors import CheckpointCorruptError
 from repro.gaussians.camera import Intrinsics, Pose
 from repro.gaussians.model import GaussianModel
 from repro.ioutil import atomic_write_bytes, atomic_write_text
@@ -74,7 +57,6 @@ from repro.workloads import (
 )
 
 __all__ = [
-    "EXECUTION_MODES",
     "SessionRunner",
     "SessionState",
     "SlamSession",
@@ -97,85 +79,6 @@ CHECKPOINT_FORMAT = "repro-slam-session"
 # checkpoint from a different format generation is rejected as corrupt
 # rather than risking a silently wrong partial restore.
 CHECKPOINT_VERSION = 2
-
-EXECUTION_MODES = ("sequential", "pipelined")
-
-
-class _TwoStagePipeline:
-    """The bounded track→map handoff of a pipelined session run.
-
-    The track stage (caller thread) ``submit``\\ s ``(index, frame,
-    tracked)`` work items; the map stage (worker thread) consumes them in
-    order and acknowledges each with ``mark_completed``.  ``drain`` lets
-    the track stage wait until every submitted map has completed — the
-    dependency gate a system's ``_track`` uses before touching
-    mapping-owned state.  The queue depth bounds how far tracking may run
-    ahead of mapping (and therefore how many frames are in flight).
-    """
-
-    def __init__(self, depth: int) -> None:
-        self.queue: queue_module.Queue = queue_module.Queue(maxsize=max(depth, 1))
-        self._cond = threading.Condition()
-        self._submitted = 0
-        self._completed = 0
-
-    def submit(self, item, timeout: float | None = None) -> None:
-        """Hand one tracked frame to the map stage (blocks when full).
-
-        With ``timeout`` (the stage watchdog) a full queue that makes no
-        completion progress for ``timeout`` seconds raises
-        :class:`StageTimeoutError` — a stalled map stage must not hang
-        the track stage forever.
-        """
-        with self._cond:
-            self._submitted += 1
-            before = self._completed
-        if timeout is None:
-            self.queue.put(item)
-            return
-        while True:
-            try:
-                self.queue.put(item, timeout=timeout)
-                return
-            except queue_module.Full:
-                with self._cond:
-                    progressed = self._completed > before
-                    before = self._completed
-                if not progressed:
-                    raise StageTimeoutError(
-                        f"map stage made no progress for {timeout:g}s with the "
-                        "pipeline queue full"
-                    ) from None
-
-    def mark_completed(self) -> None:
-        """Acknowledge one map-stage completion (worker thread)."""
-        with self._cond:
-            self._completed += 1
-            self._cond.notify_all()
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Wait until every submitted map completed; True if it blocked.
-
-        With ``timeout`` (the stage watchdog), a wait that sees no
-        completion progress for ``timeout`` seconds raises
-        :class:`StageTimeoutError`.
-        """
-        with self._cond:
-            if self._completed >= self._submitted:
-                return False
-            while self._completed < self._submitted:
-                before = self._completed
-                signalled = self._cond.wait(timeout)
-                if (
-                    timeout is not None
-                    and not signalled
-                    and self._completed == before
-                ):
-                    raise StageTimeoutError(
-                        f"map stage made no progress for {timeout:g}s while "
-                        "awaiting the dependency gate"
-                    )
-            return True
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +123,8 @@ class TrackedFrame:
     """Standard ``_track`` → ``_map`` handoff of the 3DGS systems.
 
     Systems with richer tracking outputs (AGS's covisibility
-    measurements) define their own handoff type — the executor treats it
-    as opaque.  The health fields carry the tracking-health monitor's
+    measurements) define their own handoff type — the session runner
+    treats it as opaque.  The health fields carry the tracking-health monitor's
     verdict from ``_track`` to the result/trace assembly in ``_map``.
     """
 
@@ -290,10 +193,7 @@ class SessionRunner:
     * ``_track(index, frame)`` — the tracking sub-stage of one frame,
       returning an opaque system-specific handoff object.  It owns the
       tracking-side state (pose history, previous-frame references,
-      velocity priors) and must call :meth:`_await_mapped` immediately
-      before reading any mapping-owned state (the Gaussian map,
-      keyframes), so the pipelined executor can overlap it with the
-      previous frame's map stage.
+      velocity priors).
     * ``_map(index, frame, tracked)`` — the mapping/keyframe sub-stage,
       returning ``(FrameResult, FrameTrace | None)``.  It owns the
       mapping-side state and assembles the frame's results.
@@ -304,11 +204,10 @@ class SessionRunner:
     and inherit ``begin`` / ``feed`` / ``finalize`` / ``state`` /
     ``restore`` plus the ``run(sequence)`` compatibility shim.
 
-    ``execution="pipelined"`` makes ``run`` overlap the tracking of frame
-    ``t+1`` with the mapping of frame ``t`` on a bounded two-stage
-    pipeline, bit-identical to sequential execution (see the module
-    docstring).  ``feed`` is inherently synchronous — it must return the
-    frame's result — so the overlap engages inside ``run`` only.
+    The ``_track``/``_map`` split is not a concurrency boundary — every
+    frame runs both sub-stages back to back on the feeding thread.  It
+    exists so fault injection can target one stage and so the ingest
+    retry can roll a failed frame back before either stage re-runs.
     """
 
     algorithm = "slam"
@@ -318,34 +217,14 @@ class SessionRunner:
         intrinsics: Intrinsics,
         collect_trace: bool = False,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
-        pipeline_depth: int = 2,
-        watchdog_timeout: float | None = None,
     ) -> None:
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode '{execution}'; expected one of {EXECUTION_MODES}"
-            )
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
-        if watchdog_timeout is not None and watchdog_timeout <= 0:
-            raise ValueError("watchdog_timeout must be positive (or None to disable)")
         self.intrinsics = intrinsics
         self.collect_trace = collect_trace
         self.perf = perf or NULL_RECORDER
-        self.execution = execution
-        self.pipeline_depth = pipeline_depth
-        # Stage watchdog for pipelined runs: a submitted _map stage that
-        # makes no progress for this many seconds raises StageTimeoutError
-        # (a TransientError), counted as session.watchdog_timeouts, with
-        # the session recovered to the last fully-mapped frame.  None
-        # disables the watchdog (the default; also settable post-init).
-        self.watchdog_timeout = watchdog_timeout
         self._session_sequence: str | None = None
         self._session_result: SlamResult | None = None
         self._session_trace: SequenceTrace | None = None
         self._next_index = 0
-        self._pipeline: _TwoStagePipeline | None = None
         # Deferred-ingestion seam (repro.serve): frames queued by
         # feed_nowait, consumed in order by drain_pending.  The lock only
         # guards the deque — producers may enqueue while one drainer
@@ -373,19 +252,6 @@ class SessionRunner:
     def _step(self, index: int, frame) -> tuple[FrameResult, FrameTrace | None]:
         """Process one frame sequentially: track, then map."""
         return self._map(index, frame, self._track(index, frame))
-
-    def _await_mapped(self) -> None:
-        """Block until every submitted frame's map stage has completed.
-
-        Systems call this from ``_track`` immediately before reading
-        mapping-owned state.  Sequential execution makes it a no-op; in a
-        pipelined run each wait that actually blocks is counted as a
-        ``session.pipeline_stalls`` dependency stall (the software
-        analogue of the hardware's GPE back-pressure on the FC engine).
-        """
-        pipeline = self._pipeline
-        if pipeline is not None and pipeline.drain(self.watchdog_timeout):
-            self.perf.count("session.pipeline_stalls")
 
     def _final_model(self) -> GaussianModel | None:
         return getattr(self, "model", None)
@@ -573,143 +439,12 @@ class SessionRunner:
         return result
 
     def run(self, sequence, num_frames: int | None = None) -> SlamResult:
-        """Batch compatibility shim: feed every frame, then finalize.
-
-        With ``execution="pipelined"`` the frame loop runs on the
-        two-stage track/map pipeline instead (bit-identical results).
-        """
+        """Batch compatibility shim: feed every frame, then finalize."""
         self.begin(getattr(sequence, "name", "stream"))
         total = len(sequence) if num_frames is None else min(num_frames, len(sequence))
-        if self.execution == "pipelined":
-            self._run_pipelined(sequence, total)
-        else:
-            for index in range(total):
-                self.feed(sequence[index])
+        for index in range(total):
+            self.feed(sequence[index])
         return self.finalize()
-
-    def _run_pipelined(self, sequence, total: int) -> None:
-        """Drive ``total`` frames through the bounded two-stage pipeline.
-
-        The calling thread materializes frames (in order, so lazy dataset
-        rendering stays deterministic) and runs the ``_track`` sub-stage;
-        one worker thread runs the ``_map`` sub-stage and appends results
-        in submission order.  A ``_map`` failure is re-raised here after
-        the worker drains the queue (so the track stage never deadlocks
-        on a full queue).
-        """
-        perf = self.perf
-        pipeline = self._pipeline = _TwoStagePipeline(self.pipeline_depth)
-        failures: list[BaseException] = []
-
-        def _map_stage() -> None:
-            while True:
-                item = pipeline.queue.get()
-                if item is None:
-                    return
-                index, frame, tracked = item
-                if not failures:
-                    try:
-                        with perf.section("session/map_overlap"):
-                            frame_result, frame_trace = self._map(index, frame, tracked)
-                        self._session_result.frames.append(frame_result)
-                        if self._session_trace is not None and frame_trace is not None:
-                            self._session_trace.frames.append(frame_trace)
-                        self._next_index = index + 1
-                    except BaseException as exc:  # propagated to the caller
-                        failures.append(exc)
-                pipeline.mark_completed()
-
-        worker = threading.Thread(target=_map_stage, name="session-map-stage", daemon=True)
-        worker.start()
-        timeout: StageTimeoutError | None = None
-        try:
-            for index in range(total):
-                if failures:
-                    break
-                frame = sequence[index]
-                try:
-                    with perf.section("session/track_overlap"):
-                        tracked = self._track(index, frame)
-                    pipeline.submit((index, frame, tracked), self.watchdog_timeout)
-                except StageTimeoutError as exc:
-                    # The watchdog declared the in-flight map stage
-                    # stalled (via the dependency gate inside _track or a
-                    # full submit queue).  Convert to a transient,
-                    # recoverable failure instead of hanging forever.
-                    perf.count("session.watchdog_timeouts")
-                    timeout = exc
-                    break
-                except BaseException as exc:
-                    # A map failure can leave mapping state half-mutated;
-                    # a secondary track error it provokes must not mask
-                    # the root cause.
-                    if failures:
-                        raise failures[0] from exc
-                    raise
-        finally:
-            clean_shutdown = self._shutdown_pipeline(pipeline, worker)
-            self._pipeline = None
-        if not clean_shutdown:
-            # The map stage is still wedged past the shutdown grace: the
-            # worker may yet mutate mapping state, so a replay would race
-            # with it.  Drop the session (state() raises) instead of
-            # checkpointing torn state.
-            self._session_result = None
-            self._session_trace = None
-        elif failures or timeout is not None:
-            self._recover_after_map_failure(sequence)
-        if failures:
-            raise failures[0]
-        if timeout is not None:
-            raise timeout
-
-    def _shutdown_pipeline(self, pipeline: _TwoStagePipeline, worker: threading.Thread) -> bool:
-        """Stop the map worker; False when it stayed wedged past the grace.
-
-        Without a watchdog the waits are unbounded (matching the
-        pre-watchdog behaviour).  With one, a stage stalled beyond a
-        grace of several watchdog periods is abandoned — the worker
-        thread is a daemon, so an unrecoverable hang cannot block
-        interpreter exit either.
-        """
-        if self.watchdog_timeout is None:
-            pipeline.queue.put(None)
-            worker.join()
-            return True
-        grace = max(10.0 * self.watchdog_timeout, 1.0)
-        try:
-            pipeline.queue.put(None, timeout=grace)
-        except queue_module.Full:
-            return False
-        worker.join(grace)
-        return not worker.is_alive()
-
-    def _recover_after_map_failure(self, sequence) -> None:
-        """Rebuild a consistent session at the last fully-mapped frame.
-
-        When a pipelined ``_map`` fails, the track stage may already have
-        advanced its state (pose history, velocity priors, reference
-        frames) several frames past the last completed map, and the
-        failed ``_map`` itself may have half-applied its mutations.
-        Rather than rolling individual sub-stage state back, replay the
-        fully-mapped prefix from scratch: session processing is
-        deterministic, so the replayed state is bit-identical to the
-        uninterrupted prefix and a checkpoint taken afterwards resumes
-        from the last fully-mapped frame.  The replay re-runs up to
-        ``next_index`` frames (and re-counts their perf events) — a cost
-        paid only on the failure path.  If the replay itself fails the
-        session is left without an active result, so ``state()`` raises
-        instead of checkpointing torn state.
-        """
-        mapped = self._next_index
-        name = self._session_sequence or "stream"
-        try:
-            self.begin(name)
-            for index in range(mapped):
-                self.feed(sequence[index])
-        except BaseException:
-            self._session_result = None
-            self._session_trace = None
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -76,16 +76,12 @@ class SplaTam(SessionRunner):
         intrinsics: Intrinsics,
         config: SplaTamConfig | None = None,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
-        watchdog_timeout: float | None = None,
     ) -> None:
         self.config = config or SplaTamConfig()
         super().__init__(
             intrinsics,
             collect_trace=self.config.collect_trace,
             perf=perf,
-            execution=execution,
-            watchdog_timeout=watchdog_timeout,
         )
         tracker_config = dataclasses.replace(
             self.config.tracker, num_iterations=self.config.tracking_iterations
@@ -146,10 +142,7 @@ class SplaTam(SessionRunner):
         """Tracking sub-stage: optimize the pose against the current map.
 
         SplaTAM's tracker renders the Gaussian map, so past the trivial
-        warm start this stage depends on the previous frame's mapping —
-        ``_await_mapped`` gates the map read (a full dependency stall in
-        pipelined execution, exactly as on hardware for a baseline
-        without a map-free coarse tracker).
+        warm start this stage depends on the previous frame's mapping.
         """
         config = self.config
         health_events: list = []
@@ -164,7 +157,6 @@ class SplaTam(SessionRunner):
         else:
             prev_pose = self._pose_history[-1]
             initial = self.tracker.initial_guess(self._pose_history)
-            self._await_mapped()
             with self.perf.section("splatam/tracking"):
                 outcome = self.tracker.track(
                     self.model, frame.color, frame.depth, initial,

@@ -16,10 +16,13 @@
 
 The full plan × system matrix runs in the slow lane; tier-1 covers the
 composite ``chaos`` plan on every system plus the special-path plans
-(torn checkpoints, stalls, fatal crashes) on one system each.
+(torn checkpoints, fatal crashes) on one system each, and the serving
+tier's ingest watchdog on a stalled map stage.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -31,10 +34,11 @@ from repro.errors import (
     StageTimeoutError,
     TransientError,
 )
-from repro.eval.service import RetryPolicy, RunKey, SlamService
+from repro.eval.service import RetryPolicy, RunKey, SlamService, build_session
 from repro.faults import FaultInjector, available_fault_plans, get_fault_plan
 from repro.faults.injector import _DOMAIN_MAP, _DOMAIN_SOURCE, _DOMAIN_TRACK
 from repro.perf import PerfRecorder, build_report
+from repro.serve import AsyncSessionHandle, SessionRegistry
 
 CHEAP = dict(
     sequence="desk", num_frames=6, tracking_iterations=4, mapping_iterations=2
@@ -97,7 +101,7 @@ def test_every_registered_plan_fires_and_fits_the_retry_budget():
         scheduled = any(
             injector.schedule(domain, 10)
             for domain in (_DOMAIN_TRACK, _DOMAIN_MAP, _DOMAIN_SOURCE)
-        ) or plan.checkpoint_tears is not None or plan.map_stalls is not None
+        ) or plan.checkpoint_tears is not None
         assert scheduled, f"plan '{name}' never fires at 10 frames"
         if name != "worker-crash":
             assert plan.max_total_fires <= RetryPolicy().max_retries, name
@@ -152,19 +156,48 @@ def test_torn_checkpoints_fall_back_across_generations(clean_results, tmp_path):
     assert generation_root.is_dir() and any(generation_root.iterdir())
 
 
-def test_watchdog_converts_stall_and_recovers(clean_results):
-    # Watchdog well below the 1.2s stall delay but with headroom over a
-    # loaded legitimate stage; spare retries absorb any spurious trip.
-    service = SlamService(
-        perf=PerfRecorder(),
-        watchdog_timeout=0.8,
-        retry=RetryPolicy(max_retries=6),
-    )
-    result = service.run(_key("splatam", faults="map-stall", execution="pipelined"))
-    assert_results_identical(clean_results["splatam"], result)
-    counters = service.perf.counters.as_dict()
-    assert counters.get("session.watchdog_timeouts", 0) >= 1
-    assert service.retries >= 1
+def test_watchdog_converts_stall_and_recovers(tiny_sequence):
+    """The ingest watchdog turns a stalled ``_map`` into a timeout.
+
+    A flush blocked on a drain that makes no progress raises
+    :class:`StageTimeoutError` instead of hanging.  The stalled frame
+    stays queued and the session keeps its state, so once the stall ends
+    the stream finishes bit-identical to a synchronous ``feed``.
+    """
+    num_frames, stall_at = 5, 2
+    perf = PerfRecorder()
+    registry = SessionRegistry(max_live=1)
+    session = registry.open(
+        "cam",
+        lambda: build_session("orb", tiny_sequence.intrinsics),
+        sequence_name=tiny_sequence.name,
+    ).session
+    stall_over = threading.Event()
+    original_map = session._map
+
+    def stalled_map(index, frame, tracked):
+        if index == stall_at:
+            stall_over.wait(timeout=30.0)  # sleeps until the test ends the stall
+        return original_map(index, frame, tracked)
+
+    session._map = stalled_map
+    handle = AsyncSessionHandle(registry, "cam", watchdog_timeout=0.2, perf=perf)
+    for index in range(num_frames):
+        handle.submit(tiny_sequence[index])
+    with pytest.raises(StageTimeoutError, match="no progress"):
+        handle.flush()
+    assert perf.counters.as_dict()["session.watchdog_timeouts"] >= 1
+
+    stall_over.set()
+    served = handle.result()
+    handle.close()
+    registry.shutdown()
+
+    reference = build_session("orb", tiny_sequence.intrinsics)
+    reference.begin(tiny_sequence.name)
+    for index in range(num_frames):
+        reference.feed(tiny_sequence[index], index=index)
+    assert_results_identical(reference.finalize(), served)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.gaussians import render
 from repro.gaussians.gradients import render_backward
 from repro.gaussians.projection import project_gaussians
 from repro.gaussians.tiles import assign_tiles
-from repro.slam import OrbLiteSlam
 
 
 def test_render_rejects_unknown_backend(small_model, small_camera):
@@ -49,19 +48,9 @@ def test_render_backward_rejects_unknown_backend(small_model, small_camera):
         render_backward(small_model, small_camera, result, grad, backend="triton")
 
 
-def test_session_runner_rejects_unknown_execution_mode(tiny_sequence):
-    with pytest.raises(ValueError, match="execution mode.*pipelined"):
-        OrbLiteSlam(tiny_sequence.intrinsics, execution="speculative")
-
-
 def test_run_key_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="algorithm.*splatam"):
         RunKey(algorithm="slam9000", sequence="desk")
-
-
-def test_run_key_rejects_unknown_execution():
-    with pytest.raises(ValueError, match="execution mode"):
-        RunKey(algorithm="ags", sequence="desk", execution="warp")
 
 
 def test_run_key_rejects_unknown_scenario():

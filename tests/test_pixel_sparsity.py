@@ -18,8 +18,7 @@ These tests pin that down, plus the supporting machinery:
   them (no double-discounting in GSCore) are consistent;
 * ``ForwardCache`` / ``ScratchPool`` stay correct and bounded under
   alternating ``mode_tag`` s (sparsity flips, masked/fallback flips);
-* checkpoint/resume and ``execution="pipelined"`` stay bit-identical
-  under the new default.
+* checkpoint/resume stays bit-identical under the new default.
 """
 
 from __future__ import annotations
@@ -421,16 +420,6 @@ def _assert_runs_identical(a, b):
             assert np.array_equal(
                 getattr(a.final_model, name), getattr(b.final_model, name)
             )
-
-
-def test_pipelined_matches_sequential_under_pixel_default(tiny_sequence):
-    sequential = _make_ags(tiny_sequence, execution="sequential").run(
-        tiny_sequence, num_frames=NUM_FRAMES
-    )
-    pipelined = _make_ags(tiny_sequence, execution="pipelined").run(
-        tiny_sequence, num_frames=NUM_FRAMES
-    )
-    _assert_runs_identical(sequential, pipelined)
 
 
 def test_checkpoint_resume_under_pixel_default(tiny_sequence, tmp_path):

@@ -3,8 +3,8 @@
 The load-bearing property is *statelessness per frame index*: frame ``i``
 of a scenario is a pure function of ``i`` and the underlying source, so
 scenario streams are independent of access order, of sharing, of
-sequential vs pipelined execution, and of checkpoint/resume into a fresh
-process.  The SLAM-facing tests at the bottom verify those session-level
+batch ``run`` vs streaming ``feed``, and of checkpoint/resume into a
+fresh process.  The SLAM-facing tests at the bottom verify those session-level
 consequences for all five systems.
 """
 
@@ -247,13 +247,3 @@ def test_checkpoint_resume_under_scenario_is_bit_identical(
     for index, frame in fresh_wrap.stream(start=checkpoint_at, stop=NUM_FRAMES):
         resumed.feed(frame, index=index)
     assert _poses_identical(scenario_reference_runs[name], resumed.finalize())
-
-
-@pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_pipelined_under_scenario_matches_sequential(
-    name, scenario_sequence, scenario_reference_runs
-):
-    pipelined = FACTORIES[name](scenario_sequence, execution="pipelined").run(
-        scenario_sequence, num_frames=NUM_FRAMES
-    )
-    assert _poses_identical(scenario_reference_runs[name], pipelined)

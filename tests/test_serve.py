@@ -257,11 +257,8 @@ def test_registry_concurrent_touch_evict_hammer(tiny_sequence):
 # Park/resume bit-identity matrix (cross-registry == cross-shard)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", SYSTEMS)
-@pytest.mark.parametrize("execution", ["sequential", "pipelined"])
-def test_cross_registry_park_resume_is_bit_identical(
-    tmp_path, tiny_sequence, algorithm, execution
-):
-    factory = _factory(algorithm, tiny_sequence.intrinsics, execution=execution)
+def test_cross_registry_park_resume_is_bit_identical(tmp_path, tiny_sequence, algorithm):
+    factory = _factory(algorithm, tiny_sequence.intrinsics)
     first = SessionRegistry(max_live=2, park_root=tmp_path / "lot")
     session = first.open(
         algorithm, factory, sequence_name=tiny_sequence.name
@@ -460,6 +457,13 @@ def test_http_errors_map_to_status_codes(tiny_sequence):
             client._request("POST", "/sessions", b"not json", "application/json")
         with pytest.raises(RuntimeError, match="404"):
             client._request("POST", "/nowhere", b"{}", "application/json")
+        # A malformed session spec is a client error answered with 400 —
+        # never a dropped connection — and registers nothing.
+        with pytest.raises(RuntimeError, match="400.*bogus"):
+            client.create_session("bad-key", "orb", 8, 8, bogus=1)
+        with pytest.raises(RuntimeError, match="400.*JSON object"):
+            client._request("POST", "/sessions", b"[1, 2]", "application/json")
+        assert client.sessions() == {"live": [], "parked": []}
 
 
 # ---------------------------------------------------------------------------

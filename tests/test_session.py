@@ -1,6 +1,6 @@
-"""Streaming session tests: feed/run equivalence, checkpoints, pipelining.
+"""Streaming session tests: feed/run equivalence and checkpoints.
 
-Three properties anchor the session architecture:
+Two properties anchor the session architecture:
 
 1. ``run(sequence)`` (the compatibility shim) and frame-by-frame
    ``feed`` produce identical results — the refactor onto
@@ -9,9 +9,6 @@ Three properties anchor the session architecture:
    into a freshly constructed system) reproduces the uninterrupted run
    *bit-identically*: trajectory, losses, covisibility decisions,
    key-frame designations, final map and traces — for all five systems.
-3. ``execution="pipelined"`` (tracking of frame ``t+1`` overlapping the
-   mapping of frame ``t`` on the two-stage executor) is *bit-identical*
-   to sequential execution for all five systems.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import AGSConfig, AgsSlam
-from repro.perf import PerfRecorder
 from repro.slam import (
     DroidLiteSlam,
     GaussianSlam,
@@ -239,135 +235,3 @@ def test_feed_auto_begins_a_stream_session(tiny_sequence):
     result = system.finalize()
     assert result.sequence == "stream"
     assert len(result) == 1
-
-
-# ---------------------------------------------------------------------------
-# Pipelined execution: bit-identical to sequential for every system
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_pipelined_run_is_bit_identical(name, tiny_sequence, reference_runs):
-    """The two-stage executor changes wall-clock behaviour, not results."""
-    system = FACTORIES[name](tiny_sequence, execution="pipelined")
-    result = system.run(tiny_sequence, num_frames=NUM_FRAMES)
-    assert_results_identical(reference_runs[name], result)
-    assert system.next_frame_index == NUM_FRAMES
-
-
-def test_pipelined_ags_with_refinement_stalls(walk_sequence):
-    """Low-covisibility AGS frames stall on the map and still match.
-
-    The walking sequence forces fine-grained refinement, which reads the
-    Gaussian map — the ``_await_mapped`` dependency gate must both keep
-    the result bit-identical and record the stalls it takes.
-    """
-    def make(execution, perf=None):
-        return AgsSlam(
-            walk_sequence.intrinsics,
-            AGSConfig(iter_t=2, baseline_tracking_iterations=5),
-            mapping_iterations=3,
-            perf=perf,
-            execution=execution,
-        )
-
-    reference = make("sequential").run(walk_sequence, num_frames=NUM_FRAMES)
-    recorder = PerfRecorder()
-    pipelined = make("pipelined", perf=recorder).run(walk_sequence, num_frames=NUM_FRAMES)
-    assert_results_identical(reference, pipelined)
-    assert any(frame.tracking_iterations > 0 for frame in reference.frames)
-    assert recorder.counters.get("session.pipeline_stalls") > 0
-    timers = recorder.timers
-    assert timers.get("session/track_overlap").calls == NUM_FRAMES
-    assert timers.get("session/map_overlap").calls == NUM_FRAMES
-
-
-def test_pipelined_counters_match_sequential(tiny_sequence):
-    """Operation counters (not just results) are identical across modes."""
-    sequential = PerfRecorder()
-    _make_splatam(tiny_sequence, perf=sequential, execution="sequential").run(
-        tiny_sequence, num_frames=NUM_FRAMES
-    )
-    pipelined = PerfRecorder()
-    _make_splatam(tiny_sequence, perf=pipelined, execution="pipelined").run(
-        tiny_sequence, num_frames=NUM_FRAMES
-    )
-    sequential_counts = sequential.counters.as_dict()
-    pipelined_counts = pipelined.counters.as_dict()
-    pipelined_counts.pop("session.pipeline_stalls", None)
-    assert pipelined_counts == sequential_counts
-    # The fully map-dependent SplaTAM tracker stalls on every frame past
-    # the anchored first one.
-    assert pipelined.counters.get("session.pipeline_stalls") == NUM_FRAMES - 1
-
-
-def test_pipelined_map_stage_failure_propagates(tiny_sequence):
-    """A _map exception surfaces to the run() caller, not the worker."""
-    system = _make_orb(tiny_sequence, execution="pipelined")
-    boom = RuntimeError("map stage exploded")
-
-    def failing_map(index, frame, tracked):
-        raise boom
-
-    system._map = failing_map
-    with pytest.raises(RuntimeError, match="map stage exploded"):
-        system.run(tiny_sequence, num_frames=NUM_FRAMES)
-
-
-def test_pipelined_map_failure_preserves_original_traceback(tiny_sequence):
-    """The exception surfaces with the worker's traceback, not a wrapper's."""
-    system = _make_orb(tiny_sequence, execution="pipelined")
-
-    def failing_map(index, frame, tracked):
-        raise RuntimeError("map stage exploded")
-
-    system._map = failing_map
-    try:
-        system.run(tiny_sequence, num_frames=NUM_FRAMES)
-    except RuntimeError as error:
-        frames = []
-        traceback = error.__traceback__
-        while traceback is not None:
-            frames.append(traceback.tb_frame.f_code.co_name)
-            traceback = traceback.tb_next
-        assert "failing_map" in frames
-    else:  # pragma: no cover
-        pytest.fail("map failure did not propagate")
-
-
-def test_pipelined_map_failure_leaves_session_restorable(tiny_sequence, reference_runs):
-    """After a pipelined _map failure the session checkpoints and resumes.
-
-    Regression test: the failed map (and any tracking that raced ahead of
-    it) must not leave torn state behind — the session recovers to the
-    last fully-mapped frame, a checkpoint taken there loads into a fresh
-    system, and completing the stream reproduces the uninterrupted run
-    bit-identically.
-    """
-    system = _make_splatam(tiny_sequence, execution="pipelined")
-    original_map = system._map
-    fail_at = 2
-
-    def flaky_map(index, frame, tracked):
-        if index == fail_at:
-            raise RuntimeError("transient map failure")
-        return original_map(index, frame, tracked)
-
-    system._map = flaky_map
-    with pytest.raises(RuntimeError, match="transient map failure"):
-        system.run(tiny_sequence, num_frames=NUM_FRAMES)
-
-    # The session recovered to the last fully-mapped frame and its
-    # checkpoint is coherent.
-    assert system.next_frame_index == fail_at
-    state = system.state()
-    assert len(state.frames) == fail_at
-
-    resumed = _make_splatam(tiny_sequence)
-    resumed.restore(state)
-    for index, frame in tiny_sequence.stream(start=fail_at, stop=NUM_FRAMES):
-        resumed.feed(frame, index=index)
-    assert_results_identical(reference_runs["splatam"], resumed.finalize())
-
-
-def test_unknown_execution_mode_is_rejected(tiny_sequence):
-    with pytest.raises(ValueError, match="execution mode"):
-        _make_orb(tiny_sequence, execution="warp-speed")
