@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Hot-path perf gate: re-measure the motion-estimation, rasterizer,
-# rasterizer-backward, pair-culling and pixel-sparsity benchmarks and
-# update BENCH_hotpaths.json / BENCH_backward.json / BENCH_culling.json /
-# BENCH_sparsity.json (plus the correctness-gated BENCH_robustness.json / BENCH_faults.json /
+# rasterizer-backward and sparse-rasterizer benchmarks and update
+# BENCH_hotpaths.json / BENCH_backward.json / BENCH_sparse.json (plus the
+# correctness-gated BENCH_robustness.json / BENCH_faults.json /
 # BENCH_serve.json / BENCH_overload.json) at the repo root.
 #
 # If a gated hot-path timing regressed by more than 20% against a
@@ -12,11 +12,11 @@
 # Usage: scripts/bench_speed.sh [--only <bench>] [extra bench args]
 #   e.g. scripts/bench_speed.sh --max-regression 0.1
 #        scripts/bench_speed.sh --repeats 9
-#        scripts/bench_speed.sh --only sparsity
-#        scripts/bench_speed.sh --only culling --repeats 9
+#        scripts/bench_speed.sh --only sparse
+#        scripts/bench_speed.sh --only sparse --repeats 9
 #
 # --only runs a single benchmark; <bench> is one of:
-#   hotpaths backward culling sparsity robustness faults serve overload
+#   hotpaths backward sparse robustness faults serve overload
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,10 +30,10 @@ if [[ "${1:-}" == "--only" ]]; then
     ONLY="$2"
     shift 2
     case "$ONLY" in
-        hotpaths|backward|culling|sparsity|robustness|faults|serve|overload) ;;
+        hotpaths|backward|sparse|robustness|faults|serve|overload) ;;
         *)
             echo "unknown benchmark: $ONLY" >&2
-            echo "expected one of: hotpaths backward culling sparsity robustness faults serve overload" >&2
+            echo "expected one of: hotpaths backward sparse robustness faults serve overload" >&2
             exit 2
             ;;
     esac
@@ -50,8 +50,7 @@ run_bench() {
 
 run_bench hotpaths benchmarks/bench_speed_hotpaths.py --gate "$@"
 run_bench backward benchmarks/bench_speed_backward.py --gate "$@"
-run_bench culling benchmarks/bench_speed_culling.py --gate "$@"
-run_bench sparsity benchmarks/bench_speed_sparsity.py --gate "$@"
+run_bench sparse benchmarks/bench_speed_sparse.py --gate "$@"
 # Robustness grid: correctness-gated (clean-stream bit-identity and the
 # fallback-ablation wins), not timing-gated, so it takes no extra args.
 run_bench robustness benchmarks/bench_robustness.py --gate

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: repo hygiene, the tier-1 test suite, the robustness /
 # fault / serving / overload smokes and the hot-path perf gate (which
-# includes the pair-culling and pixel-sparsity benches).
+# includes the sparse-rasterizer bench).
 #
 #   scripts/ci.sh          # hygiene + tier-1 tests + scripts/bench_speed.sh
 #   scripts/ci.sh --slow   # additionally run the weekly `pytest -m slow`

@@ -35,35 +35,23 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
 * ``dtype=np.float32`` runs the bucketed forward in single precision
   (~1e-4 image error, roughly half the time and memory).  The reference
   backend always computes in float64.
-* ``render(..., radius="opacity", cull="precise")`` (the defaults) are
-  the exact sparse pair-culling knobs: opacity-aware splat radii plus a
-  precise conic-vs-tile intersection test drop every (tile, Gaussian)
-  pair whose alpha is provably below ``ALPHA_MIN`` across the tile.
-  Rendered images, contribution statistics and gradients are
-  bit-identical to the legacy ``radius="sigma"`` / ``cull="aabb"``
-  tables (``tests/test_pair_culling.py``); only the workload shrinks
-  (``TileGrid.pairs_total`` / ``pairs_culled``, also emitted as
-  ``raster.pairs_*`` perf counters via ``render(..., perf=)``).
-* ``render(..., sparsity="pixel")`` (the default) extends the sparse
-  engine below the tile: every retained pair carries a conservative
-  active row/column interval from closed-form conic strip minima (the
-  same math as the tile-rectangle cull, applied per pixel strip, with a
-  spectral-bound full-tile fast path).  The bucketed engine counts only
-  interval entries as ``pairs_computed``, records
-  ``TileGrid.pixels_total`` / ``pixels_culled`` (emitted as
-  ``raster.pixels_*`` counters), and switches forward + fused backward
-  to a masked row-segment schedule when a chunk is sparse enough to win.
-  ``sparsity="tile"`` keeps the tile-granular lattices.  Images, integer
-  contribution statistics and gradients are bit-identical across both
-  modes and both schedules (``tests/test_pixel_sparsity.py``); the
-  pixel-level workload reduction also feeds the hardware simulators
-  (``hw.pixels_total`` / ``hw.pixels_culled``, GSCore's measured
-  sub-tile skipping).
-* ``ForwardCache(dtype=np.float32)`` stores the retained blending
-  intermediates in single precision (~25 % less pool memory, images
-  unchanged, ~1e-7 relative gradient deviation — see the ``-m slow``
-  accuracy study); the default float64 keeps the fused backward
-  bit-for-bit independent of caching.
+* Tile assignment is one exact sparse engine (no mode knobs).
+  Opacity-aware splat radii plus a conic-vs-tile test drop every
+  (tile, Gaussian) pair whose alpha is provably below ``ALPHA_MIN``
+  across the tile, and every retained pair carries a conservative active
+  row/column interval (closed-form conic strip minima with a
+  spectral-bound full-tile fast path).  Images, integer contribution
+  statistics and gradients are bit-identical to brute-force classic
+  3-sigma tables (``tests/test_pair_culling.py``); only the workload
+  shrinks.  ``TileGrid.pairs_total`` / ``pairs_culled`` measure the pair
+  reduction against that baseline and ``pixels_total`` /
+  ``pixels_culled`` the sub-tile reduction within the retained pairs
+  (also emitted as ``raster.pairs_*`` / ``raster.pixels_*`` counters via
+  ``render(..., perf=)``); the hardware simulators consume the latter
+  (``hw.pixels_total`` / ``hw.pixels_culled``, GSCore's measured sub-tile
+  skipping).  Per chunk, the bucketed forward and fused backward pick a
+  masked row-segment schedule or the dense kernels from the measured
+  interval density — a schedule, never semantics.
 
 ``GaussianModel.alphas`` memoizes the sigmoid of the opacity logits,
 :class:`repro.gaussians.scratch.ScratchPool` provides the reusable

@@ -315,7 +315,6 @@ def _accumulate_bucketed(
     if (
         cache is None
         or cache.generation != result.forward_cache_generation
-        or cache.mode != result.forward_cache_mode
         or cache.height != height
         or cache.width != width
     ):

@@ -2,10 +2,10 @@
 
 SplaTAM optimizes a weighted sum of an L1 color loss and an L1 depth loss
 (masked by the rendered silhouette during tracking); mapping quality is
-reported as PSNR and the reference 3DGS training loss mixes L1 with SSIM.
-All of those are provided here, each returning both the scalar loss and
-its gradient with respect to the rendered image so the caller can feed the
-gradient straight into :func:`repro.gaussians.gradients.render_backward`.
+reported as PSNR and SSIM.  Each loss returns both the scalar loss and its
+gradient with respect to the rendered image so the caller can feed the
+gradient straight into :func:`repro.gaussians.gradients.render_backward`;
+the metrics return a scalar.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "masked_l1_loss",
     "psnr",
     "ssim",
-    "ssim_loss",
-    "combined_color_loss",
 ]
 
 
@@ -99,28 +97,3 @@ def ssim(rendered: np.ndarray, target: np.ndarray, window: int = 7, data_range: 
         for ch in range(rendered.shape[-1])
     ]
     return float(np.mean(values))
-
-
-def ssim_loss(rendered: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """(1 - SSIM) loss with a numerically estimated descent gradient.
-
-    SSIM's analytic gradient is expensive; the 3DGS training loss only mixes
-    it at a 0.2 weight, so a smoothed difference-of-means surrogate gradient
-    is sufficient and keeps the optimizer well behaved.
-    """
-    value = ssim(rendered, target)
-    rendered = np.asarray(rendered, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    grad = 2.0 * (rendered - target) / rendered.size
-    return 1.0 - value, grad
-
-
-def combined_color_loss(
-    rendered: np.ndarray, target: np.ndarray, ssim_weight: float = 0.2
-) -> tuple[float, np.ndarray]:
-    """Reference 3DGS color loss: ``(1 - w) * L1 + w * (1 - SSIM)``."""
-    l1_value, l1_grad = l1_loss(rendered, target)
-    ssim_value, ssim_grad = ssim_loss(rendered, target)
-    loss = (1.0 - ssim_weight) * l1_value + ssim_weight * ssim_value
-    grad = (1.0 - ssim_weight) * l1_grad + ssim_weight * ssim_grad
-    return float(loss), grad

@@ -23,7 +23,6 @@ from repro.gaussians.model import GaussianModel
 __all__ = [
     "ALPHA_MIN",
     "ProjectionResult",
-    "RADIUS_MODES",
     "conic_strip_min",
     "project_gaussians",
     "batch_quat_to_rotmat",
@@ -42,16 +41,6 @@ RADIUS_SIGMA = 3.0
 # the opacity-aware radius is exactly the support of that cut-off;
 # :mod:`repro.gaussians.rasterizer` re-exports it unchanged.
 ALPHA_MIN = 1.0 / 255.0
-# Splat bounding-radius modes:
-#   "sigma"   — the classic fixed RADIUS_SIGMA-standard-deviation bound;
-#   "opacity" — the support of the conic sublevel set q <= tau with
-#               tau = 2 ln(opacity / ALPHA_MIN): outside it the splat's
-#               alpha is provably below ALPHA_MIN, so low-opacity splats
-#               get radii far tighter than 3 sigma with zero output change.
-#               Capped at the sigma radius, because the rasterizer's
-#               reference semantics never evaluate beyond the 3-sigma
-#               bounding box (high-opacity splats keep the classic bound).
-RADIUS_MODES = ("sigma", "opacity")
 # Inflation applied before the ceil of the opacity-aware radius so that
 # floating-point round-off in sqrt(tau * lambda_max) can never shave a
 # pixel whose alpha is exactly at the ALPHA_MIN boundary.
@@ -128,12 +117,13 @@ class ProjectionResult:
         depths: (N,) camera-space depths.
         cov2d: (N, 2, 2) projected covariances (with blur).
         conics: (N, 2, 2) inverses of ``cov2d``.
-        radii: (N,) splat bounding radii in pixels (mode-dependent: the
-            tight opacity-aware radii under ``radius="opacity"``).
+        radii: (N,) opacity-aware splat bounding radii in pixels: the
+            support of the conic sublevel set ``q <= tau`` (outside it the
+            splat's alpha is provably below ``ALPHA_MIN``), capped at
+            ``radii_sigma`` because the rasterizer's reference semantics
+            never evaluate beyond the 3-sigma bounding box.
         visible: (N,) boolean visibility mask (in front of camera and on
-            screen).  Always judged against the classic sigma radii so the
-            mask — and everything derived from it — is identical across
-            radius modes.
+            screen, judged against ``radii_sigma``).
         cam_points: (N, 3) Gaussian means in camera coordinates.
         proj_jacobians: (N, 2, 3) perspective Jacobians ``J``.
         view_rotation: (3, 3) world-to-camera rotation ``W``.
@@ -145,7 +135,6 @@ class ProjectionResult:
         tau: (N,) conic support thresholds ``2 ln(opacity / ALPHA_MIN)``;
             wherever the conic quadratic ``q(p)`` exceeds ``tau`` the
             splat's alpha is provably below ``ALPHA_MIN``.
-        radius_mode: which entry of :data:`RADIUS_MODES` produced ``radii``.
     """
 
     means2d: np.ndarray
@@ -160,9 +149,8 @@ class ProjectionResult:
     cov3d: np.ndarray
     rotmats: np.ndarray
     m_mats: np.ndarray
-    radii_sigma: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    radius_mode: str = "sigma"
+    radii_sigma: np.ndarray
+    tau: np.ndarray
 
     @property
     def num_visible(self) -> int:
@@ -170,27 +158,16 @@ class ProjectionResult:
         return int(np.count_nonzero(self.visible))
 
 
-def project_gaussians(
-    model: GaussianModel, camera: Camera, radius: str = "opacity"
-) -> ProjectionResult:
+def project_gaussians(model: GaussianModel, camera: Camera) -> ProjectionResult:
     """Project all Gaussians of ``model`` into ``camera``.
 
     Gaussians behind the near plane or whose splat lies entirely outside
     the image are marked invisible but keep placeholder entries so that
-    indices remain aligned with the model.
-
-    Args:
-        model: the Gaussian model.
-        camera: the viewpoint.
-        radius: splat bounding-radius mode (see :data:`RADIUS_MODES`).
-            ``"opacity"`` (the default) shrinks the radius of low-opacity
-            splats to the support of ``alpha >= ALPHA_MIN`` — every
-            (tile, Gaussian) pair this drops relative to ``"sigma"`` is
-            zeroed by the rasterizer's alpha cut-off anyway, so rendered
-            output is bit-identical while the tile tables shrink.
+    indices remain aligned with the model.  Splat radii are opacity-aware:
+    low-opacity splats shrink to the support of ``alpha >= ALPHA_MIN``, so
+    every (tile, Gaussian) pair this drops relative to the classic 3-sigma
+    box is one the rasterizer's alpha cut-off would zero anyway.
     """
-    if radius not in RADIUS_MODES:
-        raise ValueError(f"unknown radius mode {radius!r}; expected one of {RADIUS_MODES}")
     count = len(model)
     intr = camera.intrinsics
     rotation = camera.pose.rotation
@@ -235,18 +212,13 @@ def project_gaussians(
     # ellipse {q <= tau} along any axis is at most sqrt(tau * lambda_max).
     alphas = model.alphas
     tau = 2.0 * (np.log(np.maximum(alphas, 1e-300)) - np.log(ALPHA_MIN))
-    if radius == "opacity":
-        radii_opacity = np.ceil(
-            np.sqrt(np.maximum(tau, 0.0) * lambda_max) + _RADIUS_EPS
-        )
-        radii = np.minimum(radii_sigma, radii_opacity)
-    else:
-        radii = radii_sigma
+    radii_opacity = np.ceil(np.sqrt(np.maximum(tau, 0.0) * lambda_max) + _RADIUS_EPS)
+    radii = np.minimum(radii_sigma, radii_opacity)
 
     in_front = depths > NEAR_CLIP
-    # On-screen test against the sigma radii: the visibility mask (and the
-    # per-Gaussian workload baseline derived from it) must not depend on
-    # the radius mode.  A visible Gaussian whose tight box lies fully
+    # On-screen test against the sigma radii, so the per-Gaussian workload
+    # baseline tile assignment derives from the mask covers the classic
+    # 3-sigma boxes.  A visible Gaussian whose tight box lies fully
     # off-screen simply produces an empty tile range downstream.
     on_screen = (
         (means2d[:, 0] + radii_sigma >= 0)
@@ -271,5 +243,4 @@ def project_gaussians(
         m_mats=m_mats,
         radii_sigma=radii_sigma,
         tau=tau,
-        radius_mode=radius,
     )

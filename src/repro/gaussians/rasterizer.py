@@ -33,28 +33,13 @@ import numpy as np
 
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.projection import (
-    ALPHA_MIN,
-    RADIUS_MODES,
-    ProjectionResult,
-    project_gaussians,
-)
+from repro.gaussians.projection import ALPHA_MIN, ProjectionResult, project_gaussians
 from repro.gaussians.scratch import ScratchPool, scatter_add
-from repro.gaussians.tiles import (
-    CULL_MODES,
-    SPARSITY_MODES,
-    TILE_SIZE,
-    GaussianTable,
-    TileGrid,
-    assign_tiles,
-)
+from repro.gaussians.tiles import TILE_SIZE, GaussianTable, TileGrid, assign_tiles
 
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
-    "DEFAULT_CULL_MODE",
-    "DEFAULT_RADIUS_MODE",
-    "DEFAULT_SPARSITY_MODE",
     "TRANSMITTANCE_EPS",
     "ForwardCache",
     "RasterizationResult",
@@ -74,21 +59,6 @@ ALPHA_MAX = 0.99
 TRANSMITTANCE_EPS = 1e-4
 
 _RENDER_BACKENDS = ("bucketed", "reference")
-
-# Default pair-culling configuration of ``render``: opacity-aware splat
-# radii plus the precise conic-vs-tile intersection test.  Both are exact
-# (rendered images, gradients and contribution statistics are bit-identical
-# to the legacy radius="sigma" / cull="aabb" tables); they only shrink the
-# Gaussian tables every downstream engine iterates over.
-DEFAULT_RADIUS_MODE = "opacity"
-DEFAULT_CULL_MODE = "precise"
-# Default within-tile sparsity: ``"pixel"`` attaches a conservative
-# active-pixel interval to every retained (tile, Gaussian) pair (see
-# :func:`repro.gaussians.tiles.assign_tiles`), and the bucketed engine
-# evaluates / differentiates only those entries.  Exact like the pair
-# culling: images, statistics and gradients are bit-identical to
-# ``sparsity="tile"``.
-DEFAULT_SPARSITY_MODE = "pixel"
 
 # The masked (gather/scatter) pixel-sparse compute path wins when the
 # active fraction of a chunk's (tile, pixel, gaussian) lattice is low;
@@ -139,9 +109,8 @@ class _CachedChunk:
     Gaussian) index ``t * G + g``, ``dx`` the (S, tile_w) offsets and
     ``dy`` the per-segment (S,) offsets (constant along a pixel row); the
     backward's mean/conic reductions then touch only those entries.
-    ``active is None`` means the chunk was rendered dense (tile sparsity,
-    or the density fallback) and ``dx`` / ``dy`` are the full (T, P, G)
-    lattices.
+    ``active is None`` means the chunk was rendered dense (the density
+    fallback) and ``dx`` / ``dy`` are the full (T, P, G) lattices.
     """
 
     tile_indices: np.ndarray  # (T,) flat tile indices in the grid
@@ -174,41 +143,27 @@ class ForwardCache:
 
     A cache is only valid for the *most recent* render that populated it:
     ``generation`` is bumped on every populate and stamped onto the
-    :class:`RasterizationResult` — together with the radius/cull mode tag
-    of the tile grid that produced it — and the backward pass rebuilds the
-    intermediates when the stamps disagree rather than silently reading
-    overwritten buffers.
-
-    ``dtype`` selects the *storage* precision of the retained per-pair
-    arrays (``alpha`` / ``t_before`` / ``weights`` / ``dx`` / ``dy`` /
-    opacities).  ``ForwardCache(dtype=np.float32)`` halves those retained
-    arrays (~25 % less pool memory end-to-end, since the chunk-sized
-    compute scratch stays full precision) while the forward render still
-    computes and composites in its own dtype — images are unchanged.  The
-    fused backward then reads float32 intermediates, which perturbs
-    gradients at the ~1e-7 relative level (measured by the ``-m slow``
-    accuracy study in ``tests/test_pair_culling.py``).  The default
-    (``None``) stores in the forward compute dtype — float64 — which
-    keeps the backward bit-for-bit independent of caching.
+    :class:`RasterizationResult`, and the backward pass rebuilds the
+    intermediates when the stamps (or the image shape) disagree rather
+    than silently reading overwritten buffers.  Intermediates are stored
+    in the forward compute dtype, so the fused backward is bit-for-bit
+    independent of caching.
     """
 
-    def __init__(self, pool: ScratchPool | None = None, dtype=None) -> None:
+    def __init__(self, pool: ScratchPool | None = None) -> None:
         self.pool = pool or ScratchPool()
         self.chunks: list[_CachedChunk] = []
         self.height = 0
         self.width = 0
         self.dtype: np.dtype | None = None
-        self.store_dtype: np.dtype | None = None if dtype is None else np.dtype(dtype)
-        self.mode = ""
         self.generation = 0
 
-    def begin(self, height: int, width: int, dtype: np.dtype, mode: str = "") -> None:
+    def begin(self, height: int, width: int, dtype: np.dtype) -> None:
         """Start a new populate: invalidate previous contents."""
         self.chunks.clear()
         self.height = int(height)
         self.width = int(width)
         self.dtype = np.dtype(dtype)
-        self.mode = mode
         self.generation += 1
 
     def __len__(self) -> int:
@@ -252,10 +207,6 @@ class RasterizationResult:
             the fused backward pass.
         forward_cache_generation: the cache generation this result belongs
             to — the backward pass rebuilds when the cache moved on.
-        forward_cache_mode: the tile grid's radius/cull mode tag at cache
-            populate time; part of the staleness stamp, so a cache filled
-            under one culling configuration is never consumed by a result
-            carrying another.
     """
 
     color: np.ndarray
@@ -271,7 +222,6 @@ class RasterizationResult:
     active_mask: np.ndarray | None = None
     forward_cache: "ForwardCache | None" = None
     forward_cache_generation: int = -1
-    forward_cache_mode: str = ""
 
     @property
     def total_pairs_computed(self) -> int:
@@ -490,20 +440,11 @@ def _render_bucketed(
     thresh = dtype.type(contribution_threshold)
 
     if cache is not None:
-        cache.begin(height, width, dtype, mode=getattr(tile_grid, "mode_tag", ""))
+        cache.begin(height, width, dtype)
         pool = cache.pool
-        store_dtype = cache.store_dtype or dtype
-        # When the cache stores a narrower dtype than the compute dtype,
-        # the blending runs in transient full-precision buffers (so the
-        # composited images are unchanged) and each chunk's intermediates
-        # are down-cast into the persistent cache buffers afterwards.
-        cast_store = store_dtype != dtype
     else:
         pool = ScratchPool()
-        store_dtype = dtype
-        cast_store = False
     eps = dtype.type(TRANSMITTANCE_EPS)
-    pixel_sparse = getattr(tile_grid, "sparsity", "tile") == "pixel"
 
     chunk_index = 0
     for (tile_w, tile_h, padded), tables in _bucket_tables(tile_grid).items():
@@ -515,7 +456,7 @@ def _render_bucketed(
             num_tiles = len(chunk)
 
             ids = np.zeros((num_tiles, padded), dtype=np.int64)
-            if cache is not None and not cast_store:
+            if cache is not None:
                 opac = np.zeros((num_tiles, padded), dtype=dtype)
             else:
                 opac = pool.take("opac", (num_tiles, padded), dtype)
@@ -524,12 +465,10 @@ def _render_bucketed(
             tile_indices = np.empty(num_tiles, dtype=np.int64)
             origin_x = np.empty(num_tiles, dtype=np.int64)
             origin_y = np.empty(num_tiles, dtype=np.int64)
-            iv = None
-            if pixel_sparse:
-                # Active-pixel intervals (r0, r1, c0, c1) of every pair;
-                # zero-filled padding entries contribute empty intervals.
-                iv = pool.take("iv", (num_tiles, padded, 4), np.int64)
-                iv[...] = 0
+            # Active-pixel intervals (r0, r1, c0, c1) of every pair;
+            # zero-filled padding entries contribute empty intervals.
+            iv = pool.take("iv", (num_tiles, padded, 4), np.int64)
+            iv[...] = 0
             for slot, table in enumerate(chunk):
                 table_ids = table.gaussian_ids
                 ids[slot, : len(table_ids)] = table_ids
@@ -538,8 +477,7 @@ def _render_bucketed(
                 tile_indices[slot] = table.tile_y * tile_grid.tiles_x + table.tile_x
                 origin_x[slot] = table.tile_x * tile_grid.tile_size
                 origin_y[slot] = table.tile_y * tile_grid.tile_size
-                if iv is not None and table.intervals is not None:
-                    iv[slot, : len(table_ids)] = table.intervals
+                iv[slot, : len(table_ids)] = table.intervals
 
             # Pixel centers (tiles, pixels) and flat image indices.
             px = (origin_x[:, None] + col_off[None, :] + 0.5).astype(dtype)
@@ -549,12 +487,10 @@ def _render_bucketed(
 
             shape = (num_tiles, num_pixels, padded)
             active = active_tg = e_dx = e_dy = None
-            use_masked = False
-            if pixel_sparse:
-                row_counts = (iv[:, :, 1] - iv[:, :, 0]).reshape(-1)
-                num_segments = int(row_counts.sum())
-                total_active = num_segments * tile_w
-                use_masked = total_active <= _SPARSE_DENSITY_FALLBACK * (num_tiles * num_pixels * padded)
+            row_counts = (iv[:, :, 1] - iv[:, :, 0]).reshape(-1)
+            num_segments = int(row_counts.sum())
+            total_active = num_segments * tile_w
+            use_masked = total_active <= _SPARSE_DENSITY_FALLBACK * (num_tiles * num_pixels * padded)
 
             if use_masked:
                 # Masked pixel-sparse path: enumerate the *active rows* of
@@ -582,7 +518,7 @@ def _render_bucketed(
                 active_tg = np.repeat(seg_tg, tile_w)
 
                 sshape = (num_segments, tile_w)
-                if cache is not None and not cast_store:
+                if cache is not None:
                     # Retained compressed for the fused backward pass
                     # (``dy`` at segment granularity).
                     e_dx = pool.take(f"cache.dx.{chunk_index}", sshape, dtype)
@@ -626,7 +562,7 @@ def _render_bucketed(
                 # Scatter into the dense lattice; inactive entries are an
                 # exact zero in the dense path too, since the intervals are
                 # conservative supersets of the alpha >= ALPHA_MIN support.
-                if cache is not None and not cast_store:
+                if cache is not None:
                     alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
                     t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
                     clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
@@ -634,11 +570,7 @@ def _render_bucketed(
                 else:
                     alpha = pool.take("power", shape, dtype)
                     t_before = pool.take("t_before", shape, dtype)
-                    clamped = (
-                        pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                        if cache is not None
-                        else None
-                    )
+                    clamped = None
                     weights_out = pool.take("cross", shape, dtype)
                 alpha[...] = 0.0
                 alpha.reshape(-1)[active] = e_alpha
@@ -648,7 +580,7 @@ def _render_bucketed(
                 one_minus_out = pool.take("one_minus", shape, dtype)
                 dx = dy = None
             else:
-                if cache is not None and not cast_store:
+                if cache is not None:
                     # The pixel offsets are retained for the fused backward
                     # pass (dpower/dmean and dpower/dconic both need them),
                     # so the backward skips recomputing them per chunk.
@@ -675,19 +607,12 @@ def _render_bucketed(
                 np.multiply(power, dtype.type(-0.5), out=power)
                 np.minimum(power, dtype.type(0.0), out=power)
 
-                if cache is not None and not cast_store:
+                if cache is not None:
                     alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
                     np.exp(power, out=alpha)
                     t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
                     clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
                     weights_out = pool.take(f"cache.weights.{chunk_index}", shape, dtype)
-                elif cache is not None:
-                    alpha = np.exp(power, out=power)
-                    t_before = pool.take("t_before", shape, dtype)
-                    clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                    # cross is dead after the power chain; dx/dy must
-                    # survive for the cast store.
-                    weights_out = cross
                 else:
                     alpha = np.exp(power, out=power)
                     t_before = pool.take("t_before", shape, dtype)
@@ -746,23 +671,22 @@ def _render_bucketed(
                     blended = alpha > 0.0
                     computed = ~terminated
                     computed &= real[:, None, :]
-                    if pixel_sparse:
-                        # Pixel sparsity: only entries inside the rectangular
-                        # active interval count as evaluated — the workload
-                        # semantics, not the execution schedule (the masked
-                        # row-block schedule computes full active rows, the
-                        # fallback computes everything; both are schedules
-                        # over the same logical sparse workload).
-                        act = pool.take("act_mask", shape, np.bool_)
-                        act_tmp = pool.take("act_tmp", shape, np.bool_)
-                        np.greater_equal(row_off[None, :, None], iv[:, None, :, 0], out=act)
-                        np.less(row_off[None, :, None], iv[:, None, :, 1], out=act_tmp)
-                        act &= act_tmp
-                        np.greater_equal(col_off[None, :, None], iv[:, None, :, 2], out=act_tmp)
-                        act &= act_tmp
-                        np.less(col_off[None, :, None], iv[:, None, :, 3], out=act_tmp)
-                        act &= act_tmp
-                        computed &= act
+                    # Only entries inside the rectangular active interval
+                    # count as evaluated — the workload semantics, not the
+                    # execution schedule (the masked row-block schedule
+                    # computes full active rows, the fallback computes
+                    # everything; both are schedules over the same logical
+                    # sparse workload).
+                    act = pool.take("act_mask", shape, np.bool_)
+                    act_tmp = pool.take("act_tmp", shape, np.bool_)
+                    np.greater_equal(row_off[None, :, None], iv[:, None, :, 0], out=act)
+                    np.less(row_off[None, :, None], iv[:, None, :, 1], out=act_tmp)
+                    act &= act_tmp
+                    np.greater_equal(col_off[None, :, None], iv[:, None, :, 2], out=act_tmp)
+                    act &= act_tmp
+                    np.less(col_off[None, :, None], iv[:, None, :, 3], out=act_tmp)
+                    act &= act_tmp
+                    computed &= act
                     pairs_computed[tile_indices] = computed.sum(axis=(1, 2))
                     pairs_blended[tile_indices] = blended.sum(axis=(1, 2))
                     tile_lengths[tile_indices] = lengths
@@ -771,26 +695,7 @@ def _render_bucketed(
                         per_pixel_counts[int(tile_indices[slot])] = blended_per_pixel[slot]
 
             if cache is not None:
-                if cast_store:
-                    # Down-cast the blending intermediates into the
-                    # persistent (narrow-dtype) cache buffers; the images
-                    # above were composited from the full-precision ones.
-                    def _persist(name: str, src: np.ndarray, buf_shape) -> np.ndarray:
-                        buf = pool.take(f"cache.{name}.{chunk_index}", buf_shape, store_dtype)
-                        buf[...] = src
-                        return buf
-
-                    alpha = _persist("alpha", alpha, shape)
-                    t_before = _persist("t_before", t_before, shape)
-                    weights = _persist("weights", weights, shape)
-                    if use_masked:
-                        dx = _persist("dx", e_dx, e_dx.shape)
-                        dy = _persist("dy", e_dy, e_dy.shape)
-                    else:
-                        dx = _persist("dx", dx, shape)
-                        dy = _persist("dy", dy, shape)
-                    opac = opac.astype(store_dtype)
-                elif use_masked:
+                if use_masked:
                     dx, dy = e_dx, e_dy
                 cache.chunks.append(
                     _CachedChunk(
@@ -877,16 +782,14 @@ def _add_back_culled_stats(
     """Fold culled pairs back into the per-Gaussian contribution statistics.
 
     Every pair the tile assignment culled has exactly-zero blending weight
-    at each of its pixels, so relative to the legacy sigma-radius tables it
-    would have counted every tile pixel as touched and (for any positive
+    at each of its pixels, so in the classic sigma-radius tables it would
+    have counted every tile pixel as touched and (for any positive
     threshold) as non-contributory.  Adding those pixels back makes
     ``gaussian_pixels_touched`` / ``gaussian_noncontrib_pixels`` — and
     therefore AGS's contribution-aware skipping decisions — invariant to
-    the radius/cull modes, keeping culling a pure speedup.
+    culling, keeping culling a pure speedup.
     """
     culled = tile_grid.culled_pixels
-    if culled is None:
-        return
     touched += culled
     if contribution_threshold > 0.0:
         noncontrib += culled
@@ -905,9 +808,6 @@ def render(
     dtype=None,
     backend: str | None = None,
     cache: ForwardCache | None = None,
-    radius: str | None = None,
-    cull: str | None = None,
-    sparsity: str | None = None,
     perf=None,
 ) -> RasterizationResult:
     """Render ``model`` from ``camera``.
@@ -938,23 +838,6 @@ def render(
         cache: optional :class:`ForwardCache` to fill with the blending
             intermediates (bucketed backend only); the fused backward pass
             then reuses them instead of re-running the forward.
-        radius: splat bounding-radius mode, ``"opacity"`` (default) or
-            ``"sigma"`` — see :func:`repro.gaussians.projection.project_gaussians`.
-            Ignored when ``projection`` is supplied.
-        cull: (tile, Gaussian) pair-culling mode, ``"precise"`` (default)
-            or ``"aabb"`` — see :func:`repro.gaussians.tiles.assign_tiles`.
-            Ignored when ``tile_grid`` is supplied.  Both knobs are exact:
-            rendered images, statistics and gradients are bit-identical
-            across all four mode combinations; only the Gaussian tables
-            (and the recorded workloads) shrink.
-        sparsity: within-tile sparsity mode, ``"pixel"`` (default) or
-            ``"tile"`` — see :func:`repro.gaussians.tiles.assign_tiles`.
-            ``"pixel"`` attaches a conservative active-pixel interval to
-            every retained pair; the bucketed engine (and fused backward)
-            then evaluates only the active (pair, pixel) entries.  Exact
-            like ``radius`` / ``cull``: images, statistics and gradients
-            are bit-identical across all eight knob combinations.
-            Ignored when ``tile_grid`` is supplied.
         perf: optional :class:`repro.perf.PerfRecorder`; tile assignment
             feeds it the ``raster.pairs_total`` / ``raster.pairs_culled``
             and ``raster.pixels_total`` / ``raster.pixels_culled``
@@ -968,30 +851,17 @@ def render(
         raise ValueError(f"unknown render backend {backend!r}; expected one of {_RENDER_BACKENDS}")
     if cache is not None and backend != "bucketed":
         raise ValueError("cache= requires backend='bucketed'")
-    radius = radius or DEFAULT_RADIUS_MODE
-    if radius not in RADIUS_MODES:
-        raise ValueError(f"unknown radius mode {radius!r}; expected one of {RADIUS_MODES}")
-    cull = cull or DEFAULT_CULL_MODE
-    if cull not in CULL_MODES:
-        raise ValueError(f"unknown cull mode {cull!r}; expected one of {CULL_MODES}")
-    sparsity = sparsity or DEFAULT_SPARSITY_MODE
-    if sparsity not in SPARSITY_MODES:
-        raise ValueError(
-            f"unknown sparsity mode {sparsity!r}; expected one of {SPARSITY_MODES}"
-        )
 
     intr = camera.intrinsics
     height, width = intr.height, intr.width
     if projection is None:
-        projection = project_gaussians(model, camera, radius=radius)
+        projection = project_gaussians(model, camera)
     if active_mask is not None:
         projection = dataclasses.replace(
             projection, visible=projection.visible & np.asarray(active_mask, dtype=bool)
         )
     if tile_grid is None:
-        tile_grid = assign_tiles(
-            projection, width, height, tile_size, cull=cull, sparsity=sparsity, perf=perf
-        )
+        tile_grid = assign_tiles(projection, width, height, tile_size, perf=perf)
 
     count = len(model)
     opac = model.alphas
@@ -1034,7 +904,6 @@ def render(
             active_mask=mask_out,
             forward_cache=cache,
             forward_cache_generation=cache.generation if cache is not None else -1,
-            forward_cache_mode=cache.mode if cache is not None else "",
         )
 
     color = np.zeros((height, width, 3))
@@ -1083,20 +952,19 @@ def render(
 
         if record_workloads:
             blended_mask = alpha > 0.0
-            computed_mask = ~data["terminated"]
-            if table.intervals is not None:
-                # Pixel sparsity: only entries inside the pair's active
-                # interval count as evaluated (matches the bucketed
-                # engine's accounting; pixels are row-major in the tile).
-                rows = np.arange(alpha.shape[0]) // tile_w
-                cols = np.arange(alpha.shape[0]) % tile_w
-                table_iv = table.intervals
-                computed_mask &= (
-                    (rows[:, None] >= table_iv[None, :, 0])
-                    & (rows[:, None] < table_iv[None, :, 1])
-                    & (cols[:, None] >= table_iv[None, :, 2])
-                    & (cols[:, None] < table_iv[None, :, 3])
-                )
+            # Only entries inside the pair's active interval count as
+            # evaluated (matches the bucketed engine's accounting; pixels
+            # are row-major in the tile).
+            rows = np.arange(alpha.shape[0]) // tile_w
+            cols = np.arange(alpha.shape[0]) % tile_w
+            table_iv = table.intervals
+            computed_mask = (
+                ~data["terminated"]
+                & (rows[:, None] >= table_iv[None, :, 0])
+                & (rows[:, None] < table_iv[None, :, 1])
+                & (cols[:, None] >= table_iv[None, :, 2])
+                & (cols[:, None] < table_iv[None, :, 3])
+            )
             workloads.append(
                 TileWorkload(
                     tile_index=tile_index,

@@ -6,29 +6,32 @@ overlaps; the per-tile Gaussian lists are the "Gaussian tables" of the
 paper (Fig. 2, step 2) and are also the unit of workload the AGS hardware
 simulator reasons about.
 
-Exact sparse pair culling (``assign_tiles(..., cull="precise")``, the
-default): the bounding-box expansion over-approximates each splat's
-support, so many candidate (tile, Gaussian) pairs have an alpha below
-``ALPHA_MIN`` at *every* pixel center of the tile — the rasterizer zeroes
-them all, making the pair pure overhead.  The precise mode removes exactly
-those pairs with a vectorized conic-vs-tile test: it minimizes the convex
-conic quadratic ``q`` over the tile's pixel-center rectangle (closed form
-— zero if the splat center lies inside, otherwise the minimum over the
-four clamped edge parabolas) and drops the pair when even that lower bound
-keeps alpha below ``ALPHA_MIN``.  The cull is provably conservative, so
-rendered images, gradients and contribution statistics are bit-identical
-to the un-culled tables; only the workload shrinks.  The removed workload
-is reported via ``TileGrid.pairs_total`` / ``TileGrid.pairs_culled`` (and
-the ``raster.pairs_total`` / ``raster.pairs_culled`` perf counters), and
-``TileGrid.culled_pixels`` records, per Gaussian, how many would-have-been
-touched pixels the cull removed relative to the classic sigma-radius
-tables — the rasterizer adds these back into the contribution statistics
-so AGS's contribution-aware decisions are unchanged by culling.
+Tile assignment is an exact sparse engine with two culling stages; the
+classic 3-sigma bounding-box expansion survives only as the workload
+baseline the removed work is measured against.
 
-Pixel-level sparsity (``assign_tiles(..., sparsity="pixel")``, the
-default): the second, sub-tile culling stage.  For every *retained*
-(tile, Gaussian) pair the same closed-form conic minimization is applied
-per pixel row and per pixel column of the tile: minimizing the convex
+Pair culling: the (opacity-aware) bounding-box expansion still
+over-approximates each splat's support, so many candidate (tile,
+Gaussian) pairs have an alpha below ``ALPHA_MIN`` at *every* pixel center
+of the tile — the rasterizer would zero them all, making the pair pure
+overhead.  A vectorized conic-vs-tile test removes exactly those pairs:
+it minimizes the convex conic quadratic ``q`` over the tile's
+pixel-center rectangle (closed form — zero if the splat center lies
+inside, otherwise the minimum over the four clamped edge parabolas) and
+drops the pair when even that lower bound keeps alpha below
+``ALPHA_MIN``.  The cull is provably conservative, so rendered images,
+gradients and contribution statistics are bit-identical to the classic
+sigma-radius tables; only the workload shrinks.  The removed workload is
+reported via ``TileGrid.pairs_total`` / ``TileGrid.pairs_culled`` (and the
+``raster.pairs_total`` / ``raster.pairs_culled`` perf counters), and
+``TileGrid.culled_pixels`` records, per Gaussian, how many would-have-been
+touched pixels the cull removed relative to the sigma-radius tables — the
+rasterizer adds these back into the contribution statistics so AGS's
+contribution-aware decisions are unchanged by culling.
+
+Pixel-level sparsity: the second, sub-tile culling stage.  For every
+*retained* (tile, Gaussian) pair the same closed-form conic minimization
+is applied per pixel row and per pixel column of the tile: minimizing the convex
 quadratic ``q`` over one row (column) strip is exactly the clamped edge
 parabola of the rectangle test, evaluated at that row's (column's) pixel
 centers.  Rows/columns whose strip minimum keeps alpha below
@@ -50,11 +53,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.gaussians.projection import ALPHA_MIN, ProjectionResult, conic_strip_min
+from repro.gaussians.projection import ProjectionResult, conic_strip_min
 
 __all__ = [
-    "CULL_MODES",
-    "SPARSITY_MODES",
     "TILE_SIZE",
     "TileGrid",
     "GaussianTable",
@@ -63,17 +64,6 @@ __all__ = [
 ]
 
 TILE_SIZE = 8
-
-# Pair-culling modes: "aabb" keeps every pair whose bounding box overlaps
-# the tile (the classic expansion); "precise" additionally removes pairs
-# whose alpha is provably below ALPHA_MIN everywhere in the tile.
-CULL_MODES = ("aabb", "precise")
-
-# Sub-tile sparsity modes: "tile" evaluates every pixel of a retained
-# (tile, Gaussian) pair; "pixel" restricts each pair to its active
-# row/column interval (the sub-rectangle outside of which the splat's
-# alpha is provably below ALPHA_MIN).
-SPARSITY_MODES = ("tile", "pixel")
 
 # Slack (in log-alpha) subtracted from the cull comparison so float
 # round-off in the closed-form minimum can never drop a pair whose alpha
@@ -90,18 +80,18 @@ class GaussianTable:
         tile_x, tile_y: tile coordinates in the tile grid.
         gaussian_ids: indices into the Gaussian model, sorted by depth.
         depths: camera-space depths matching ``gaussian_ids``.
-        intervals: optional (len, 4) int64 per-pair active-pixel
-            intervals ``(r0, r1, c0, c1)`` (half-open, tile-local rows and
-            columns), aligned with ``gaussian_ids``.  Outside the
+        intervals: (len, 4) int64 per-pair active-pixel intervals
+            ``(r0, r1, c0, c1)`` (half-open, tile-local rows and columns),
+            aligned with ``gaussian_ids``.  Outside the
             ``[r0, r1) x [c0, c1)`` sub-rectangle the pair's alpha is
-            provably below ``ALPHA_MIN``.  None under ``sparsity="tile"``.
+            provably below ``ALPHA_MIN``.
     """
 
     tile_x: int
     tile_y: int
     gaussian_ids: np.ndarray
     depths: np.ndarray
-    intervals: np.ndarray | None = None
+    intervals: np.ndarray
 
     def __len__(self) -> int:
         return len(self.gaussian_ids)
@@ -111,19 +101,19 @@ class GaussianTable:
 class TileGrid:
     """The image partitioned into tiles with per-tile Gaussian tables.
 
-    Besides the tables, a grid records what pair culling removed:
+    Besides the tables, a grid records what culling removed:
     ``pairs_total`` counts the (tile, Gaussian) pairs of the classic
     sigma-radius bounding-box expansion (the workload baseline),
-    ``pairs_culled`` how many of them the radius/cull modes dropped, and
-    ``culled_pixels`` the per-Gaussian pixel counts of the dropped pairs
-    (all provably zero-alpha) that the statistics-recording render adds
-    back so contribution statistics are invariant to culling.
+    ``pairs_culled`` how many of them opacity-aware radii and the conic
+    tile test dropped, and ``culled_pixels`` the per-Gaussian pixel counts
+    of the dropped pairs (all provably zero-alpha) that the
+    statistics-recording render adds back so contribution statistics are
+    invariant to culling.
 
     ``pixels_total`` counts the (pair, pixel) blending entries of the
     *retained* pairs (the per-pixel workload the tables imply after pair
-    culling) and ``pixels_culled`` how many of them the ``sparsity``
-    mode's sub-tile interval stage removed (zero under
-    ``sparsity="tile"``).
+    culling) and ``pixels_culled`` how many of them the sub-tile interval
+    stage removed.
     """
 
     width: int
@@ -132,28 +122,17 @@ class TileGrid:
     tiles_x: int
     tiles_y: int
     tables: list[GaussianTable]
-    pairs_total: int = 0
-    pairs_culled: int = 0
-    culled_pixels: np.ndarray | None = dataclasses.field(default=None, repr=False)
-    cull: str = "aabb"
-    radius_mode: str = "sigma"
-    sparsity: str = "tile"
-    pixels_total: int = 0
-    pixels_culled: int = 0
+    pairs_total: int
+    pairs_culled: int
+    culled_pixels: np.ndarray = dataclasses.field(repr=False)
+    pixels_total: int
+    pixels_culled: int
     # Per-shape pixel-offset cache shared by every consumer of this grid
     # (forward tiles, bucketed backward, stats recording).  A grid only has
     # a handful of distinct tile shapes (interior + ragged edge tiles), so
     # the meshgrid work happens once per shape instead of once per tile per
     # render/backward call.
     _shape_cache: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def mode_tag(self) -> str:
-        """Radius/cull/sparsity mode triple, stamped onto forward caches
-        built from this grid so a cache populated under one culling
-        configuration is never silently consumed by a backward pass
-        expecting another."""
-        return f"{self.radius_mode}:{self.cull}:{self.sparsity}"
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -264,12 +243,7 @@ def _precise_keep_mask(
     a11 = conics[gid_pairs, 1, 1]
     cx = projection.means2d[gid_pairs, 0]
     cy = projection.means2d[gid_pairs, 1]
-    tau = projection.tau
-    if tau is None:
-        # No opacity information: bound opacity by 1, still an exact cull.
-        tau_pairs = np.full(len(gid_pairs), -2.0 * np.log(ALPHA_MIN))
-    else:
-        tau_pairs = tau[gid_pairs]
+    tau_pairs = projection.tau[gid_pairs]
 
     tile_x = tile_pairs % tiles_x
     tile_y = tile_pairs // tiles_x
@@ -326,9 +300,9 @@ def _active_intervals(
     conservative superset even for ill-conditioned conics.  Degenerate
     conics (non-positive diagonal, non-finite minima) keep the full tile.
 
-    Pairs with no surviving row or column (possible under ``cull="aabb"``,
-    whose tables retain provably-empty pairs) get the empty interval
-    ``(0, 0, 0, 0)``.
+    Pairs with no surviving row or column (the tile test keeps a pair
+    whose continuous minimum reaches the cut-off between pixel centers)
+    get the empty interval ``(0, 0, 0, 0)``.
 
     Pairs whose inscribed active circle (``sqrt(limit / lambda_max)``)
     provably covers every pixel center of the tile take a closed-form
@@ -341,13 +315,7 @@ def _active_intervals(
     a11 = conics[gid_pairs, 1, 1]
     cx = projection.means2d[gid_pairs, 0]
     cy = projection.means2d[gid_pairs, 1]
-    tau = projection.tau
-    if tau is None:
-        # No opacity information: bound opacity by 1, still an exact cull.
-        limit = np.full(len(gid_pairs), -2.0 * np.log(ALPHA_MIN))
-    else:
-        limit = tau[gid_pairs]
-    limit = limit + 2.0 * _CULL_SLACK
+    limit = projection.tau[gid_pairs] + 2.0 * _CULL_SLACK
 
     x0 = tile_x * tile_size
     y0 = tile_y * tile_size
@@ -461,26 +429,20 @@ def assign_tiles(
     width: int,
     height: int,
     tile_size: int = TILE_SIZE,
-    cull: str = "precise",
-    sparsity: str = "pixel",
     perf=None,
 ) -> TileGrid:
     """Assign projected Gaussians to tiles and depth-sort every table.
+
+    Candidate pairs come from the opacity-aware bounding boxes; the conic
+    tile test then removes every pair whose alpha is provably below
+    ``ALPHA_MIN`` at all pixel centers of the tile, and every retained
+    pair gets its active row/column interval.  Both stages are exact:
+    rendered output is unchanged, only the workload shrinks.
 
     Args:
         projection: output of :func:`repro.gaussians.projection.project_gaussians`.
         width, height: image size in pixels.
         tile_size: tile edge length in pixels.
-        cull: ``"precise"`` (default) removes candidate pairs whose alpha
-            is provably below ``ALPHA_MIN`` at every pixel center of the
-            tile (exact — rendered output is unchanged); ``"aabb"`` keeps
-            the classic bounding-box expansion.
-        sparsity: ``"pixel"`` (default) additionally computes, per
-            retained pair, the active row/column interval outside of which
-            the splat's alpha is provably below ``ALPHA_MIN`` (stored in
-            ``GaussianTable.intervals``; the rasterizer then evaluates
-            only the active sub-rectangle — exact, output is unchanged);
-            ``"tile"`` evaluates every pixel of every retained pair.
         perf: optional :class:`repro.perf.PerfRecorder`; receives the
             ``raster.pairs_total`` / ``raster.pairs_culled`` and
             ``raster.pixels_total`` / ``raster.pixels_culled`` counters.
@@ -489,27 +451,16 @@ def assign_tiles(
         A :class:`TileGrid` whose tables list the overlapping Gaussians of
         each tile sorted front-to-back.
     """
-    if cull not in CULL_MODES:
-        raise ValueError(f"unknown cull mode {cull!r}; expected one of {CULL_MODES}")
-    if sparsity not in SPARSITY_MODES:
-        raise ValueError(
-            f"unknown sparsity mode {sparsity!r}; expected one of {SPARSITY_MODES}"
-        )
     tiles_x, tiles_y = build_tile_grid(width, height, tile_size)
     num_tiles = tiles_x * tiles_y
     visible_ids = np.nonzero(projection.visible)[0]
     depths = projection.depths
-    count = len(projection.visible)
-    radius_mode = getattr(projection, "radius_mode", "sigma")
-    # The fully legacy configuration skips all culling bookkeeping and
-    # reproduces the original tables (and statistics) exactly.
-    legacy = cull == "aabb" and radius_mode == "sigma"
-    pairs_total = 0
-    pairs_culled = 0
-    pixels_total = 0
-    pixels_culled = 0
-    culled_pixels: np.ndarray | None = None
-    intervals_sorted: np.ndarray | None = None
+    culled_pixels = np.zeros(len(projection.visible), dtype=np.int64)
+    pairs_total = pairs_culled = pixels_total = pixels_culled = 0
+    gid_sorted = np.zeros(0, dtype=np.int64)
+    depths_sorted = np.zeros(0)
+    intervals_sorted = np.zeros((0, 4), dtype=np.int64)
+    bounds = np.zeros(num_tiles + 1, dtype=np.int64)
 
     # Vectorized (Gaussian, tile) pair expansion: per-Gaussian tile ranges,
     # one flat pair list, then a stable sort by tile.  Pairs are generated
@@ -536,33 +487,24 @@ def assign_tiles(
             + local % span_x_rep
         )
 
-        if legacy:
-            pairs_total = total
-        else:
-            # Workload baseline: the classic sigma-radius expansion.  Its
-            # per-Gaussian pair and pixel counts have closed forms (the
-            # tile columns/rows of a clipped AABB are contiguous).
-            radii_sigma = projection.radii_sigma
-            if radius_mode == "sigma" or radii_sigma is None:
-                # The candidate spans already are the sigma baseline.
-                sx0, sx1, sy0, sy1 = tx0, tx1, ty0, ty1
-            else:
-                sx0, sx1, sy0, sy1 = _tile_aabb_spans(
-                    cx, cy, radii_sigma[visible_ids], tile_size, tiles_x, tiles_y
-                )
-            base_counts = np.maximum(sx1 - sx0 + 1, 0) * np.maximum(sy1 - sy0 + 1, 0)
-            base_width = np.maximum(np.minimum((sx1 + 1) * tile_size, width) - sx0 * tile_size, 0)
-            base_height = np.maximum(np.minimum((sy1 + 1) * tile_size, height) - sy0 * tile_size, 0)
-            base_pixels = np.where(base_counts > 0, base_width * base_height, 0)
-            pairs_total = int(base_counts.sum())
+        # Workload baseline: the classic sigma-radius expansion.  Its
+        # per-Gaussian pair and pixel counts have closed forms (the tile
+        # columns/rows of a clipped AABB are contiguous).
+        sx0, sx1, sy0, sy1 = _tile_aabb_spans(
+            cx, cy, projection.radii_sigma[visible_ids], tile_size, tiles_x, tiles_y
+        )
+        base_counts = np.maximum(sx1 - sx0 + 1, 0) * np.maximum(sy1 - sy0 + 1, 0)
+        base_width = np.maximum(np.minimum((sx1 + 1) * tile_size, width) - sx0 * tile_size, 0)
+        base_height = np.maximum(np.minimum((sy1 + 1) * tile_size, height) - sy0 * tile_size, 0)
+        base_pixels = np.where(base_counts > 0, base_width * base_height, 0)
+        pairs_total = int(base_counts.sum())
 
-            if cull == "precise" and total:
-                keep = _precise_keep_mask(
-                    projection, gid_pairs, tile_pairs, tiles_x, width, height, tile_size
-                )
-                gid_pairs = gid_pairs[keep]
-                tile_pairs = tile_pairs[keep]
-            pairs_culled = pairs_total - len(gid_pairs)
+        keep = _precise_keep_mask(
+            projection, gid_pairs, tile_pairs, tiles_x, width, height, tile_size
+        )
+        gid_pairs = gid_pairs[keep]
+        tile_pairs = tile_pairs[keep]
+        pairs_culled = pairs_total - len(gid_pairs)
 
         # Per-pair tile shapes of the *retained* pairs (edge tiles ragged).
         tile_x = tile_pairs % tiles_x
@@ -572,24 +514,18 @@ def assign_tiles(
         tile_pix = tile_w_pairs * tile_h_pairs
         pixels_total = int(tile_pix.sum())
 
-        if not legacy:
-            # Pixels of the dropped (all provably zero-alpha) pairs, per
-            # Gaussian: the stats render adds them back so contribution
-            # statistics match the un-culled tables exactly.
-            survived = np.bincount(gid_pairs, weights=tile_pix, minlength=count)
-            culled_pixels = np.zeros(count, dtype=np.int64)
-            culled_pixels[visible_ids] = base_pixels
-            culled_pixels -= survived.astype(np.int64)
+        # Pixels of the dropped (all provably zero-alpha) pairs, per
+        # Gaussian: the stats render adds them back so contribution
+        # statistics match the sigma-radius tables exactly.
+        survived = np.bincount(gid_pairs, weights=tile_pix, minlength=len(culled_pixels))
+        culled_pixels[visible_ids] = base_pixels
+        culled_pixels -= survived.astype(np.int64)
 
-        intervals: np.ndarray | None = None
-        if sparsity == "pixel" and len(gid_pairs):
-            intervals = _active_intervals(
-                projection, gid_pairs, tile_x, tile_y, tile_w_pairs, tile_h_pairs, tile_size
-            )
-            active_pix = (intervals[:, 1] - intervals[:, 0]) * (
-                intervals[:, 3] - intervals[:, 2]
-            )
-            pixels_culled = pixels_total - int(active_pix.sum())
+        intervals = _active_intervals(
+            projection, gid_pairs, tile_x, tile_y, tile_w_pairs, tile_h_pairs, tile_size
+        )
+        active_pix = (intervals[:, 1] - intervals[:, 0]) * (intervals[:, 3] - intervals[:, 2])
+        pixels_culled = pixels_total - int(active_pix.sum())
 
         # One global stable sort by (tile, depth): per-table id/depth/interval
         # arrays then fall out as contiguous zero-copy slices.  Tie-breaking
@@ -600,15 +536,8 @@ def assign_tiles(
         tile_sorted = tile_pairs[order]
         gid_sorted = gid_pairs[order]
         depths_sorted = depths[gid_sorted]
-        if intervals is not None:
-            intervals_sorted = intervals[order]
+        intervals_sorted = intervals[order]
         bounds = np.searchsorted(tile_sorted, np.arange(num_tiles + 1))
-    else:
-        if not legacy:
-            culled_pixels = np.zeros(count, dtype=np.int64)
-        gid_sorted = np.zeros(0, dtype=np.int64)
-        depths_sorted = np.zeros(0)
-        bounds = np.zeros(num_tiles + 1, dtype=np.int64)
 
     if perf is not None:
         perf.count("raster.pairs_total", pairs_total)
@@ -616,30 +545,17 @@ def assign_tiles(
         perf.count("raster.pixels_total", pixels_total)
         perf.count("raster.pixels_culled", pixels_culled)
 
-    tables: list[GaussianTable] = []
-    empty_ids = np.zeros(0, dtype=np.int64)
-    empty_depths = np.zeros(0)
-    for tile_index in range(num_tiles):
-        start, end = int(bounds[tile_index]), int(bounds[tile_index + 1])
-        table_intervals = None
-        if end > start:
-            ids = gid_sorted[start:end]
-            tile_depths = depths_sorted[start:end]
-            if intervals_sorted is not None:
-                table_intervals = intervals_sorted[start:end]
-        else:
-            ids = empty_ids
-            tile_depths = empty_depths
-        tables.append(
-            GaussianTable(
-                tile_x=tile_index % tiles_x,
-                tile_y=tile_index // tiles_x,
-                gaussian_ids=ids,
-                depths=tile_depths,
-                intervals=table_intervals,
-            )
+    bounds = bounds.tolist()
+    tables = [
+        GaussianTable(
+            tile_x=tile_index % tiles_x,
+            tile_y=tile_index // tiles_x,
+            gaussian_ids=gid_sorted[start:end],
+            depths=depths_sorted[start:end],
+            intervals=intervals_sorted[start:end],
         )
-
+        for tile_index, (start, end) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
     return TileGrid(
         width=width,
         height=height,
@@ -650,9 +566,6 @@ def assign_tiles(
         pairs_total=pairs_total,
         pairs_culled=pairs_culled,
         culled_pixels=culled_pixels,
-        cull=cull,
-        radius_mode=radius_mode,
-        sparsity=sparsity,
         pixels_total=pixels_total,
         pixels_culled=pixels_culled,
     )

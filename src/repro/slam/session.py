@@ -289,13 +289,33 @@ class SessionRunner:
             height=self.intrinsics.height,
         )
 
+    def _check_frame_shape(self, frame) -> None:
+        """Raise ``ValueError`` unless the frame matches ``self.intrinsics``.
+
+        Runs before a frame is queued or tracked, so a wrong-shaped frame
+        is refused at the boundary instead of failing inside the drain
+        loop on every retry and wedging the queue behind it.
+        """
+        height, width = self.intrinsics.height, self.intrinsics.width
+        color_shape = np.shape(frame.color)
+        depth_shape = np.shape(frame.depth)
+        if color_shape != (height, width, 3) or depth_shape != (height, width):
+            raise ValueError(
+                f"frame shape mismatch: got color {color_shape} and depth "
+                f"{depth_shape}, session expects {(height, width, 3)} and "
+                f"{(height, width)}"
+            )
+
     def feed(self, frame, index: int | None = None) -> FrameResult:
         """Ingest one RGB-D frame and return its :class:`FrameResult`.
 
         Frames must arrive in order; ``index`` (optional) asserts the
         caller and the session agree on the position.  The first ``feed``
-        of a fresh system auto-begins a session named ``"stream"``.
+        of a fresh system auto-begins a session named ``"stream"``.  A
+        frame whose shapes disagree with the intrinsics raises
+        ``ValueError`` before any work runs.
         """
+        self._check_frame_shape(frame)
         if self._session_result is None:
             self.begin()
         if index is not None and index != self._next_index:
@@ -348,9 +368,13 @@ class SessionRunner:
         under deadline shedding — earlier rejections shift later queued
         frames down.
 
+        A frame whose shapes disagree with the intrinsics raises
+        ``ValueError`` and is never queued.
+
         Thread-safe against one concurrent drainer; multiple producers
         must serialize among themselves to keep arrival order defined.
         """
+        self._check_frame_shape(frame)
         if self._session_result is None:
             self.begin()
         with self._pending_lock:

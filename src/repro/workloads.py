@@ -46,8 +46,8 @@ class RenderWorkload:
             pairs — the within-tile work a tile-granular rasterizer would
             execute.
         pixels_culled: of those, the entries removed by the pixel-level
-            active-interval culling (0 under ``sparsity="tile"``); the
-            hardware models use the ratio to discount within-tile work.
+            active-interval culling; the hardware models use the ratio to
+            discount within-tile work.
     """
 
     num_gaussians: int
@@ -85,8 +85,8 @@ class RenderWorkload:
             per_pixel_mean=float(per_pixel.mean()),
             per_pixel_max=float(per_pixel.max()),
             includes_backward=includes_backward,
-            pixels_total=int(getattr(result.tile_grid, "pixels_total", 0)),
-            pixels_culled=int(getattr(result.tile_grid, "pixels_culled", 0)),
+            pixels_total=result.tile_grid.pixels_total,
+            pixels_culled=result.tile_grid.pixels_culled,
         )
 
     def scaled(self, factor: float) -> "RenderWorkload":

@@ -14,30 +14,11 @@ from repro.datasets.scenarios import get_scenario
 from repro.eval.service import RunKey
 from repro.gaussians import render
 from repro.gaussians.gradients import render_backward
-from repro.gaussians.projection import project_gaussians
-from repro.gaussians.tiles import assign_tiles
 
 
 def test_render_rejects_unknown_backend(small_model, small_camera):
     with pytest.raises(ValueError, match="backend.*reference"):
         render(small_model, small_camera, backend="cuda")
-
-
-def test_render_rejects_unknown_radius_mode(small_model, small_camera):
-    with pytest.raises(ValueError, match="radius.*sigma"):
-        render(small_model, small_camera, radius="huge")
-
-
-def test_render_rejects_unknown_cull_mode(small_model, small_camera):
-    with pytest.raises(ValueError, match="cull.*aabb"):
-        render(small_model, small_camera, cull="none")
-
-
-def test_assign_tiles_rejects_unknown_cull_mode(small_model, small_camera):
-    projection = project_gaussians(small_model, small_camera)
-    intr = small_camera.intrinsics
-    with pytest.raises(ValueError, match="cull.*precise"):
-        assign_tiles(projection, intr.width, intr.height, cull="fast")
 
 
 def test_render_backward_rejects_unknown_backend(small_model, small_camera):

@@ -11,14 +11,7 @@ from repro.gaussians.densify import (
     densify_from_frame,
     prune_gaussians,
 )
-from repro.gaussians.loss import (
-    combined_color_loss,
-    l1_loss,
-    masked_l1_loss,
-    mse_loss,
-    psnr,
-    ssim,
-)
+from repro.gaussians.loss import l1_loss, masked_l1_loss, mse_loss, psnr, ssim
 from repro.gaussians.optimizer import DEFAULT_LEARNING_RATES
 
 
@@ -69,15 +62,6 @@ def test_ssim_bounds_and_identity():
     assert np.isclose(ssim(image, image), 1.0, atol=1e-6)
     noisy = np.clip(image + rng.normal(scale=0.3, size=image.shape), 0, 1)
     assert ssim(noisy, image) < 1.0
-
-
-def test_combined_loss_between_components():
-    rng = np.random.default_rng(3)
-    rendered = rng.uniform(size=(12, 12, 3))
-    target = rng.uniform(size=(12, 12, 3))
-    loss, grad = combined_color_loss(rendered, target)
-    assert loss > 0
-    assert grad.shape == rendered.shape
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,15 +1,9 @@
-"""Tests for projection, tile assignment and depth sorting."""
+"""Tests for projection, tile assignment and per-tile depth order."""
 
 import numpy as np
 
 from repro.gaussians import Camera, GaussianModel, Intrinsics, Pose
 from repro.gaussians.projection import batch_quat_to_rotmat, project_gaussians
-from repro.gaussians.sorting import (
-    argsort_by_depth,
-    bucket_sort_depths,
-    is_sorted_by_depth,
-    merge_sorted_tables,
-)
 from repro.gaussians.tiles import assign_tiles, build_tile_grid
 from repro.gaussians.camera import quat_to_rotmat
 
@@ -100,7 +94,7 @@ def test_assign_tiles_tables_are_depth_sorted():
     grid = assign_tiles(projection, camera.width, camera.height)
     assert len(grid) == grid.tiles_x * grid.tiles_y
     for table in grid.tables:
-        assert is_sorted_by_depth(table.depths)
+        assert (np.diff(table.depths) >= 0).all()
 
 
 def test_assign_tiles_only_visible_gaussians():
@@ -118,25 +112,3 @@ def test_tile_grid_occupancy_and_assignments_consistent():
     camera = _camera()
     grid = assign_tiles(project_gaussians(model, camera), camera.width, camera.height)
     assert grid.occupancy().sum() == grid.total_assignments()
-
-
-def test_argsort_by_depth_orders_ascending():
-    depths = np.array([3.0, 1.0, 2.0])
-    assert list(argsort_by_depth(depths)) == [1, 2, 0]
-
-
-def test_merge_sorted_tables_stays_sorted():
-    ids_a, depths_a = np.array([1, 2]), np.array([0.5, 2.0])
-    ids_b, depths_b = np.array([3, 4]), np.array([1.0, 3.0])
-    merged_ids, merged_depths = merge_sorted_tables(ids_a, depths_a, ids_b, depths_b)
-    assert is_sorted_by_depth(merged_depths)
-    assert set(merged_ids) == {1, 2, 3, 4}
-
-
-def test_bucket_sort_is_coarsely_ordered():
-    rng = np.random.default_rng(6)
-    depths = rng.uniform(0, 10, size=100)
-    order = bucket_sort_depths(depths, num_buckets=10)
-    bucketed = depths[order]
-    # Bucket ordering guarantees coarse monotonicity within one bucket width.
-    assert (np.diff(bucketed) > -1.0).all()

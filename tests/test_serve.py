@@ -19,6 +19,7 @@ The headline invariants of the SLAM-as-a-service stack:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import threading
 
@@ -464,6 +465,31 @@ def test_http_errors_map_to_status_codes(tiny_sequence):
         with pytest.raises(RuntimeError, match="400.*JSON object"):
             client._request("POST", "/sessions", b"[1, 2]", "application/json")
         assert client.sessions() == {"live": [], "parked": []}
+
+        # A wrong-shaped frame is refused with 400 before it is queued, so
+        # it cannot wedge the session: later valid frames still finish
+        # bit-identical to a synchronous feed.
+        intr = tiny_sequence.intrinsics
+        poison = dataclasses.replace(
+            tiny_sequence[0], color=np.zeros((10, 10, 3)), depth=np.zeros((10, 10))
+        )
+        client.create_session("cam", "splatam", intr.width, intr.height, **CHEAP)
+        client.post_frame("cam", tiny_sequence[0])
+        with pytest.raises(RuntimeError, match="400.*shape mismatch"):
+            client.post_frame("cam", poison)
+        for index in range(1, 3):
+            assert client.post_frame("cam", tiny_sequence[index])["index"] == index
+        payload = client.result("cam")
+    reference = _factory("splatam", intr)().run(tiny_sequence, num_frames=3)
+    assert payload["num_frames"] == 3
+    for index, frame in enumerate(payload["frames"]):
+        assert frame["estimated_pose"] == (
+            reference.frames[index].estimated_pose.as_vector().tolist()
+        )
+        assert frame["tracking_loss"] == reference.frames[index].tracking_loss
+    # In-process, ORB-lite no longer silently "tracks" the poison frame.
+    with pytest.raises(ValueError, match="shape mismatch"):
+        OrbLiteSlam(intr).feed(poison)
 
 
 # ---------------------------------------------------------------------------
