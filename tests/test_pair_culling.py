@@ -8,10 +8,12 @@ the intervals for accounting (``pairs_computed``, ``raster.pixels_*``)
 and, on sparse enough chunks, for a masked row-segment schedule.
 
 All of it must be a pure speedup.  The oracle is
-:func:`_sigma_aabb_grid`: brute-force classic 3-sigma bounding-box tables
-with full-tile intervals, fed through ``render(tile_grid=)``.  Against it
-the images, the integer contribution statistics and the fused backward
-gradients are bit-identical.  Also pinned down here:
+:func:`_brute_force_grid`: by default the classic 3-sigma bounding-box
+tables with full-tile intervals, optionally tightened by direct per-pixel
+evaluation (opacity radii, exact tile cull, tight intervals), fed through
+``render(tile_grid=)``.  Against every such grid the images, the integer
+contribution statistics and the fused backward gradients are
+bit-identical.  Also pinned down here:
 
 * dropped pairs are zero-alpha and intervals are conservative supersets
   of the ``alpha >= ALPHA_MIN`` support;
@@ -81,12 +83,24 @@ def _mixed_opacity_scene(**kwargs):
     return model, camera
 
 
-def _sigma_aabb_grid(model, camera, active_mask=None) -> TileGrid:
-    """Brute-force classic tables: the exactness oracle.
+MODES = [(radius, cull) for radius in ("sigma", "opacity") for cull in ("aabb", "precise")]
+KNOBS = [(radius, cull, sparsity) for radius, cull in MODES for sparsity in ("tile", "pixel")]
 
-    Every visible Gaussian is listed in every tile its 3-sigma bounding box
-    overlaps, depth-sorted with ties in id order, and every pair keeps its
-    full tile as active interval — no culling of any kind.
+
+def _brute_force_grid(model, camera, active_mask=None, radius="sigma", cull="aabb",
+                      sparsity="tile") -> TileGrid:
+    """Brute-force tile tables: the exactness oracle.
+
+    By default every visible Gaussian is listed in every tile its 3-sigma
+    bounding box overlaps, depth-sorted with ties in id order, and every
+    pair keeps its full tile as active interval — no culling of any kind.
+    The knobs apply each tightening of the engine by direct per-pixel
+    evaluation instead of closed forms: ``radius="opacity"`` bounds the box
+    with ``projection.radii``, ``cull="precise"`` keeps a pair only if its
+    alpha reaches ``ALPHA_MIN`` at some pixel center of the tile, and
+    ``sparsity="pixel"`` shrinks each interval to the bounding rectangle of
+    those pixels.  Pairs of the 3-sigma baseline that a knob drops are
+    recorded in ``culled_pixels`` like the engine does.
     """
     projection = project_gaussians(model, camera)
     visible = projection.visible
@@ -94,33 +108,72 @@ def _sigma_aabb_grid(model, camera, active_mask=None) -> TileGrid:
         visible = visible & active_mask
     ids_visible = np.flatnonzero(visible)
     cx, cy = projection.means2d[ids_visible].T
-    radius = projection.radii_sigma[ids_visible]
+    radii = {"sigma": projection.radii_sigma, "opacity": projection.radii}[radius]
+
+    def box_hits(tx, ty, r):
+        r = r[ids_visible]
+        return ids_visible[
+            (np.floor_divide(cx - r, TILE_SIZE) <= tx)
+            & (tx <= np.floor_divide(cx + r, TILE_SIZE))
+            & (np.floor_divide(cy - r, TILE_SIZE) <= ty)
+            & (ty <= np.floor_divide(cy + r, TILE_SIZE))
+        ]
+
     width, height = camera.width, camera.height
     tiles_x, tiles_y = build_tile_grid(width, height, TILE_SIZE)
+    culled_pixels = np.zeros(len(model), dtype=np.int64)
     tables = []
-    pixels_total = 0
+    pairs_total = pixels_total = pixels_kept = 0
     for ty in range(tiles_y):
         for tx in range(tiles_x):
-            hit = (
-                (np.floor_divide(cx - radius, TILE_SIZE) <= tx)
-                & (tx <= np.floor_divide(cx + radius, TILE_SIZE))
-                & (np.floor_divide(cy - radius, TILE_SIZE) <= ty)
-                & (ty <= np.floor_divide(cy + radius, TILE_SIZE))
-            )
-            ids = ids_visible[hit]
-            ids = ids[np.argsort(projection.depths[ids], kind="stable")]
             tile_w = min(TILE_SIZE, width - tx * TILE_SIZE)
             tile_h = min(TILE_SIZE, height - ty * TILE_SIZE)
+            baseline = box_hits(tx, ty, projection.radii_sigma)
+            ids = box_hits(tx, ty, radii)
+            ids = ids[np.argsort(projection.depths[ids], kind="stable")]
+            rows, cols = np.mgrid[0:tile_h, 0:tile_w]
+            # The tiny margin keeps the support a superset of what the
+            # rasterizer's own alpha test (with its round-off) blends.
+            support = [
+                _alpha_on_pixels(
+                    model, projection, gid, tx * TILE_SIZE + cols + 0.5,
+                    ty * TILE_SIZE + rows + 0.5,
+                ) >= ALPHA_MIN * (1.0 - 1e-9)
+                for gid in ids
+            ]
+            if cull == "precise":
+                keep = np.array([s.any() for s in support], dtype=bool)
+                ids = ids[keep]
+                support = [s for s, k in zip(support, keep) if k]
             intervals = np.tile(np.array([0, tile_h, 0, tile_w], dtype=np.int64), (len(ids), 1))
+            if sparsity == "pixel":
+                for i, s in enumerate(support):
+                    r, c = np.flatnonzero(s.any(axis=1)), np.flatnonzero(s.any(axis=0))
+                    intervals[i] = (r[0], r[-1] + 1, c[0], c[-1] + 1) if len(r) else 0
+            culled_pixels[np.setdiff1d(baseline, ids)] += tile_w * tile_h
+            pairs_total += len(baseline)
             pixels_total += len(ids) * tile_w * tile_h
+            pixels_kept += int(
+                ((intervals[:, 1] - intervals[:, 0]) * (intervals[:, 3] - intervals[:, 2])).sum()
+            )
             tables.append(GaussianTable(tx, ty, ids, projection.depths[ids], intervals))
-    pairs_total = sum(len(table) for table in tables)
     return TileGrid(
         width=width, height=height, tile_size=TILE_SIZE, tiles_x=tiles_x,
-        tiles_y=tiles_y, tables=tables, pairs_total=pairs_total, pairs_culled=0,
-        culled_pixels=np.zeros(len(model), dtype=np.int64),
-        pixels_total=pixels_total, pixels_culled=0,
+        tiles_y=tiles_y, tables=tables, pairs_total=pairs_total,
+        pairs_culled=pairs_total - sum(len(table) for table in tables),
+        culled_pixels=culled_pixels, pixels_total=pixels_total,
+        pixels_culled=pixels_total - pixels_kept,
     )
+
+
+def _with_tile_intervals(grid) -> TileGrid:
+    """``grid``'s own tables with every interval widened to the full tile."""
+    tables = []
+    for table in grid.tables:
+        tile_w, tile_h = grid.tile_shape(table)
+        full = np.tile(np.array([0, tile_h, 0, tile_w], dtype=np.int64), (len(table), 1))
+        tables.append(dataclasses.replace(table, intervals=full))
+    return dataclasses.replace(grid, tables=tables, pixels_culled=0)
 
 
 def _grads(width=WIDTH, height=HEIGHT, seed=0):
@@ -161,7 +214,7 @@ def _alpha_on_pixels(model, projection, gid, px, py):
 # ----------------------------------------------------------------------
 def test_culled_tables_are_subsets_dropping_only_zero_alpha_pairs():
     model, camera = _mixed_opacity_scene()
-    oracle = _sigma_aabb_grid(model, camera)
+    oracle = _brute_force_grid(model, camera)
     culled = render(model, camera)
     grid = culled.tile_grid
 
@@ -226,15 +279,31 @@ def test_sub_alpha_min_opacity_gaussians_fully_culled():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity against the brute-force sigma-AABB oracle
+# Bit-identity against the brute-force oracle grids
 # ----------------------------------------------------------------------
-def test_render_bit_identical_to_sigma_aabb_oracle():
+@pytest.mark.parametrize("radius,cull", MODES)
+def test_render_bit_identical_across_modes(radius, cull):
     model, camera = _mixed_opacity_scene()
-    oracle = render(model, camera, tile_grid=_sigma_aabb_grid(model, camera))
+    oracle = render(
+        model, camera, tile_grid=_brute_force_grid(model, camera, radius=radius, cull=cull)
+    )
     culled = render(model, camera)
     _assert_renders_bit_identical(oracle, culled)
     _assert_contrib_stats_equal(oracle, culled)
     assert culled.total_pairs_blended == oracle.total_pairs_blended
+
+
+@pytest.mark.parametrize("radius,cull,sparsity", KNOBS)
+def test_gradients_bit_identical_across_knobs(radius, cull, sparsity):
+    model, camera = _mixed_opacity_scene()
+    grad_color, grad_depth = _grads()
+    grid = _brute_force_grid(model, camera, radius=radius, cull=cull, sparsity=sparsity)
+    oracle = render(model, camera, cache=ForwardCache(), tile_grid=grid)
+    culled = render(model, camera, cache=ForwardCache())
+    _assert_renders_bit_identical(oracle, culled)
+    oracle_grads, _ = render_backward(model, camera, oracle, grad_color, grad_depth)
+    culled_grads, _ = render_backward(model, camera, culled, grad_color, grad_depth)
+    _assert_grads_bit_identical(oracle_grads, culled_grads)
 
 
 def test_active_mask_culling_bit_identical():
@@ -242,17 +311,17 @@ def test_active_mask_culling_bit_identical():
     mask = np.zeros(len(model), dtype=bool)
     mask[::2] = True
     oracle = render(
-        model, camera, active_mask=mask, tile_grid=_sigma_aabb_grid(model, camera, mask)
+        model, camera, active_mask=mask, tile_grid=_brute_force_grid(model, camera, mask)
     )
     culled = render(model, camera, active_mask=mask)
     _assert_renders_bit_identical(oracle, culled)
     _assert_contrib_stats_equal(oracle, culled)
 
 
-def test_reference_backend_stats_match_sigma_aabb_oracle():
+def test_reference_backend_stats_invariant_across_modes():
     model, camera = _mixed_opacity_scene()
     oracle = render(
-        model, camera, backend="reference", tile_grid=_sigma_aabb_grid(model, camera)
+        model, camera, backend="reference", tile_grid=_brute_force_grid(model, camera)
     )
     culled = render(model, camera, backend="reference")
     _assert_contrib_stats_equal(oracle, culled)
@@ -274,23 +343,42 @@ def test_stats_render_integer_equality_bucketed_vs_reference_on_culled_grid():
         assert fast_tile.num_gaussians == ref_tile.num_gaussians
 
 
+def test_bucketed_matches_reference_stats_on_tight_interval_grid():
+    model, camera = _mixed_opacity_scene()
+    grid = _brute_force_grid(model, camera, radius="opacity", cull="precise", sparsity="pixel")
+    reference = render(model, camera, backend="reference", tile_grid=grid)
+    bucketed = render(model, camera, backend="bucketed", tile_grid=grid)
+    _assert_contrib_stats_equal(reference, bucketed)
+    np.testing.assert_allclose(bucketed.color, reference.color, atol=1e-9, rtol=0)
+    for ref_tile, fast_tile in zip(reference.tile_workloads, bucketed.tile_workloads):
+        assert fast_tile.pairs_computed == ref_tile.pairs_computed
+        assert fast_tile.pairs_blended == ref_tile.pairs_blended
+
+
 def test_workload_shrinks_but_blended_pairs_invariant():
     model, camera = _mixed_opacity_scene()
-    oracle = render(model, camera, tile_grid=_sigma_aabb_grid(model, camera))
+    oracle = render(model, camera, tile_grid=_brute_force_grid(model, camera))
     culled = render(model, camera)
     assert culled.total_pairs_computed < oracle.total_pairs_computed
     assert culled.total_pairs_blended == oracle.total_pairs_blended
 
 
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_fused_backward_bit_identical_to_sigma_aabb_oracle(use_cache):
+def test_intervals_reduce_alpha_evaluations_not_blending():
     model, camera = _mixed_opacity_scene()
+    pixel = render(model, camera)
+    tile = render(model, camera, tile_grid=_with_tile_intervals(pixel.tile_grid))
+    assert pixel.total_pairs_computed < tile.total_pairs_computed
+    assert pixel.total_pairs_blended == tile.total_pairs_blended
+
+
+def _assert_fused_backward_matches_default(model, camera, tile_grid, use_cache):
+    """Fused gradients (with pose) through ``tile_grid`` equal the default grid's."""
     grad_color, grad_depth = _grads()
     grads = []
-    for tile_grid in (_sigma_aabb_grid(model, camera), None):
+    for grid in (tile_grid, None):
         result = render(
             model, camera, record_workloads=False, record_contributions=False,
-            cache=ForwardCache() if use_cache else None, tile_grid=tile_grid,
+            cache=ForwardCache() if use_cache else None, tile_grid=grid,
         )
         grads.append(render_backward(
             model, camera, result, grad_color, grad_depth, compute_pose_gradient=True
@@ -298,6 +386,22 @@ def test_fused_backward_bit_identical_to_sigma_aabb_oracle(use_cache):
     (oracle_grads, oracle_pose), (culled_grads, culled_pose) = grads
     _assert_grads_bit_identical(oracle_grads, culled_grads)
     np.testing.assert_array_equal(culled_pose.vector, oracle_pose.vector)
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_fused_backward_bit_identical_across_modes(use_cache):
+    model, camera = _mixed_opacity_scene()
+    _assert_fused_backward_matches_default(
+        model, camera, _brute_force_grid(model, camera), use_cache
+    )
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_fused_backward_bit_identical_pixel_vs_tile(use_cache):
+    """The engine's own tables with and without their sub-tile intervals."""
+    model, camera = _mixed_opacity_scene()
+    tile_grid = _with_tile_intervals(render(model, camera).tile_grid)
+    _assert_fused_backward_matches_default(model, camera, tile_grid, use_cache)
 
 
 def test_fused_backward_matches_reference_on_culled_grid():
@@ -327,7 +431,7 @@ def test_masked_and_fallback_schedules_bit_identical(monkeypatch, threshold):
     model, camera = _mixed_opacity_scene()
     grad_color, grad_depth = _grads()
     oracle = render(
-        model, camera, cache=ForwardCache(), tile_grid=_sigma_aabb_grid(model, camera)
+        model, camera, cache=ForwardCache(), tile_grid=_brute_force_grid(model, camera)
     )
     oracle_grads, _ = render_backward(model, camera, oracle, grad_color, grad_depth)
 
@@ -369,7 +473,7 @@ def test_tile_grid_pair_accounting_consistent():
     grid = render(model, camera).tile_grid
     assert grid.pairs_total - grid.pairs_culled == grid.total_assignments()
     # The baseline is exactly the classic sigma-AABB pair count.
-    assert grid.pairs_total == _sigma_aabb_grid(model, camera).total_assignments()
+    assert grid.pairs_total == _brute_force_grid(model, camera).total_assignments()
 
 
 def test_pair_counters_recorded():
@@ -515,7 +619,7 @@ def test_culling_exactness_sweep_randomized_scenes(seed):
         opacity_shift=opacity_shift, scale_shift=scale_shift, pose=pose,
     )
     oracle = render(
-        model, camera, cache=ForwardCache(), tile_grid=_sigma_aabb_grid(model, camera)
+        model, camera, cache=ForwardCache(), tile_grid=_brute_force_grid(model, camera)
     )
     culled = render(model, camera, cache=ForwardCache())
     _assert_renders_bit_identical(oracle, culled)
