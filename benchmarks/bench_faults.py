@@ -1,19 +1,20 @@
 """Fault-injection benchmark: crash-recovery bit-identity, gated.
 
-Runs the registered fault plans against every SLAM system under the
-service recovery driver (periodic checkpoints + bounded retries) and
-records the outcome into the ``BENCH_faults.json`` perf-trajectory file
-at the repo root.
+Runs the registered fault plans against every SLAM system through
+``SlamService.run`` — every frame fed through
+``SessionRunner.retry_frame``, which rolls a failed frame back and
+retries it — and records the outcome into the ``BENCH_faults.json``
+perf-trajectory file at the repo root.
 
 Three hard invariants are verified before anything is written:
 
-* **Disarmed neutrality** — the recovery driver with no fault plan
-  produces results bit-identical to the plain executor, for every
-  system.
-* **Recovery bit-identity** — a run that crashes at every injected
-  fault point and resumes from checkpoint is bit-identical to the
-  uninterrupted run, for every transient plan x system cell, converging
-  within the default bounded retry budget.
+* **Disarmed neutrality** — ``SlamService.run`` with no fault plan
+  produces results bit-identical to a direct ``system.run(sequence)``,
+  for every system.
+* **Recovery bit-identity** — a run whose faulted frames are rolled
+  back and retried is bit-identical to the uninterrupted run, for every
+  transient plan x system cell, converging within the default per-frame
+  retry budget.  A cell that never converges records a miss.
 * **Failure semantics** — the fatal ``worker-crash`` plan propagates
   without a single retry.
 
@@ -42,8 +43,9 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.errors import InjectedCrashError, TransientError  # noqa: E402
-from repro.eval.service import RetryPolicy, RunKey, SlamService  # noqa: E402
+from repro.datasets import load_sequence  # noqa: E402
+from repro.errors import InjectedCrashError, ReproError, RetryPolicy  # noqa: E402
+from repro.eval.service import RunKey, SlamService, build_session  # noqa: E402
 from repro.faults import available_fault_plans  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
 from repro.perf import PerfRecorder  # noqa: E402
@@ -54,7 +56,6 @@ SEQUENCE = "desk"
 NUM_FRAMES = 8
 TRACKING_ITERATIONS = 6
 MAPPING_ITERATIONS = 2
-AUTOCHECKPOINT_EVERY = 2
 
 SYSTEMS = ("splatam", "gaussian-slam", "orb", "droid", "ags")
 SMOKE_PLAN = "chaos"
@@ -92,19 +93,32 @@ def _results_identical(a, b) -> bool:
 
 
 def _clean_reference(algorithm: str):
-    """The uninterrupted plain-executor run every cell is compared to."""
-    return SlamService(perf=PerfRecorder()).run(_key(algorithm))
+    """The uninterrupted direct ``system.run`` every cell is compared to."""
+    sequence = load_sequence(SEQUENCE, num_frames=NUM_FRAMES)
+    system = build_session(
+        algorithm,
+        sequence.intrinsics,
+        tracking_iterations=TRACKING_ITERATIONS,
+        mapping_iterations=MAPPING_ITERATIONS,
+    )
+    return system.run(sequence, num_frames=NUM_FRAMES)
 
 
 def _recovery_cell(algorithm: str, plan: str | None, clean) -> dict:
-    """One (plan, system) cell: run under the recovery driver, compare."""
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=AUTOCHECKPOINT_EVERY)
+    """One (plan, system) cell: run through the service, compare.
+
+    A run that fails anyway (an exhausted retry budget raises
+    ``FatalError``) records the error instead of crashing the bench.
+    """
+    service = SlamService(perf=PerfRecorder())
     start = time.perf_counter()
-    result = service.run(_key(algorithm, faults=plan))
+    try:
+        result = service.run(_key(algorithm, faults=plan))
+    except ReproError as exc:
+        return {"identical": False, "retries": service.retries, "error": repr(exc)}
     return {
         "identical": _results_identical(clean, result),
         "retries": service.retries,
-        "recoveries": service.recoveries,
         "elapsed_seconds": round(time.perf_counter() - start, 3),
     }
 
@@ -120,8 +134,8 @@ def build_results() -> dict:
     disarmed: dict[str, dict] = {}
     matrix: dict[str, dict[str, dict]] = {}
 
-    # Disarmed neutrality: the recovery driver without a plan changes
-    # nothing.
+    # Disarmed neutrality: the per-frame retry loop without a plan
+    # changes nothing.
     for algorithm in SYSTEMS:
         cell = _recovery_cell(algorithm, None, clean[algorithm])
         disarmed[algorithm] = cell
@@ -129,35 +143,29 @@ def build_results() -> dict:
             cell["identical"] and cell["retries"] == 0
         )
 
-    # Recovery bit-identity per transient plan x system, within the
-    # default retry budget.
+    # Recovery bit-identity per transient plan x system.  A cell that
+    # exhausts the per-frame budget fails with FatalError, so a cell
+    # that converged stayed within it.
     budget = RetryPolicy().max_retries
     for plan in transient_plans:
         matrix[plan] = {}
         for algorithm in SYSTEMS:
-            try:
-                cell = _recovery_cell(algorithm, plan, clean[algorithm])
-            except TransientError as exc:
-                cell = {"identical": False, "error": repr(exc)}
+            cell = _recovery_cell(algorithm, plan, clean[algorithm])
             matrix[plan][algorithm] = cell
-            targets[f"recovery bit-identical ({plan}/{algorithm})"] = bool(
-                cell.get("identical") and cell.get("retries", budget + 1) <= budget
-            )
+            targets[f"recovery bit-identical ({plan}/{algorithm})"] = cell["identical"]
         targets[f"bounded-retry convergence ({plan})"] = all(
             targets[f"recovery bit-identical ({plan}/{algorithm})"]
             for algorithm in SYSTEMS
         )
 
     # Fatal plans must propagate unretried.
-    fatal_service = SlamService(
-        perf=PerfRecorder(), autocheckpoint_every=AUTOCHECKPOINT_EVERY
-    )
+    fatal_service = SlamService(perf=PerfRecorder())
     try:
         fatal_service.run(_key("splatam", faults="worker-crash"))
         fatal_ok = False
     except InjectedCrashError:
         fatal_ok = fatal_service.retries == 0
-    except TransientError:
+    except ReproError:
         fatal_ok = False
     targets["fatal worker-crash propagates without retries"] = fatal_ok
 
@@ -169,7 +177,6 @@ def build_results() -> dict:
             "num_frames": NUM_FRAMES,
             "tracking_iterations": TRACKING_ITERATIONS,
             "mapping_iterations": MAPPING_ITERATIONS,
-            "autocheckpoint_every": AUTOCHECKPOINT_EVERY,
             "retry_budget": budget,
             "plans": list(available_fault_plans()),
             "systems": list(SYSTEMS),
@@ -187,18 +194,17 @@ def run_smoke() -> int:
     for algorithm in SMOKE_SYSTEMS:
         clean = _clean_reference(algorithm)
         cell = _recovery_cell(algorithm, SMOKE_PLAN, clean)
-        status = "ok" if cell["identical"] else "MISMATCH"
+        status = "ok" if cell["identical"] else f"MISMATCH {cell.get('error', '')}"
         print(
             f"fault smoke {SMOKE_PLAN}/{algorithm}: {status} "
-            f"(retries={cell['retries']}, recoveries={cell['recoveries']}, "
-            f"{cell['elapsed_seconds']}s)"
+            f"(retries={cell['retries']}, {cell.get('elapsed_seconds', '-')}s)"
         )
         if not cell["identical"] or cell["retries"] == 0:
             failures.append(algorithm)
     if failures:
         print(f"fault smoke FAILED for: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("fault smoke passed: crash + recovery is bit-identical to the clean run")
+    print("fault smoke passed: retried runs are bit-identical to the clean run")
     return 0
 
 

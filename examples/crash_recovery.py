@@ -1,17 +1,18 @@
-"""Crash-safe recovery: deterministic fault injection + checkpoint resume.
+"""Crash-safe recovery: deterministic fault injection + per-frame retry.
 
-Long-running SLAM services crash: a stage throws, a sensor read fails, a
-checkpoint write is torn by a power cut.  This example replays the
-'desk' sequence under the composite ``chaos`` fault plan — a seeded,
-deterministic schedule of tracking/mapping/source failures — with the
-service recovery tier armed: periodic atomic checkpoints every 2 frames,
-bounded exponential-backoff retries, and resume from the newest *valid*
-checkpoint generation.  It shows
+Long-running SLAM services hit transient failures: a stage throws, a
+sensor read fails.  This example replays the 'desk' sequence under the
+composite ``chaos`` fault plan — a seeded, deterministic schedule of
+tracking/mapping/source failures — feeding every frame through
+``SessionRunner.retry_frame``, exactly as ``SlamService.run`` does: a
+frame that fails transiently is rolled back to just before it (in
+memory, no disk checkpoint) and re-run after a bounded exponential
+backoff.  It shows
 
   * the exact frames where each fault fires (pure function of the plan
     and the run length — identical on every machine),
-  * the checkpoint generations left on disk by the crashed attempts,
-  * that the crashed-and-recovered run is **bit-identical** to the
+  * the frames that were retried, and how often,
+  * that the crashed-and-retried run is **bit-identical** to the
     uninterrupted run — the invariant the BENCH_faults.json gate locks
     in for every registered plan x system cell.
 
@@ -23,30 +24,24 @@ Run with:  python examples/crash_recovery.py
 
 from __future__ import annotations
 
-import tempfile
-from pathlib import Path
+import collections
 
 import numpy as np
 
-from repro.eval.service import RunKey, SlamService
+from repro.datasets import load_sequence
+from repro.errors import RetryPolicy
+from repro.eval.service import build_session
 from repro.faults import FaultInjector, get_fault_plan
 from repro.faults.injector import _DOMAIN_MAP, _DOMAIN_SOURCE, _DOMAIN_TRACK
-from repro.perf import PerfRecorder
 
 SEQUENCE = "desk"
 NUM_FRAMES = 8
 PLAN = "chaos"
-CHECKPOINT_EVERY = 2
 
 
-def _key(faults: str | None = None) -> RunKey:
-    return RunKey(
-        algorithm="splatam",
-        sequence=SEQUENCE,
-        num_frames=NUM_FRAMES,
-        tracking_iterations=6,
-        mapping_iterations=2,
-        faults=faults,
+def _system(intrinsics):
+    return build_session(
+        "splatam", intrinsics, tracking_iterations=6, mapping_iterations=2
     )
 
 
@@ -63,7 +58,7 @@ def _identical(a, b) -> bool:
 
 def main() -> None:
     plan = get_fault_plan(PLAN)
-    schedule = FaultInjector(plan)
+    injector = FaultInjector(plan)
     print(f"Fault plan '{PLAN}' (seed {plan.seed}) over {NUM_FRAMES} frames:")
     for label, spec, domain in (
         ("track error", plan.track_errors, _DOMAIN_TRACK),
@@ -72,34 +67,39 @@ def main() -> None:
     ):
         if spec is None:
             continue
-        frames = sorted(schedule.schedule(domain, NUM_FRAMES))
+        frames = sorted(injector.schedule(domain, NUM_FRAMES))
         print(f"  {label}: eligible frames {frames}, max fires {spec.max_fires}")
 
-    # The reference: one uninterrupted run through the plain executor.
-    clean = SlamService(perf=PerfRecorder()).run(_key())
+    sequence = load_sequence(SEQUENCE, num_frames=NUM_FRAMES)
+    # The reference: one uninterrupted, fault-free run.
+    clean = _system(sequence.intrinsics).run(sequence)
 
-    # The same key under chaos, with the recovery tier armed.
-    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as root:
-        service = SlamService(
-            perf=PerfRecorder(),
-            autocheckpoint_every=CHECKPOINT_EVERY,
-            checkpoint_dir=Path(root),
+    # The same stream under the plan, fed the way SlamService.run feeds a
+    # RunKey(..., faults=PLAN): every frame, source read included, goes
+    # through retry_frame.  Rollback has already put the session back at
+    # the failed frame when on_retry fires.
+    system = _system(sequence.intrinsics)
+    injector.arm(system, NUM_FRAMES)
+    flaky = injector.wrap_source(sequence)
+    retried: collections.Counter = collections.Counter()
+    print(f"\nFeeding {NUM_FRAMES} frames with per-frame retry ...")
+    system.begin(sequence.name)
+    for index in range(NUM_FRAMES):
+        system.retry_frame(
+            lambda: system.feed(flaky[index], index),
+            RetryPolicy(),
+            on_retry=lambda: retried.update([system.next_frame_index]),
         )
-        key = _key(faults=PLAN)
-        print(f"\nRunning {key.slug()} with checkpoints every {CHECKPOINT_EVERY} frames ...")
-        recovered = service.run(key)
-
-        generations = sorted((Path(root) / "auto" / key.slug()).glob("gen-*"))
-        print(f"  retries: {service.retries}   recoveries: {service.recoveries}")
-        print(f"  checkpoint generations on disk: {[g.name for g in generations]}")
-        counters = service.perf.counters.as_dict()
-        print(f"  service.retries counter: {int(counters.get('service.retries', 0))}")
+    recovered = system.finalize()
+    print(f"  faults fired: {injector.fired}")
+    for frame, count in sorted(retried.items()):
+        print(f"  frame {frame}: rolled back in memory and re-run {count}x")
 
     if not _identical(clean, recovered):
         raise SystemExit("MISMATCH: recovered run diverged from the clean run")
     print(
         f"\nBit-identical: all {NUM_FRAMES} poses, losses and map sizes of the "
-        "crashed-and-recovered run match the uninterrupted run exactly."
+        "crashed-and-retried run match the uninterrupted run exactly."
     )
 
 

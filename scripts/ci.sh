@@ -61,9 +61,8 @@ echo "== robustness smoke grid =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.eval.robustness --smoke
 
 echo "== fault-recovery smoke =="
-# One fault plan, two systems: a run that crashes at every injected
-# fault and resumes from checkpoint must be bit-identical to the
-# uninterrupted run.  The full plan x system matrix runs in the slow
+# One fault plan, two systems: a run whose faulted frames are rolled
+# back and retried must be bit-identical to the uninterrupted run.  The full plan x system matrix runs in the slow
 # lane (tests/test_faults.py -m slow) and in benchmarks/bench_faults.py.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_faults.py --smoke
 

@@ -2,28 +2,32 @@
 
 Every layer that can fail mid-run — streaming sessions, disk
 checkpoints, the ingestion workers, the evaluation service — raises
-errors from this taxonomy so that the recovery tier
-(:class:`repro.eval.service.SlamService`) can decide *mechanically* what
+errors from this taxonomy so that the recovery layers (the per-frame
+retry of :class:`repro.slam.session.SessionRunner`, parking in
+:class:`repro.serve.registry.ParkingLot`) can decide *mechanically* what
 to do with a failure:
 
 * :class:`TransientError` — the operation may succeed if repeated: a
   flaky frame read, an injected stage crash, an ingest watchdog timeout.
-  The recovery layers retry these with bounded exponential backoff,
-  resuming from the newest valid checkpoint or per-frame snapshot.
+  :meth:`repro.slam.session.SessionRunner.retry_frame` retries these
+  under a :class:`RetryPolicy`, rolling the session back to just before
+  the failed frame.
 * :class:`FatalError` — retrying cannot help: a mis-configured run, a
   deterministic crash, an exhausted retry budget surfacing the last
   transient cause.  The service reports these per key and moves on.
 * :class:`CheckpointCorruptError` — a checkpoint on disk is torn,
   truncated, bit-flipped, missing its manifest or written by an
-  incompatible format version.  Recovery treats the generation as
+  incompatible format version.  Parking treats the generation as
   invalid and falls back to the next-older one (corruption is fatal for
-  *that checkpoint*, not for the run).
+  *that checkpoint*, not for the session).
 
 Exceptions outside the taxonomy (plain ``ValueError`` etc.) are treated
 as fatal: only failures that *declare* themselves transient are retried.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 __all__ = [
     "CheckpointCorruptError",
@@ -32,6 +36,7 @@ __all__ = [
     "InjectedFaultError",
     "OverloadError",
     "ReproError",
+    "RetryPolicy",
     "RunManyError",
     "StageTimeoutError",
     "TransientError",
@@ -43,7 +48,7 @@ class ReproError(Exception):
 
 
 class TransientError(ReproError):
-    """A failure that a bounded retry (from a checkpoint) may fix."""
+    """A failure that a bounded retry of the failed frame may fix."""
 
 
 class FatalError(ReproError):
@@ -55,8 +60,8 @@ class CheckpointCorruptError(FatalError):
 
     Raised by :func:`repro.slam.session.load_session_state` before any
     session state is touched — a corrupt checkpoint can never partially
-    restore a session.  Recovery responds by falling back to the
-    next-older checkpoint generation (or a from-scratch restart).
+    restore a session.  :class:`repro.serve.registry.ParkingLot`
+    responds by falling back to the next-older parked generation.
     """
 
 
@@ -109,3 +114,29 @@ class RunManyError(ReproError):
         super().__init__(
             f"{len(self.failures)} run(s) failed after retries ({lines})"
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded exponential backoff for transient frame failures.
+
+    Only errors declaring themselves :class:`TransientError` are
+    retried; everything else (``FatalError``, plain exceptions)
+    propagates immediately.  ``max_retries`` bounds the *additional*
+    attempts of one frame after its first, and the sleep before retry
+    ``n`` (0-based) is ``min(backoff * 2**n, backoff_cap)`` seconds.
+    """
+
+    max_retries: int = 3
+    backoff: float = 0.02
+    backoff_cap: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.backoff < 0 or self.backoff_cap < 0:
+            raise ValueError("backoff delays must be >= 0")
+
+    def delay(self, retry_index: int) -> float:
+        """Seconds to sleep before 0-based retry ``retry_index``."""
+        return min(self.backoff * (2.0 ** retry_index), self.backoff_cap)

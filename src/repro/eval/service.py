@@ -20,6 +20,12 @@ replaces that with :class:`SlamService`:
 * **Checkpointable**: live sessions can be parked to disk
   (:meth:`SlamService.checkpoint` / :meth:`SlamService.resume`) using
   the npz + JSON-manifest format of :mod:`repro.slam.session`.
+* **Fault-tolerant**: every run feeds its frames one at a time through
+  :meth:`~repro.slam.session.SessionRunner.retry_frame`, so a transient
+  failure (an injected fault from the key's plan, a flaky source read)
+  rolls back just the failed frame and retries it under the service's
+  :class:`RetryPolicy`; the recovered run is bit-identical to an
+  uninterrupted one.
 
 :func:`repro.eval.runner.run_slam` remains as a thin compatibility shim
 over the process-default service.
@@ -29,18 +35,14 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-import tempfile
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from repro.errors import CheckpointCorruptError, RunManyError, TransientError
+from repro.errors import RetryPolicy, RunManyError
 from repro.perf import PerfRecorder, global_recorder
 from repro.serve.registry import LruMap, ParkingLot
 from repro.slam.results import SlamResult
-from repro.slam.session import SessionState, load_session_state, save_session_state
+from repro.slam.session import SessionState
 
 __all__ = [
     "KNOWN_ALGORITHMS",
@@ -94,8 +96,8 @@ class RunKey:
     # Disabling it is the ablation arm of the robustness grid.
     fallbacks: bool = True
     # Deterministic fault plan injected into the run (a name from
-    # repro.faults.FAULT_PLANS), or None for a fault-free run.  Fault
-    # runs engage the service's recovery driver (checkpoints + retries).
+    # repro.faults.FAULT_PLANS), or None for a fault-free run.  Faulted
+    # frames are rolled back and retried one at a time.
     faults: str | None = None
 
     def __post_init__(self) -> None:
@@ -179,7 +181,7 @@ def build_session(
 ):
     """Instantiate one configured :class:`SlamSession` for ``algorithm``.
 
-    The single system-construction path shared by the service executors
+    The single system-construction path shared by the service executor
     (via :func:`_build_system`) and the serving tier
     (:func:`repro.serve.api.default_session_factory` builds registry
     session factories from it) — both layers configuring a system the
@@ -273,9 +275,7 @@ def _build_system(key: RunKey, perf: PerfRecorder):
 
     Returns ``(system, sequence, finish)`` where ``finish(result)``
     applies any key-specific post-processing (currently the
-    droid-splatam algorithm rename).  Shared by the from-scratch
-    executor and the recovery driver so both paths configure runs
-    identically.
+    droid-splatam algorithm rename).
     """
     from repro.datasets import load_sequence
     from repro.datasets.scenarios import apply_scenario
@@ -311,62 +311,32 @@ def _build_system(key: RunKey, perf: PerfRecorder):
     return system, sequence, finish
 
 
-def _execute_run(key: RunKey, perf: PerfRecorder) -> SlamResult:
-    """Run one SLAM configuration from scratch, recording into ``perf``."""
+def _execute_run(
+    key: RunKey, perf: PerfRecorder, policy: RetryPolicy, on_retry=None
+) -> SlamResult:
+    """Run one SLAM configuration, recording into ``perf``.
+
+    The system is built once and armed with the key's fault plan (if
+    any); each frame — its source read included, so flaky reads are
+    retried too — goes through ``retry_frame`` under ``policy``.  The
+    feed loop is exactly :meth:`SessionRunner.run`'s, so a fault-free
+    run is bit-identical to ``system.run(sequence)``.
+    """
     with perf.section(f"eval/{key.algorithm}/{key.sequence}"):
         system, sequence, finish = _build_system(key, perf)
-        return finish(system.run(sequence, num_frames=key.num_frames))
+        total = min(key.num_frames, len(sequence))
+        if key.faults is not None:
+            from repro.faults import FaultInjector, get_fault_plan
 
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for transient run failures.
-
-    Only errors declaring themselves :class:`repro.errors.TransientError`
-    are retried; everything else (``FatalError``, plain exceptions)
-    propagates immediately.  ``max_retries`` bounds the *additional*
-    attempts after the first, and the sleep before retry ``n`` (0-based)
-    is ``min(backoff * 2**n, backoff_cap)`` seconds.
-
-    ``jitter`` de-synchronizes retry herds *deterministically*: the base
-    delay is scaled by ``1 - jitter * u`` where ``u`` is drawn from a
-    ``SeedSequence((jitter_seed, domain, retry_index))`` generator — the
-    repo's scenario/fault idiom — so two policies with the same seed
-    back off identically on every machine (recovery timing stays
-    reproducible in tests) while different seeds spread a thundering
-    herd apart.  ``jitter=0`` (the default) reproduces the pre-jitter
-    delays bit-for-bit.
-    """
-
-    max_retries: int = 3
-    backoff: float = 0.02
-    backoff_cap: float = 0.5
-    jitter: float = 0.0
-    jitter_seed: int = 0
-
-    # Keeps jitter draws from colliding with scenario (1-4), fault
-    # (101-104) and serving-fault (201-202) domains.
-    _JITTER_DOMAIN = 301
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay(self, retry_index: int) -> float:
-        """Seconds to sleep before 0-based retry ``retry_index``."""
-        base = min(self.backoff * (2.0 ** retry_index), self.backoff_cap)
-        if self.jitter <= 0.0:
-            return base
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (self.jitter_seed, self._JITTER_DOMAIN, retry_index)
+            injector = FaultInjector(get_fault_plan(key.faults))
+            injector.arm(system, total)
+            sequence = injector.wrap_source(sequence)
+        system.begin(getattr(sequence, "name", "stream"))
+        for index in range(total):
+            system.retry_frame(
+                lambda: system.feed(sequence[index], index), policy, on_retry
             )
-        )
-        return base * (1.0 - self.jitter * float(rng.random()))
+        return finish(system.finalize())
 
 
 class SlamService:
@@ -386,14 +356,9 @@ class SlamService:
             because :meth:`PerfRecorder.merge` serializes on the
             receiving recorder, so concurrent merges from different
             services cannot interleave and drop updates.
-        autocheckpoint_every: auto-checkpoint live runs every K frames
-            (the recovery driver's resume points).  0 — the default, for
-            bit-compatibility — disables periodic checkpoints; retries
-            then restart from scratch.
-        retry: the :class:`RetryPolicy` for transient run failures, or
-            ``None`` for the default policy.  Retries engage only when
-            the recovery driver does (a fault plan on the key, periodic
-            checkpoints, or an explicit policy).
+        retry: the per-frame :class:`RetryPolicy` for transient
+            failures, or ``None`` for the default policy.  Each retry is
+            counted as ``service.retries``.
     """
 
     def __init__(
@@ -401,19 +366,15 @@ class SlamService:
         max_entries: int = 128,
         checkpoint_dir=None,
         perf: PerfRecorder | None = None,
-        autocheckpoint_every: int = 0,
-        retry: "RetryPolicy | None" = None,
+        retry: RetryPolicy | None = None,
         keep_parked: bool = False,
     ) -> None:
-        if autocheckpoint_every < 0:
-            raise ValueError("autocheckpoint_every must be >= 0 (0 disables)")
         # The bounded-LRU mechanics live in repro.serve.registry.LruMap —
         # one eviction implementation shared with the serving tier's
         # SessionRegistry (which parks instead of dropping).
         self._store: LruMap = LruMap(max_entries)
         self.checkpoint_dir = None if checkpoint_dir is None else pathlib.Path(checkpoint_dir)
         self.perf = perf or global_recorder()
-        self.autocheckpoint_every = autocheckpoint_every
         self.retry = retry
         self.keep_parked = keep_parked
         self._lock = threading.Lock()
@@ -421,7 +382,6 @@ class SlamService:
         self.misses = 0
         self.evictions = 0
         self.retries = 0
-        self.recoveries = 0
 
     # ------------------------------------------------------------------
     # Store management
@@ -465,125 +425,13 @@ class SlamService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _recovery_engaged(self, key: RunKey) -> bool:
-        """Whether ``key`` runs under the recovery driver.
-
-        The plain path (no fault plan, no checkpoints, no explicit
-        policy) calls :func:`_execute_run` directly and stays
-        bit-and-call-compatible with the pre-recovery service.
-        """
-        return (
-            key.faults is not None
-            or self.autocheckpoint_every > 0
-            or self.retry is not None
-        )
-
     def _execute(self, key: RunKey, recorder: PerfRecorder) -> SlamResult:
-        if self._recovery_engaged(key):
-            return self._run_with_recovery(key, recorder)
-        return _execute_run(key, recorder)
+        def on_retry() -> None:
+            recorder.count("service.retries")
+            with self._lock:
+                self.retries += 1
 
-    def _run_with_recovery(self, key: RunKey, perf: PerfRecorder) -> SlamResult:
-        """Execute ``key`` with checkpoints, bounded retries and recovery.
-
-        Transient failures (:class:`repro.errors.TransientError` — injected
-        faults, flaky reads) are retried up to
-        ``retry.max_retries`` times with exponential backoff, each retry
-        resuming from the newest *valid* on-disk checkpoint generation
-        (corrupt generations are skipped — see
-        :meth:`_newest_valid_generation`) or from scratch when none
-        survives.  Fatal errors and retry exhaustion propagate.  Because
-        session processing is deterministic and checkpoints are bit-exact
-        (PR 3), the recovered result is bit-identical to an uninterrupted
-        run.
-        """
-        from repro.faults import FaultInjector, get_fault_plan
-
-        injector = FaultInjector(get_fault_plan(key.faults)) if key.faults else None
-        policy = self.retry or RetryPolicy()
-        if self.checkpoint_dir is not None:
-            root = self.checkpoint_dir / "auto" / key.slug()
-            tmp = None
-        else:
-            # Checkpoints must hit real disk even without a configured
-            # directory — torn-write faults and generation fallback are
-            # only meaningful against actual files.
-            tmp = tempfile.TemporaryDirectory(prefix="repro-auto-ckpt-")
-            root = pathlib.Path(tmp.name)
-        generations: list[pathlib.Path] = []
-        try:
-            retries = 0
-            while True:
-                try:
-                    return self._attempt_run(key, perf, injector, root, generations)
-                except TransientError:
-                    if retries >= policy.max_retries:
-                        raise
-                    time.sleep(policy.delay(retries))
-                    retries += 1
-                    perf.count("service.retries")
-                    with self._lock:
-                        self.retries += 1
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-
-    def _attempt_run(
-        self,
-        key: RunKey,
-        perf: PerfRecorder,
-        injector,
-        root: pathlib.Path,
-        generations: list[pathlib.Path],
-    ) -> SlamResult:
-        """One attempt of ``key``: build, arm faults, resume, drive, finish."""
-        with perf.section(f"eval/{key.algorithm}/{key.sequence}"):
-            system, sequence, finish = _build_system(key, perf)
-            total = min(key.num_frames, len(sequence))
-            if injector is not None:
-                injector.arm(system, total)
-                sequence = injector.wrap_source(sequence)
-            every = self.autocheckpoint_every
-            if every <= 0:
-                # Whole-run attempts: retries restart from scratch.
-                return finish(system.run(sequence, num_frames=total))
-            # Periodic-checkpoint attempts drive the feed loop themselves
-            # (bit-identical to run()) so they can checkpoint in between.
-            state = self._newest_valid_generation(generations)
-            if state is not None:
-                system.restore(state)
-                start = state.next_index
-                perf.count("service.recoveries")
-                with self._lock:
-                    self.recoveries += 1
-            else:
-                system.begin(getattr(sequence, "name", "stream"))
-                start = 0
-            for index in range(start, total):
-                system.feed(sequence[index], index)
-                done = index + 1
-                if done % every == 0 and done < total:
-                    path = root / f"gen-{done:05d}"
-                    save_session_state(system.state(), path)
-                    generations.append(path)
-                    if injector is not None:
-                        injector.after_checkpoint(path, index, total)
-            return finish(system.finalize())
-
-    def _newest_valid_generation(self, generations: list[pathlib.Path]) -> SessionState | None:
-        """Load the newest checkpoint generation that passes integrity.
-
-        Corrupt generations (torn writes, bit rot) are dropped from the
-        list and the next-older one is tried — the fallback ladder that
-        makes a torn checkpoint cost one generation of progress, not the
-        run.  Returns ``None`` when no valid generation survives.
-        """
-        while generations:
-            try:
-                return load_session_state(generations[-1])
-            except CheckpointCorruptError:
-                generations.pop()
-        return None
+        return _execute_run(key, recorder, self.retry or RetryPolicy(), on_retry)
 
     def run(self, key: RunKey) -> SlamResult:
         """Return the result for ``key``, executing it on a miss.

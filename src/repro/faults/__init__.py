@@ -5,7 +5,7 @@ client-misbehavior plans (stalls, mid-upload disconnects, admission
 storms) in :mod:`repro.faults.serving`.
 """
 
-from repro.faults.injector import CheckpointFaults, FaultInjector, FaultPlan, StageFaults
+from repro.faults.injector import FaultInjector, FaultPlan, StageFaults
 from repro.faults.plans import FAULT_PLANS, available_fault_plans, get_fault_plan
 from repro.faults.serving import (
     SERVING_FAULT_PLANS,
@@ -17,7 +17,6 @@ from repro.faults.serving import (
 )
 
 __all__ = [
-    "CheckpointFaults",
     "ClientDisconnects",
     "ClientStalls",
     "FAULT_PLANS",

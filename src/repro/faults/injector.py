@@ -1,16 +1,15 @@
-"""Deterministic fault injection for sessions, sources and checkpoints.
+"""Deterministic fault injection for sessions and frame sources.
 
 Robustness claims are only testable if failures are *reproducible*.  This
-module injects faults — stage exceptions in ``_track``/``_map``, flaky
-frame-source reads and torn checkpoint writes — on a schedule that is a
-pure function of the fault plan and the run length, using exactly the
+module injects faults — stage exceptions in ``_track``/``_map`` and flaky
+frame-source reads — on a schedule that is a pure function of the fault
+plan and the run length, using exactly the
 ``SeedSequence((seed, domain, index))`` per-index draws of
 :mod:`repro.datasets.scenarios`.  Every fault therefore fires at the same
 frame index on every run of the same plan, independent of the driving
 loop, retry count or process restarts, which is what lets the recovery
-invariant be *property-tested*: a run that crashes at an injected fault
-and resumes from checkpoint must be bit-identical to the uninterrupted
-run.
+invariant be *property-tested*: a run whose faulted frames are rolled
+back and retried must be bit-identical to the uninterrupted run.
 
 Two layers with different statefulness:
 
@@ -18,8 +17,8 @@ Two layers with different statefulness:
   stateless and pure — see :meth:`FaultInjector.schedule`.
 * The **firing bookkeeping** is stateful: each fault carries a
   ``max_fires`` budget consumed across every attempt sharing the
-  injector.  A retried attempt that replays an already-fired index does
-  not re-crash, so bounded-retry recovery converges; the budget is the
+  injector.  Once the budget is spent a retried frame no longer
+  crashes, so bounded-retry recovery converges; the budget is the
   deterministic analogue of "the fault was transient".
 
 Schedules guarantee at least one eligible index whenever the fault's
@@ -31,7 +30,6 @@ path at any realistic run length.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from repro.datasets.scenarios import Window
 from repro.errors import InjectedCrashError, InjectedFaultError
 
 __all__ = [
-    "CheckpointFaults",
     "FaultInjector",
     "FaultPlan",
     "StageFaults",
@@ -50,18 +47,12 @@ __all__ = [
 _DOMAIN_TRACK = 101
 _DOMAIN_MAP = 102
 _DOMAIN_SOURCE = 103
-_DOMAIN_CHECKPOINT = 104
 
 _DOMAIN_NAMES = {
     _DOMAIN_TRACK: "track",
     _DOMAIN_MAP: "map",
     _DOMAIN_SOURCE: "source",
-    _DOMAIN_CHECKPOINT: "checkpoint",
 }
-
-# How a torn checkpoint write manifests on disk.  All three are detected
-# by load_session_state and raise CheckpointCorruptError.
-_TEAR_MODES = ("truncate", "bitflip", "drop_manifest")
 
 
 def _rng_at(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -85,25 +76,6 @@ class StageFaults:
 
 
 @dataclasses.dataclass(frozen=True)
-class CheckpointFaults:
-    """Torn checkpoint writes: corrupt the checkpoint just written.
-
-    The tear mode (truncated npz, bit-flipped byte, deleted manifest) is
-    itself drawn deterministically per index from ``modes``.
-    """
-
-    probability: float = 0.7
-    window: Window = Window()
-    max_fires: int = 1
-    modes: tuple[str, ...] = _TEAR_MODES
-
-    def __post_init__(self) -> None:
-        for mode in self.modes:
-            if mode not in _TEAR_MODES:
-                raise ValueError(f"unknown tear mode '{mode}'; expected one of {_TEAR_MODES}")
-
-
-@dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """One named, seeded bundle of faults (mirror of ``ScenarioSpec``)."""
 
@@ -112,19 +84,13 @@ class FaultPlan:
     track_errors: StageFaults | None = None
     map_errors: StageFaults | None = None
     source_errors: StageFaults | None = None
-    checkpoint_tears: CheckpointFaults | None = None
 
     @property
     def is_clean(self) -> bool:
         """True when the plan injects nothing at all."""
         return all(
             getattr(self, field) is None
-            for field in (
-                "track_errors",
-                "map_errors",
-                "source_errors",
-                "checkpoint_tears",
-            )
+            for field in ("track_errors", "map_errors", "source_errors")
         )
 
     @property
@@ -207,7 +173,6 @@ class FaultInjector:
             _DOMAIN_TRACK: self.plan.track_errors,
             _DOMAIN_MAP: self.plan.map_errors,
             _DOMAIN_SOURCE: self.plan.source_errors,
-            _DOMAIN_CHECKPOINT: self.plan.checkpoint_tears,
         }[domain]
 
     def schedule(self, domain: int, total: int) -> frozenset[int]:
@@ -281,9 +246,9 @@ class FaultInjector:
         """Wrap ``system._track`` / ``system._map`` with the plan's faults.
 
         Faults fire *before* the stage body executes, so an injected
-        crash never leaves stage state half-mutated — the fault point is
-        exactly a frame boundary, which is what makes checkpoint
-        recovery bit-exact.  Idempotent per system instance.
+        crash never leaves a stage half-run; a ``_map`` fault still
+        follows the frame's completed ``_track``, which is why a retry
+        rolls the whole frame back.  Idempotent per system instance.
         """
         plan = self.plan
         if getattr(system, "_fault_injector", None) is self:
@@ -311,33 +276,3 @@ class FaultInjector:
         if self.plan.source_errors is None:
             return source
         return _FlakySource(source, self)
-
-    def after_checkpoint(self, directory, index: int, total: int) -> str | None:
-        """Corrupt a just-written checkpoint if a tear is scheduled here.
-
-        Returns the tear mode applied (``"truncate"`` / ``"bitflip"`` /
-        ``"drop_manifest"``) or ``None``.  The damage is exactly what a
-        crash mid-write or storage bit-rot produces; the loader detects
-        all three and recovery falls back to the previous generation.
-        """
-        import pathlib
-
-        tears = self.plan.checkpoint_tears
-        if not self._consume(tears, _DOMAIN_CHECKPOINT, index, total):
-            return None
-        directory = pathlib.Path(directory)
-        rng = _rng_at(self.plan.seed, _DOMAIN_CHECKPOINT, index)
-        rng.random()  # skip the scheduling draw; next draws pick the mode
-        mode = tears.modes[int(rng.integers(len(tears.modes)))]
-        npz = directory / "state.npz"
-        if mode == "truncate":
-            data = npz.read_bytes()
-            npz.write_bytes(data[: max(len(data) // 2, 1)])
-        elif mode == "bitflip":
-            data = bytearray(npz.read_bytes())
-            position = int(rng.integers(len(data) // 2, len(data)))
-            data[position] ^= 0xFF
-            npz.write_bytes(bytes(data))
-        else:  # drop_manifest
-            os.unlink(directory / "manifest.json")
-        return mode

@@ -7,9 +7,10 @@ schedule is a pure function of (plan, run length), so the recovery grid
 every machine.
 
 Budgeting convention: every *transient* plan keeps
-``plan.max_total_fires <= 3`` — the default
-:class:`~repro.eval.service.RetryPolicy` retry budget — so bounded-retry
-recovery provably converges for every registered plan.  ``worker-crash``
+``plan.max_total_fires <= 3`` — the default per-frame
+:class:`~repro.errors.RetryPolicy` budget — so bounded-retry recovery
+provably converges for every registered plan, even when all of a plan's
+fires land on one frame.  ``worker-crash``
 is the deliberate exception: its fault is *fatal*
 (:class:`~repro.errors.InjectedCrashError`), asserting that the service
 refuses to retry what declares itself unretryable.
@@ -18,7 +19,7 @@ refuses to retry what declares itself unretryable.
 from __future__ import annotations
 
 from repro.datasets.scenarios import Window
-from repro.faults.injector import CheckpointFaults, FaultPlan, StageFaults
+from repro.faults.injector import FaultPlan, StageFaults
 
 __all__ = [
     "FAULT_PLANS",
@@ -44,14 +45,6 @@ FAULT_PLANS: dict[str, FaultPlan] = {
         name="source-flaky",
         seed=23,
         source_errors=StageFaults(probability=0.3, window=Window(0.1, 1.0), max_fires=2),
-    ),
-    # Torn checkpoint writes early in the run, then a crash late: forces
-    # recovery to walk back across corrupted generations to a valid one.
-    "ckpt-torn": FaultPlan(
-        name="ckpt-torn",
-        seed=24,
-        checkpoint_tears=CheckpointFaults(probability=0.8, window=Window(0.0, 0.7), max_fires=2),
-        map_errors=StageFaults(probability=0.5, window=Window(0.7, 1.0), max_fires=1),
     ),
     # A fatal mid-run crash: must propagate without retries and must not
     # poison sibling keys in run_many.

@@ -1,7 +1,7 @@
 """Serving-level fault plans: deterministic client misbehavior.
 
 The HTTP tier's mirror of :mod:`repro.faults.plans`: where those plans
-inject failures *inside* the pipeline (stage crashes, torn checkpoints),
+inject failures *inside* the pipeline (stage crashes, flaky reads),
 these describe failures *at the network edge* — slow clients stalling
 mid-stream, mid-upload disconnects tearing a frame body in half, and
 admission storms (which need no schedule at all: the storm driver's
@@ -36,7 +36,7 @@ __all__ = [
     "get_serving_fault_plan",
 ]
 
-# Domains 1-4 belong to stream scenarios and 101-104 to pipeline fault
+# Domains 1-4 belong to stream scenarios and 101-103 to pipeline fault
 # injection; serving-level faults take the 200 block.
 _DOMAIN_STALL = 201
 _DOMAIN_DISCONNECT = 202

@@ -24,8 +24,8 @@ __all__ = [
 
 # The session-health counters every report surfaces explicitly (zero
 # when they never fired): a clean run *showing* zero degraded frames is
-# evidence, a missing key is just ambiguity.  The PR 7 fault-tolerance
-# counters (ingest watchdog trips, service retries/recoveries) follow the same
+# evidence, a missing key is just ambiguity.  The fault-tolerance
+# counters (ingest watchdog trips, service frame retries) follow the same
 # rule: silent runs report them as explicit zeros.
 ROBUSTNESS_COUNTERS = (
     "session.frames_degraded",
@@ -33,7 +33,6 @@ ROBUSTNESS_COUNTERS = (
     "session.relocalizations",
     "session.watchdog_timeouts",
     "service.retries",
-    "service.recoveries",
 )
 
 # The rasterizer sparsity counters, surfaced the same way: pair-level

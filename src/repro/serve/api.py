@@ -33,6 +33,12 @@ instead of queueing it:
   session builder does not accept) is refused the same way, naming the
   offending key, and registers nothing.
 
+A transient failure while a queued frame is processed (an injected
+stage fault, say) never reaches the client: the session's
+:class:`AsyncSessionHandle` rolls that one frame back and retries it.
+Only an exhausted retry budget fails the session, and its later
+requests answer ``500`` with kind ``FatalError``.
+
 Per-frame deadlines ride the ``X-Deadline-Ms`` request header: a frame
 whose deadline expires while queued is rejected whole (never
 half-ingested), reported in the 200 response of a later request only
@@ -204,8 +210,9 @@ class SlamServer:
         session_factory: maps a ``POST /sessions`` JSON spec to a
             zero-arg session factory (default
             :func:`default_session_factory`).
-        queue_depth / retry / watchdog_timeout: per-session
-            :class:`AsyncSessionHandle` knobs.
+        queue_depth / watchdog_timeout: per-session
+            :class:`AsyncSessionHandle` knobs (every handle retries
+            transient drain failures frame by frame).
         pool_workers: drain workers shared by all sessions.
         admission: optional :class:`AdmissionController` shedding frame
             POSTs (429) under per-client rate limits or the global
@@ -227,7 +234,6 @@ class SlamServer:
         park_root=None,
         session_factory=default_session_factory,
         queue_depth: int = 8,
-        retry=None,
         watchdog_timeout: float | None = None,
         pool_workers: int = 4,
         perf: PerfRecorder | None = None,
@@ -249,7 +255,6 @@ class SlamServer:
         )
         self.session_factory = session_factory
         self.queue_depth = queue_depth
-        self.retry = retry
         self.watchdog_timeout = watchdog_timeout
         self.perf = perf
         self.admission = admission
@@ -408,7 +413,6 @@ class SlamServer:
                     session_id,
                     pool=self.pool,
                     queue_depth=self.queue_depth,
-                    retry=self.retry,
                     watchdog_timeout=self.watchdog_timeout,
                     perf=self.perf,
                     on_result=self._frame_done,

@@ -19,15 +19,14 @@ The handle's contract:
   ``flush`` that sees no drain progress for that many seconds raises
   :class:`StageTimeoutError` (a ``TransientError``) instead of hanging,
   counted as ``session.watchdog_timeouts``.
-* **frame-granular retry** — with a retry policy armed, a
-  :class:`TransientError` raised while draining (injected stage fault,
-  flaky source, watchdog timeout) rolls the session back to the
-  snapshot taken just before the failed frame (``restore(...,
-  preserve_pending=True)`` keeps the queue) and re-feeds it after the
-  policy's backoff.  A ``_map``-stage fault fires *after* ``_track``
-  already mutated tracking state, so a naive re-``feed`` would run the
-  frame's tracking twice — the snapshot/rollback is what keeps retried
-  ingestion bit-identical to a fault-free run.
+* **frame-granular retry** — every queued frame is drained through
+  :meth:`SessionRunner.retry_frame` under the default
+  :class:`~repro.errors.RetryPolicy`: a :class:`TransientError` raised
+  while draining (an injected stage fault, say) rolls the session back
+  to just before the failed frame — the frame itself stays at the queue
+  head — and re-feeds it after the policy's backoff, which keeps retried
+  ingestion bit-identical to a fault-free run.  An exhausted budget
+  fails the handle with :class:`~repro.errors.FatalError`.
 
 All counters land on the handle's perf recorder and are surfaced by
 :mod:`repro.perf.report` (explicit zeros when serving never ran).
@@ -39,7 +38,7 @@ import concurrent.futures
 import threading
 import time
 
-from repro.errors import FatalError, StageTimeoutError, TransientError
+from repro.errors import RetryPolicy, StageTimeoutError
 from repro.perf import PerfRecorder, global_recorder
 from repro.serve.registry import SessionRegistry
 
@@ -90,10 +89,6 @@ class AsyncSessionHandle:
             by this handle.
         queue_depth: bound on in-flight (submitted, not yet processed)
             frames; ``submit`` beyond it blocks the producer.
-        retry: optional policy with ``max_retries`` and ``delay(attempt)``
-            (:class:`repro.eval.service.RetryPolicy` fits) arming
-            frame-granular retry of :class:`TransientError` drain
-            failures.  ``None`` propagates the first failure.
         watchdog_timeout: no-progress bound for blocked ``submit`` /
             ``flush`` waits (None disables).
         perf: recorder for the serving counters (default process-wide).
@@ -112,7 +107,6 @@ class AsyncSessionHandle:
         session_id: str,
         pool: IngestPool | None = None,
         queue_depth: int = 8,
-        retry=None,
         watchdog_timeout: float | None = None,
         perf: PerfRecorder | None = None,
         on_result=None,
@@ -127,7 +121,6 @@ class AsyncSessionHandle:
         self._own_pool = pool is None
         self.pool = pool or IngestPool(workers=1)
         self.queue_depth = queue_depth
-        self.retry = retry
         self.watchdog_timeout = watchdog_timeout
         self.perf = perf or global_recorder()
         self.on_result = on_result
@@ -310,7 +303,6 @@ class AsyncSessionHandle:
                         return
                 done = self._drain_batch()
                 with self._cond:
-                    self._processed += done
                     if done == 0 and self._enqueued - self._processed > 0:
                         # Queued frames vanished without this worker
                         # processing them: something drained the session
@@ -322,7 +314,6 @@ class AsyncSessionHandle:
                             f"session {self.session_id!r} was drained outside "
                             f"its AsyncSessionHandle"
                         )
-                    self._cond.notify_all()
         except BaseException as exc:
             with self._cond:
                 self._error = exc
@@ -330,12 +321,14 @@ class AsyncSessionHandle:
                 self._cond.notify_all()
 
     def _drain_batch(self) -> int:
-        """Drain the session's queue once (with retry when armed).
+        """Drain the session's queue, one retried frame at a time.
 
-        Returns how many queued frames left the queue — completions plus
-        deadline rejections — which is what the handle's progress
-        accounting needs (a rejected frame must still unblock ``flush``
-        and back-pressured producers).
+        Counts how many queued frames left the queue — completions plus
+        deadline rejections — as processed, and returns that count: a
+        rejected frame must still unblock ``flush`` and back-pressured
+        producers, and frames finished before a failing one still count
+        (their results reach ``on_result`` too), so a failed handle can
+        still be shed and closed.
         """
         rejected: list = []
 
@@ -345,46 +338,23 @@ class AsyncSessionHandle:
             if self.on_reject is not None:
                 self.on_reject(frame)
 
-        with self.registry.checkout(self.session_id) as session:
-            if self.retry is None:
-                results = session.drain_pending(on_reject=reject)
-            else:
-                results = self._drain_with_retry(session, reject)
-        if self.on_result is not None:
-            for frame_result in results:
-                self.on_result(frame_result)
-        return len(results) + len(rejected)
-
-    def _drain_with_retry(self, session, on_reject) -> list:
-        """Frame-granular transient retry (session checked out, pinned).
-
-        Before each frame a bit-exact snapshot is taken; a
-        :class:`TransientError` rolls the session back to it — keeping
-        the queue, whose head is the failed frame ``drain_pending``
-        pushed back — and re-feeds after the policy's backoff.  This is
-        what makes retried ingestion bit-identical to a fault-free run: a
-        ``_map`` fault fires after ``_track`` already advanced its state,
-        so replaying the frame without the rollback would track it twice.
-        Exhausting the budget raises :class:`FatalError` carrying the
-        last transient cause (the service's taxonomy).
-        """
         results: list = []
-        attempt = 0
-        while session.pending_count > 0:
-            snapshot = session.state()
-            try:
-                results.extend(
-                    session.drain_pending(max_frames=1, on_reject=on_reject)
-                )
-                attempt = 0
-            except TransientError as exc:
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    raise FatalError(
-                        f"frame {session.next_frame_index} of session "
-                        f"{self.session_id!r} failed after "
-                        f"{self.retry.max_retries} retries"
-                    ) from exc
-                session.restore(snapshot, preserve_pending=True)
-                time.sleep(self.retry.delay(attempt))
-        return results
+        policy = RetryPolicy()
+        try:
+            with self.registry.checkout(self.session_id) as session:
+                while session.pending_count > 0:
+                    results.extend(
+                        session.retry_frame(
+                            lambda: session.drain_pending(max_frames=1, on_reject=reject),
+                            policy,
+                        )
+                    )
+        finally:
+            if self.on_result is not None:
+                for frame_result in results:
+                    self.on_result(frame_result)
+            done = len(results) + len(rejected)
+            with self._cond:
+                self._processed += done
+                self._cond.notify_all()
+        return done

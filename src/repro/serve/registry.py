@@ -115,8 +115,8 @@ class ParkingLot:
     Each parked name owns ``<root>/<name>/gen-%05d`` directories in the
     atomic ``state.npz`` + ``manifest.json`` checkpoint format; repeated
     parks of one name append generations.  :meth:`resume` loads the
-    newest generation that passes integrity (corrupt tails are skipped,
-    exactly like the service recovery driver) and then — unless
+    newest generation that passes integrity (a corrupt newest generation
+    is skipped in favour of the next-older one) and then — unless
     ``keep_parked`` — deletes the name's parking directory, so parking
     storage is bounded by the *live* parked population, not its history.
 

@@ -12,7 +12,9 @@ only a batch ``run(sequence)``:
   resume a session bit-exactly; ``run(sequence)`` is the batch
   compatibility shim implemented via ``feed``.
 * :class:`SessionRunner` — the shared engine the systems build on.  It
-  owns the frame loop, result/trace accumulation and the frame counter;
+  owns the frame loop, result/trace accumulation, the frame counter and
+  the repo's one transient-recovery mechanism (``retry_frame``: roll a
+  failed frame back and retry it);
   systems (``SplaTam``, ``AgsSlam``, ``GaussianSlam``, ``OrbLiteSlam``,
   ``DroidLiteSlam``) only provide the per-frame sub-stages (``_track`` /
   ``_map``), the final map (``_final_model``) and their checkpoint
@@ -42,7 +44,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import CheckpointCorruptError
+from repro.errors import CheckpointCorruptError, FatalError, RetryPolicy, TransientError
 from repro.gaussians.camera import Intrinsics, Pose
 from repro.gaussians.model import GaussianModel
 from repro.ioutil import atomic_write_bytes, atomic_write_text
@@ -202,12 +204,13 @@ class SessionRunner:
       system-specific checkpoint payload.
 
     and inherit ``begin`` / ``feed`` / ``finalize`` / ``state`` /
-    ``restore`` plus the ``run(sequence)`` compatibility shim.
+    ``restore`` / ``retry_frame`` plus the ``run(sequence)``
+    compatibility shim.
 
     The ``_track``/``_map`` split is not a concurrency boundary — every
     frame runs both sub-stages back to back on the feeding thread.  It
-    exists so fault injection can target one stage and so the ingest
-    retry can roll a failed frame back before either stage re-runs.
+    exists so fault injection can target one stage; ``retry_frame``
+    rolls a frame that failed in either stage back before both re-run.
     """
 
     algorithm = "slam"
@@ -471,6 +474,72 @@ class SessionRunner:
         return self.finalize()
 
     # ------------------------------------------------------------------
+    # Frame-granular transient retry
+    # ------------------------------------------------------------------
+    def retry_frame(self, step, policy: RetryPolicy, on_retry=None):
+        """Run one frame's work; on a transient failure roll back and retry.
+
+        ``step()`` performs the work of one frame (a ``feed``, a one-frame
+        ``drain_pending``, a source read plus ``feed``) and its return
+        value is returned.  When it raises :class:`TransientError`, the
+        session is rolled back to exactly where it stood before the call
+        — a ``_map`` fault fires after ``_track`` already advanced the
+        tracking state, so re-running the frame without the rollback
+        would track it twice — and ``step`` runs again after
+        ``policy.delay(n)`` seconds (``n`` the 0-based retry), calling
+        ``on_retry()`` first when given.  Once ``policy.max_retries``
+        retries of the frame have failed, :class:`FatalError` is raised
+        from the last transient error, with the session rolled back.
+        Other exceptions propagate unhandled.
+
+        The rollback point is the history lengths plus the system
+        payload, not a :meth:`state` snapshot: rolling back truncates the
+        accumulated frames and traces in place (earlier results stay the
+        same objects), so arming a frame costs one payload copy instead
+        of a copy of the whole history.  The pending queue is left alone:
+        :meth:`drain_pending` already pushes a failed frame back to its
+        head.
+        """
+        if self._session_result is None:
+            self.begin()
+        trace = self._session_trace
+        mark = (
+            self._next_index,
+            len(self._session_result.frames),
+            None if trace is None else len(trace.frames),
+            self._state_payload(),
+        )
+        retries = 0
+        while True:
+            try:
+                return step()
+            except TransientError as exc:
+                self._roll_back(mark)
+                if retries >= policy.max_retries:
+                    raise FatalError(
+                        f"frame {self._next_index} failed after "
+                        f"{policy.max_retries} retries: {exc}"
+                    ) from exc
+            if on_retry is not None:
+                on_retry()
+            time.sleep(policy.delay(retries))
+            retries += 1
+
+    def _roll_back(self, mark) -> None:
+        """Return the session to a :meth:`retry_frame` rollback point."""
+        next_index, num_frames, num_traces, payload = mark
+        del self._session_result.frames[num_frames:]
+        if num_traces is not None:
+            del self._session_trace.frames[num_traces:]
+        self.reset()
+        # Every payload restorer copies what it ingests, so the same
+        # rollback point stays valid for the next retry.
+        self._restore_payload(payload)
+        self._next_index = next_index
+        with self._pending_lock:
+            self._ingress_index = next_index + len(self._pending)
+
+    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state(self) -> SessionState:
@@ -498,7 +567,7 @@ class SessionRunner:
             payload=self._state_payload(),
         )
 
-    def restore(self, state: SessionState, preserve_pending: bool = False) -> None:
+    def restore(self, state: SessionState) -> None:
         """Resume from a checkpoint taken by :meth:`state`.
 
         The receiving system must be configured identically to the one
@@ -509,15 +578,8 @@ class SessionRunner:
         session accumulated before the call are discarded and the
         accumulators become exactly the snapshot's copies — restoring
         into a non-fresh session must never duplicate or interleave
-        history.
-
-        ``preserve_pending=True`` keeps frames queued by
-        :meth:`feed_nowait` across the restore — valid only when the
-        snapshot comes from this same session at its current stream
-        position (the ingestion worker's frame-granular retry: roll the
-        processed state back to just before the failed frame while the
-        failed frame and its successors stay queued).  The default
-        clears the queue, as a resume into a fresh stream position must.
+        history.  Frames queued by :meth:`feed_nowait` are dropped, as a
+        resume into a fresh stream position must.
         """
         if state.algorithm != self.algorithm:
             raise ValueError(
@@ -540,9 +602,8 @@ class SessionRunner:
             self._session_trace = None
         self._next_index = state.next_index
         with self._pending_lock:
-            if not preserve_pending:
-                self._pending.clear()
-            self._ingress_index = state.next_index + len(self._pending)
+            self._pending.clear()
+            self._ingress_index = state.next_index
         # No defensive copy of the payload here: every restorer (model /
         # pose unpackers, component load_state_dicts) copies the arrays it
         # ingests, so the checkpoint stays reusable without paying for the
@@ -693,8 +754,8 @@ def load_session_state(directory) -> SessionState:
     manifest checksum, an unknown format or a version mismatch — raises
     :class:`repro.errors.CheckpointCorruptError` *before* any state is
     materialized, so a corrupt checkpoint can never partially restore a
-    session.  Recovery layers respond by falling back to an older
-    checkpoint generation.
+    session.  :class:`repro.serve.registry.ParkingLot` responds by falling
+    back to an older checkpoint generation.
     """
     directory = pathlib.Path(directory)
     manifest_path = directory / CHECKPOINT_MANIFEST

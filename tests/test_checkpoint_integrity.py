@@ -1,7 +1,7 @@
 """Checkpoint integrity: atomic writes, checksums, corruption detection.
 
-The recovery tier (PR 7) leans entirely on two properties of the disk
-checkpoint format:
+Session parking (``ParkingLot``, ``SlamService.checkpoint/resume``)
+leans entirely on two properties of the disk checkpoint format:
 
 1. **Writes are atomic** — an interrupted ``save_session_state`` (or any
    ``atomic_write_*`` user) leaves either the previous complete file or

@@ -1,23 +1,26 @@
-"""Fault injection + recovery: the PR 7 headline invariants.
+"""Fault injection + frame-granular recovery: the headline invariants.
 
 1. **Determinism** — a fault plan's schedule is a pure function of
    (plan, run length): same indices on every run, independent of firing
    bookkeeping or retries.
-2. **Disarmed bit-identity** — the recovery driver (periodic
-   checkpoints, feed-loop execution) without any fault plan produces
-   results bit-identical to the plain executor.
-3. **Recovery bit-identity** — a run that crashes at every injected
-   fault point and resumes from checkpoints is bit-identical to the
-   uninterrupted run, for all five systems.
-4. **Retry semantics** — transient faults are retried within the
-   bounded budget; fatal faults propagate immediately; exhaustion
-   surfaces the last transient cause; ``run_many`` isolates per-key
-   failures.
+2. **Disarmed bit-identity** — the service's per-frame retry loop
+   without any fault plan produces results bit-identical to a direct
+   ``system.run``.
+3. **Recovery bit-identity** — a run whose faulted frames are rolled
+   back and retried is bit-identical to the uninterrupted run, for all
+   five systems.
+4. **Retry semantics** — ``SessionRunner.retry_frame`` rolls a failed
+   frame back in place (earlier results stay the same objects) without
+   going through ``state()``/``restore()``; transient faults are retried
+   within the per-frame budget; fatal faults propagate immediately;
+   exhaustion raises ``FatalError`` from the last transient cause and
+   leaves the session parkable at the failed frame; ``run_many``
+   isolates per-key failures.
 
 The full plan × system matrix runs in the slow lane; tier-1 covers the
-composite ``chaos`` plan on every system plus the special-path plans
-(torn checkpoints, fatal crashes) on one system each, and the serving
-tier's ingest watchdog on a stalled map stage.
+composite ``chaos`` plan on every system, the primitive itself on every
+system, the fatal crash on one system, and the serving tier's ingest
+watchdog on a stalled map stage.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.datasets import load_sequence
 from repro.errors import (
+    FatalError,
     InjectedCrashError,
     InjectedFaultError,
     RunManyError,
@@ -59,6 +64,43 @@ def _trajectory(result) -> np.ndarray:
     return np.array([f.estimated_pose.as_matrix() for f in result.frames])
 
 
+def _session(algorithm: str, intrinsics):
+    return build_session(
+        algorithm,
+        intrinsics,
+        tracking_iterations=CHEAP["tracking_iterations"],
+        mapping_iterations=CHEAP["mapping_iterations"],
+    )
+
+
+def _fail_map_at(session, index: int, times: int | None) -> None:
+    """Make ``session._map`` raise a transient fault at ``index``.
+
+    The fault fires ``times`` times (``None``: on every attempt), after
+    the frame's ``_track`` already ran — the case a rollback must undo.
+    """
+    original = session._map
+    left = [times]
+
+    def faulted(i, frame, tracked):
+        if i == index and left[0] != 0:
+            if left[0] is not None:
+                left[0] -= 1
+            raise InjectedFaultError(f"test map fault (frame {i})")
+        return original(i, frame, tracked)
+
+    session._map = faulted
+
+
+def _forbid_snapshots(session) -> None:
+    """Fail the test if anything takes a ``state()``/``restore()`` copy."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the rollback point must not go through state()/restore()")
+
+    session.state = session.restore = forbidden
+
+
 def assert_results_identical(a, b):
     """Bit-identity over everything a recovered run must reproduce."""
     assert len(a.frames) == len(b.frames)
@@ -76,6 +118,20 @@ def clean_results():
     """One uninterrupted (fault-free, plain-path) run per system."""
     service = SlamService(perf=PerfRecorder())
     return {algo: service.run(_key(algo)) for algo in SYSTEMS}
+
+
+ROLLBACK_FRAMES, ROLLBACK_AT = 5, 2
+
+
+@pytest.fixture(scope="module")
+def tiny_references(tiny_sequence):
+    """Fault-free traced synchronous feeds of the tiny sequence, per system."""
+    references = {}
+    for algorithm in SYSTEMS:
+        session = _session(algorithm, tiny_sequence.intrinsics)
+        session.collect_trace = True
+        references[algorithm] = session.run(tiny_sequence, num_frames=ROLLBACK_FRAMES)
+    return references
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +157,7 @@ def test_every_registered_plan_fires_and_fits_the_retry_budget():
         scheduled = any(
             injector.schedule(domain, 10)
             for domain in (_DOMAIN_TRACK, _DOMAIN_MAP, _DOMAIN_SOURCE)
-        ) or plan.checkpoint_tears is not None
+        )
         assert scheduled, f"plan '{name}' never fires at 10 frames"
         if name != "worker-crash":
             assert plan.max_total_fires <= RetryPolicy().max_retries, name
@@ -126,16 +182,21 @@ def test_fire_budget_is_shared_across_attempts():
 # Bit-identity invariants
 # ---------------------------------------------------------------------------
 def test_disarmed_recovery_driver_is_bit_identical(clean_results):
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=2)
-    result = service.run(_key("splatam"))
-    assert_results_identical(clean_results["splatam"], result)
+    """Service runs feed frame by frame through ``retry_frame``; with no
+    fault plan that is bit-identical to a direct ``system.run``."""
+    sequence = load_sequence(CHEAP["sequence"], num_frames=CHEAP["num_frames"])
+    direct = _session("splatam", sequence.intrinsics).run(
+        sequence, num_frames=CHEAP["num_frames"]
+    )
+    assert_results_identical(direct, clean_results["splatam"])
+    service = SlamService(perf=PerfRecorder())
+    assert_results_identical(direct, service.run(_key("splatam")))
     assert service.retries == 0
-    assert service.recoveries == 0
 
 
 @pytest.mark.parametrize("algorithm", SYSTEMS)
 def test_chaos_recovery_is_bit_identical(algorithm, clean_results):
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=2)
+    service = SlamService(perf=PerfRecorder())
     result = service.run(_key(algorithm, faults="chaos"))
     assert_results_identical(clean_results[algorithm], result)
     assert service.retries > 0  # the plan actually crashed the run
@@ -143,17 +204,98 @@ def test_chaos_recovery_is_bit_identical(algorithm, clean_results):
     assert counters.get("service.retries") == service.retries
 
 
-def test_torn_checkpoints_fall_back_across_generations(clean_results, tmp_path):
-    service = SlamService(
-        perf=PerfRecorder(), autocheckpoint_every=2, checkpoint_dir=tmp_path
+@pytest.mark.parametrize("algorithm", SYSTEMS)
+def test_retry_frame_rolls_back_a_map_fault_in_place(
+    algorithm, tiny_sequence, tiny_references
+):
+    """Mid-stream faults are rolled back and the frame re-run.
+
+    The first attempt hits a ``_map`` fault (after ``_track`` ran); the
+    second completes the feed and then fails, so its result and trace
+    must be truncated away.  Earlier results stay the very same objects
+    (history is truncated in place, never copied), and the finished
+    stream — traces included — is bit-identical to a fault-free
+    synchronous feed.
+    """
+    num_frames, fail_at = ROLLBACK_FRAMES, ROLLBACK_AT
+    reference = tiny_references[algorithm]
+    session = _session(algorithm, tiny_sequence.intrinsics)
+    session.collect_trace = True
+    session.begin(tiny_sequence.name)
+    for index in range(fail_at):
+        session.feed(tiny_sequence[index], index)
+    earlier = list(session.finalize().frames)
+
+    _fail_map_at(session, fail_at, times=1)
+    _forbid_snapshots(session)
+    attempts = []
+
+    def step():
+        attempts.append(fail_at)
+        result = session.feed(tiny_sequence[fail_at], fail_at)
+        if len(attempts) == 2:
+            raise InjectedFaultError("fault after the frame was fed")
+        return result
+
+    retries = []
+    session.retry_frame(
+        step,
+        RetryPolicy(backoff=0.0),
+        on_retry=lambda: retries.append(session.next_frame_index),
     )
-    key = _key("splatam", faults="ckpt-torn")
-    result = service.run(key)
-    assert_results_identical(clean_results["splatam"], result)
-    assert service.retries > 0
-    # Generations landed under the service checkpoint directory.
-    generation_root = tmp_path / "auto" / key.slug()
-    assert generation_root.is_dir() and any(generation_root.iterdir())
+    assert retries == [fail_at, fail_at]  # rolled back before each retry
+    for index in range(fail_at + 1, num_frames):
+        session.feed(tiny_sequence[index], index)
+    result = session.finalize()
+
+    assert all(a is b for a, b in zip(earlier, result.frames))
+    assert_results_identical(reference, result)
+    assert [t.frame_index for t in result.trace.frames] == [
+        t.frame_index for t in reference.trace.frames
+    ]
+
+
+@pytest.mark.parametrize("algorithm", SYSTEMS)
+def test_retry_exhaustion_through_ingest_is_fatal_and_resumable(
+    algorithm, tiny_sequence, tiny_references, tmp_path
+):
+    """A frame that keeps failing fails the handle with ``FatalError``.
+
+    The error chains the transient cause, the session stays positioned
+    at the failed frame, and parking it and resuming on another registry
+    finishes the stream bit-identical to a fault-free feed.
+    """
+    num_frames, fail_at = ROLLBACK_FRAMES, ROLLBACK_AT
+    reference = tiny_references[algorithm]
+
+    def factory():
+        return _session(algorithm, tiny_sequence.intrinsics)
+
+    lot = tmp_path / "lot"
+    registry = SessionRegistry(max_live=1, park_root=lot)
+    session = registry.open("cam", factory, sequence_name=tiny_sequence.name).session
+    _fail_map_at(session, fail_at, times=None)
+    handle = AsyncSessionHandle(registry, "cam")
+    for index in range(num_frames):
+        handle.submit(tiny_sequence[index])
+    with pytest.raises(FatalError) as excinfo:
+        handle.flush()
+    assert isinstance(excinfo.value.__cause__, InjectedFaultError)
+    with registry.checkout("cam") as failed:
+        assert failed.next_frame_index == fail_at
+        assert len(failed.finalize().frames) == fail_at
+    assert handle.shed_pending() == num_frames - fail_at
+    handle.close()
+    registry.park("cam")
+    registry.shutdown()
+
+    resumed = SessionRegistry(max_live=1, park_root=lot)
+    resumed.open("cam", factory, sequence_name=tiny_sequence.name)
+    with resumed.checkout("cam") as live:
+        for index in range(fail_at, num_frames):
+            live.feed(tiny_sequence[index], index)
+    assert_results_identical(reference, resumed.result("cam"))
+    resumed.shutdown()
 
 
 def test_watchdog_converts_stall_and_recovers(tiny_sequence):
@@ -204,7 +346,7 @@ def test_watchdog_converts_stall_and_recovers(tiny_sequence):
 # Retry semantics
 # ---------------------------------------------------------------------------
 def test_fatal_fault_is_not_retried():
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=2)
+    service = SlamService(perf=PerfRecorder())
     with pytest.raises(InjectedCrashError):
         service.run(_key("splatam", faults="worker-crash"))
     assert service.retries == 0
@@ -212,12 +354,12 @@ def test_fatal_fault_is_not_retried():
 
 def test_retry_exhaustion_surfaces_the_transient_cause():
     service = SlamService(
-        perf=PerfRecorder(),
-        autocheckpoint_every=2,
-        retry=RetryPolicy(max_retries=0, backoff=0.0),
+        perf=PerfRecorder(), retry=RetryPolicy(max_retries=0, backoff=0.0)
     )
-    with pytest.raises(InjectedFaultError):
+    with pytest.raises(FatalError) as excinfo:
         service.run(_key("splatam", faults="track-crash"))
+    assert isinstance(excinfo.value.__cause__, InjectedFaultError)
+    assert service.retries == 0
 
 
 def test_retry_policy_backoff_is_bounded():
@@ -240,7 +382,7 @@ def test_stage_timeout_is_transient():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_many_isolates_injected_worker_crash(workers, clean_results):
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=2)
+    service = SlamService(perf=PerfRecorder())
     healthy_a = _key("splatam")
     poisoned = _key("splatam", faults="worker-crash")
     healthy_b = _key("orb")
@@ -254,7 +396,7 @@ def test_run_many_isolates_injected_worker_crash(workers, clean_results):
 
 
 def test_run_many_return_exceptions_keeps_order(clean_results):
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=2)
+    service = SlamService(perf=PerfRecorder())
     keys = [_key("splatam"), _key("splatam", faults="worker-crash"), _key("orb")]
     out = service.run_many(keys, workers=2, return_exceptions=True)
     assert len(out) == 3
@@ -292,7 +434,6 @@ def test_reports_surface_fault_counters_as_zero_when_silent():
     for counter in (
         "session.watchdog_timeouts",
         "service.retries",
-        "service.recoveries",
     ):
         assert robustness[counter] == 0
 
@@ -304,6 +445,6 @@ def test_reports_surface_fault_counters_as_zero_when_silent():
 @pytest.mark.parametrize("algorithm", SYSTEMS)
 @pytest.mark.parametrize("plan", sorted(TRANSIENT_PLANS))
 def test_full_fault_matrix_recovery_bit_identity(plan, algorithm, clean_results):
-    service = SlamService(perf=PerfRecorder(), autocheckpoint_every=2)
+    service = SlamService(perf=PerfRecorder())
     result = service.run(_key(algorithm, faults=plan))
     assert_results_identical(clean_results[algorithm], result)

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.errors import OverloadError, ReproError, TransientError
-from repro.eval.service import RetryPolicy, build_session
+from repro.eval.service import build_session
 from repro.faults import (
     SERVING_FAULT_PLANS,
     available_serving_fault_plans,
@@ -362,26 +362,6 @@ def test_serving_fault_plans_are_deterministic_and_budgeted():
     )
     with pytest.raises(ValueError, match="unknown serving fault plan"):
         get_serving_fault_plan("nope")
-
-
-# ---------------------------------------------------------------------------
-# RetryPolicy seeded jitter
-# ---------------------------------------------------------------------------
-def test_retry_policy_jitter_is_seeded_and_backwards_compatible():
-    plain = RetryPolicy()
-    assert plain.delay(0) == 0.02 and plain.delay(10) == 0.5  # pre-jitter form
-    jittered = RetryPolicy(jitter=0.5, jitter_seed=7)
-    again = RetryPolicy(jitter=0.5, jitter_seed=7)
-    other = RetryPolicy(jitter=0.5, jitter_seed=8)
-    delays = [jittered.delay(n) for n in range(4)]
-    assert delays == [again.delay(n) for n in range(4)]  # reproducible
-    assert delays != [other.delay(n) for n in range(4)]  # seed matters
-    for n, delay in enumerate(delays):
-        base = plain.delay(n)
-        assert base * 0.5 <= delay <= base  # bounded by the jitter fraction
-    assert RetryPolicy(jitter=0.0, jitter_seed=9).delay(2) == plain.delay(2)
-    with pytest.raises(ValueError, match="jitter"):
-        RetryPolicy(jitter=1.5)
 
 
 # ---------------------------------------------------------------------------

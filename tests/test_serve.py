@@ -287,7 +287,7 @@ def test_cross_registry_park_resume_is_bit_identical(tmp_path, tiny_sequence, al
 def test_park_resume_under_scenario_and_faults_is_bit_identical(
     tmp_path, algorithm
 ):
-    """Scenario stream + chaos fault plan + retry + cross-shard park/resume."""
+    """Scenario stream + chaos fault plan + frame retry + cross-shard park/resume."""
     base = load_sequence("desk", num_frames=NUM_FRAMES)
     stream = apply_scenario(base, "burst")
     reference = _factory(algorithm, base.intrinsics)().run(
@@ -311,9 +311,7 @@ def test_park_resume_under_scenario_and_faults_is_bit_identical(
         raise AssertionError("source retries exhausted")
 
     def run_half(registry, sid, start, stop):
-        handle = AsyncSessionHandle(
-            registry, sid, queue_depth=2, retry=RetryPolicy(backoff=0.0)
-        )
+        handle = AsyncSessionHandle(registry, sid, queue_depth=2)
         for index in range(start, stop):
             handle.submit(read_frame(index))
         handle.flush()

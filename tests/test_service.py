@@ -204,7 +204,7 @@ def test_two_services_sharing_one_recorder_do_not_drop_merges(monkeypatch):
 
     import repro.eval.service as service_module
 
-    def stub_execute(key, perf):
+    def stub_execute(key, perf, *_policy_and_hook):
         with perf.section("eval/stub"):
             perf.count("stub.runs")
         from repro.slam.results import SlamResult
