@@ -1,15 +1,18 @@
 """Backward-pass micro-benchmark: fused vs reference rasterizer gradients.
 
-Times ``render_backward`` — the inner loop of tracking and mapping — in
-three configurations at each scene scale:
+Times the backward pass — the inner loop of tracking and mapping — in
+four configurations at each scene scale:
 
 * ``reference``: the per-tile executable spec that re-runs ``tile_forward``
   for every tile;
 * ``bucketed``: the bucketed accumulator rebuilding the forward
   intermediates once (no retained cache);
 * ``fused``: the bucketed accumulator consuming the ``ForwardCache``
-  retained by the forward render — the path the SLAM optimizers run
-  (one forward per iteration, backward reuses its cache);
+  retained by the forward render — the path the mapper runs (one
+  forward per iteration, backward reuses its cache);
+* ``pose``: ``pose_backward`` on the same retained cache — the tracker's
+  path, which computes only the camera-pose gradient (checked
+  bit-identical to the ``fused`` pose gradient before timing);
 
 plus ``iteration.fused``: one full optimizer iteration (forward render
 retaining the cache + fused backward), the end-to-end quantity tracking
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -51,6 +55,7 @@ from repro.gaussians import (  # noqa: E402
     GaussianModel,
     Intrinsics,
     Pose,
+    pose_backward,
     render,
     render_backward,
 )
@@ -65,8 +70,10 @@ SCENES = [(120, 160, 200), (480, 640, 200), (480, 640, 500)]
 # this repo promises to keep fast).  Reference timings are informational.
 GATED_KEYS = [
     "backward.120x160.n200.fused",
+    "backward.120x160.n200.pose",
     "backward.480x640.n200.bucketed",
     "backward.480x640.n200.fused",
+    "backward.480x640.n200.pose",
     "backward.480x640.n500.fused",
     "iteration.480x640.n200.fused",
 ]
@@ -129,6 +136,16 @@ def bench_backward(repeats: int) -> dict[str, float]:
             ),
             repeats,
         )
+        _, full_pose = render_backward(
+            model, camera, fused_result, grad_color, grad_depth, compute_pose_gradient=True
+        )
+        pose = pose_backward(model, camera, fused_result, grad_color, grad_depth)
+        if not np.array_equal(pose.vector, full_pose.vector):
+            raise AssertionError(f"{label}: pose_backward differs from render_backward")
+        timings[f"backward.{label}.pose"] = _best_of(
+            lambda: pose_backward(model, camera, fused_result, grad_color, grad_depth),
+            repeats,
+        )
 
         def one_iteration():
             result = render(
@@ -151,6 +168,7 @@ def build_results(repeats: int) -> dict:
         reference = timings[f"backward.{label}.reference"]
         speedups[f"backward.{label}.bucketed"] = reference / timings[f"backward.{label}.bucketed"]
         speedups[f"backward.{label}.fused"] = reference / timings[f"backward.{label}.fused"]
+        speedups[f"backward.{label}.pose"] = reference / timings[f"backward.{label}.pose"]
 
     targets = {
         # Tentpole target: >=3x on the fused backward at the paper's frame
@@ -163,6 +181,7 @@ def build_results(repeats: int) -> dict:
         "config": {
             "scenes": [list(scene) for scene in SCENES],
             "repeats": repeats,
+            "cpu_count": os.cpu_count(),
         },
         "timings_seconds": {key: timings[key] for key in sorted(timings)},
         "speedups": {key: round(value, 2) for key, value in sorted(speedups.items())},

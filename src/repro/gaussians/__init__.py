@@ -13,6 +13,8 @@ The public entry points are:
 * :class:`repro.gaussians.model.GaussianModel` -- the Gaussian parameter set.
 * :func:`repro.gaussians.rasterizer.render` -- forward rendering.
 * :func:`repro.gaussians.gradients.render_backward` -- analytic gradients.
+* :func:`repro.gaussians.gradients.pose_backward` -- the pose gradient only
+  (tracking: the map is fixed, so no Gaussian gradient is computed).
 * :class:`repro.gaussians.optimizer.Adam` -- parameter updates.
 
 Rendering hot-path knobs (``render`` / ``render_backward``):
@@ -32,6 +34,10 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
   the fused forward/backward path tracking and mapping run on.
   ``render_backward(..., backend="reference")`` keeps the per-tile
   backward as the executable spec (``tests/test_backward_fused.py``).
+  ``pose_backward`` (same arguments, minus ``compute_pose_gradient``)
+  accumulates only the depth / projected-mean sums the pose reads; its
+  result is bit-identical to ``render_backward(...,
+  compute_pose_gradient=True)[1]``.
 * ``dtype=np.float32`` runs the bucketed forward in single precision
   (~1e-4 image error, roughly half the time and memory).  The reference
   backend always computes in float64.
@@ -69,7 +75,12 @@ from repro.gaussians.rasterizer import (
     build_forward_cache,
     render,
 )
-from repro.gaussians.gradients import GaussianGradients, PoseGradients, render_backward
+from repro.gaussians.gradients import (
+    GaussianGradients,
+    PoseGradients,
+    pose_backward,
+    render_backward,
+)
 from repro.gaussians.optimizer import Adam
 from repro.gaussians.loss import l1_loss, mse_loss, psnr, ssim
 
@@ -86,6 +97,7 @@ __all__ = [
     "build_forward_cache",
     "l1_loss",
     "mse_loss",
+    "pose_backward",
     "psnr",
     "render",
     "render_backward",

@@ -52,7 +52,7 @@ from repro.gaussians.rasterizer import (
 )
 from repro.perf import NULL_RECORDER, PerfRecorder
 
-__all__ = ["GaussianGradients", "PoseGradients", "render_backward"]
+__all__ = ["GaussianGradients", "PoseGradients", "pose_backward", "render_backward"]
 
 _BACKWARD_BACKENDS = ("auto", "bucketed", "reference")
 
@@ -284,6 +284,7 @@ def _accumulate_bucketed(
     grad_silhouette: np.ndarray | None,
     acc: _BackwardAccumulators,
     perf: PerfRecorder,
+    pose_only: bool,
 ) -> None:
     """Bucketed accumulation over retained (or rebuilt) forward intermediates.
 
@@ -307,6 +308,12 @@ def _accumulate_bucketed(
     buckets — and since pair culling only removes exact-zero rows from the
     table, culled and un-culled runs produce bit-identical gradients even
     though culling reshuffles the buckets.
+
+    ``pose_only`` accumulates only what the camera-pose gradient reads:
+    the per-Gaussian depth and ``d_mean2d`` sums.  The color, opacity and
+    ``d_cov2d`` columns (and the conic pixel sums feeding the latter) are
+    skipped; the kept columns run the very same operations in the same
+    order, so they are bit-identical to the full accumulation.
     """
     projection = result.projection
     grid = result.tile_grid
@@ -368,9 +375,13 @@ def _accumulate_bucketed(
     # Backward temporaries share the cache's scratch pool, so repeated
     # backward passes (one per optimizer iteration) allocate nothing.
     # Pair-value columns: colors (3), depth (1), opacity (1), mean2d (2),
-    # cov2d (4).
+    # cov2d (4) — or, pose-only, depth (1) and mean2d (2).
+    if pose_only:
+        num_cols, depth_val, mean_val = 3, 0, 1
+    else:
+        num_cols, depth_val, mean_val = 11, 3, 5
     pool = cache.pool
-    pair_vals = pool.take("bwd.pair_vals", (total_pairs, 11), np.float64)
+    pair_vals = pool.take("bwd.pair_vals", (total_pairs, num_cols), np.float64)
     for chunk in cache.chunks:
         num_tiles, num_pixels, padded = chunk.alpha.shape
         shape = chunk.alpha.shape
@@ -398,10 +409,11 @@ def _accumulate_bucketed(
             gpar[:, :, sil_col] = 1.0
 
         weight_sums = np.matmul(weights.transpose(0, 2, 1), pix)  # (T, G, C)
-        contrib = pool.take("bwd.contrib", (num_tiles, padded, 11), np.float64)
-        contrib[:, :, :3] = weight_sums[:, :, :3]
+        contrib = pool.take("bwd.contrib", (num_tiles, padded, num_cols), np.float64)
+        if not pose_only:
+            contrib[:, :, :3] = weight_sums[:, :, :3]
         if depth_col >= 0:
-            contrib[:, :, 3] = weight_sums[:, :, depth_col]
+            contrib[:, :, depth_val] = weight_sums[:, :, depth_col]
         u = pool.take("bwd.u", shape, np.float64)
         np.matmul(pix, gpar.transpose(0, 2, 1), out=u)
 
@@ -433,8 +445,9 @@ def _accumulate_bucketed(
         # opacity and dL/dpower = dL/dalpha * alpha exactly.
         dl_dpower = dl_dalpha
         np.multiply(dl_dalpha, alpha, out=dl_dpower)
-        opac_safe = np.where(chunk.opac > 0.0, chunk.opac, 1.0)
-        contrib[:, :, 4] = dl_dpower.sum(axis=1) / opac_safe
+        if not pose_only:
+            opac_safe = np.where(chunk.opac > 0.0, chunk.opac, 1.0)
+            contrib[:, :, 4] = dl_dpower.sum(axis=1) / opac_safe
 
         # Pixel offsets d = pixel - mean2d, retained by the forward pass
         # (the cache trades two more arrays for skipping this rebuild on
@@ -448,7 +461,7 @@ def _accumulate_bucketed(
         # zero dl/dpower (their alpha is an exact zero), so dropping them
         # from the sums leaves every gradient bit-identical to the dense
         # reduction.
-        d_conic = np.empty((num_tiles, padded, 2, 2))
+        d_conic = None if pose_only else np.empty((num_tiles, padded, 2, 2))
         if chunk.active is not None:
             dl_flat = dl_dpower.reshape(-1)[chunk.active]
             tg = chunk.active_tg
@@ -464,9 +477,10 @@ def _accumulate_bucketed(
             prod_y = dl_flat * seg_dy
             sum_x = _tg_sum(prod_x)
             sum_y = _tg_sum(prod_y)
-            d_conic[..., 0, 0] = _tg_sum(prod_x * chunk.dx)
-            d_conic[..., 0, 1] = _tg_sum(prod_x * seg_dy)
-            d_conic[..., 1, 1] = _tg_sum(prod_y * seg_dy)
+            if d_conic is not None:
+                d_conic[..., 0, 0] = _tg_sum(prod_x * chunk.dx)
+                d_conic[..., 0, 1] = _tg_sum(prod_x * seg_dy)
+                d_conic[..., 1, 1] = _tg_sum(prod_y * seg_dy)
         else:
             dx = chunk.dx
             dy = chunk.dy
@@ -475,21 +489,23 @@ def _accumulate_bucketed(
             # the pixel sum.
             sum_x = np.einsum("tpg,tpg->tg", dl_dpower, dx)
             sum_y = np.einsum("tpg,tpg->tg", dl_dpower, dy)
-            d_conic[..., 0, 0] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dx)
-            d_conic[..., 0, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dy)
-            d_conic[..., 1, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dy, dy)
+            if d_conic is not None:
+                d_conic[..., 0, 0] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dx)
+                d_conic[..., 0, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dy)
+                d_conic[..., 1, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dy, dy)
         c00 = conic00[ids]
         c01 = conic01[ids]
         c11 = conic11[ids]
-        contrib[:, :, 5] = c00 * sum_x + c01 * sum_y
-        contrib[:, :, 6] = c01 * sum_x + c11 * sum_y
+        contrib[:, :, mean_val] = c00 * sum_x + c01 * sum_y
+        contrib[:, :, mean_val + 1] = c01 * sum_x + c11 * sum_y
 
-        # dpower/dSigma2D^-1 = -0.5 d d^T ; chain to Sigma2D via -A dA A.
-        d_conic[..., 1, 0] = d_conic[..., 0, 1]
-        d_conic *= -0.5
-        conics_g = projection.conics[ids]
-        d_cov2d_chunk = -np.einsum("tgij,tgjk,tgkl->tgil", conics_g, d_conic, conics_g)
-        contrib[:, :, 7:] = d_cov2d_chunk.reshape(num_tiles, padded, 4)
+        if d_conic is not None:
+            # dpower/dSigma2D^-1 = -0.5 d d^T ; chain to Sigma2D via -A dA A.
+            d_conic[..., 1, 0] = d_conic[..., 0, 1]
+            d_conic *= -0.5
+            conics_g = projection.conics[ids]
+            d_cov2d_chunk = -np.einsum("tgij,tgjk,tgkl->tgil", conics_g, d_conic, conics_g)
+            contrib[:, :, 7:] = d_cov2d_chunk.reshape(num_tiles, padded, 4)
 
         # Route the chunk's real (unpadded) rows to their canonical slots.
         real = np.arange(padded)[None, :] < chunk.lengths[:, None]
@@ -504,16 +520,60 @@ def _accumulate_bucketed(
     def _fold(column: int) -> np.ndarray:
         return np.bincount(pair_gids, weights=pair_vals[:, column], minlength=count)
 
-    for component in range(3):
-        acc.colors[:, component] += _fold(component)
     if depth_col >= 0:
-        acc.d_depth_per_gaussian += _fold(3)
-    acc.d_opacity_sigmoid += _fold(4)
-    acc.d_mean2d[:, 0] += _fold(5)
-    acc.d_mean2d[:, 1] += _fold(6)
-    cov_flat = acc.d_cov2d.reshape(count, 4)
-    for component in range(4):
-        cov_flat[:, component] += _fold(7 + component)
+        acc.d_depth_per_gaussian += _fold(depth_val)
+    acc.d_mean2d[:, 0] += _fold(mean_val)
+    acc.d_mean2d[:, 1] += _fold(mean_val + 1)
+    if not pose_only:
+        for component in range(3):
+            acc.colors[:, component] += _fold(component)
+        acc.d_opacity_sigmoid += _fold(4)
+        cov_flat = acc.d_cov2d.reshape(count, 4)
+        for component in range(4):
+            cov_flat[:, component] += _fold(7 + component)
+
+
+def _accumulate(
+    model: GaussianModel,
+    result: RasterizationResult,
+    grad_color: np.ndarray,
+    grad_depth: np.ndarray | None,
+    grad_silhouette: np.ndarray | None,
+    backend: str,
+    perf: PerfRecorder,
+    pose_only: bool,
+) -> _BackwardAccumulators:
+    """Run the image-space accumulation of either backward entry point."""
+    if backend not in _BACKWARD_BACKENDS:
+        raise ValueError(
+            f"unknown backward backend {backend!r}; expected one of {_BACKWARD_BACKENDS}"
+        )
+    grad_color = np.asarray(grad_color, dtype=np.float64)
+    acc = _BackwardAccumulators.zeros(len(model))
+
+    perf.count("raster.backward_calls")
+    with perf.section("raster/backward_accumulate"):
+        if backend == "reference":
+            _accumulate_reference(model, result, grad_color, grad_depth, grad_silhouette, acc)
+        else:
+            _accumulate_bucketed(
+                model, result, grad_color, grad_depth, grad_silhouette, acc, perf, pose_only
+            )
+    return acc
+
+
+def _cam_point_gradient(projection, acc: _BackwardAccumulators) -> np.ndarray:
+    """Camera-space point gradient: through the projected mean and the depth."""
+    d_cam_point = np.einsum("gij,gi->gj", projection.proj_jacobians, acc.d_mean2d)
+    d_cam_point[:, 2] += acc.d_depth_per_gaussian
+    return d_cam_point
+
+
+def _pose_gradient(projection, d_cam_point: np.ndarray) -> PoseGradients:
+    """Left SE(3) pose gradient from the camera-space point gradients."""
+    d_translation = d_cam_point.sum(axis=0)
+    d_rotation = np.cross(projection.cam_points, d_cam_point).sum(axis=0)
+    return PoseGradients(translation=d_translation, rotation=d_rotation)
 
 
 def render_backward(
@@ -528,6 +588,9 @@ def render_backward(
     perf: PerfRecorder | None = None,
 ) -> tuple[GaussianGradients, PoseGradients | None]:
     """Back-propagate image-space gradients to Gaussian and pose parameters.
+
+    Callers that read only the pose gradient (the tracker) should use
+    :func:`pose_backward`, which skips every Gaussian-parameter term.
 
     Args:
         model: the Gaussian model that produced ``result``.
@@ -548,27 +611,12 @@ def render_backward(
         ``(gaussian_gradients, pose_gradients)``; the second element is
         None unless ``compute_pose_gradient`` is True.
     """
-    if backend not in _BACKWARD_BACKENDS:
-        raise ValueError(
-            f"unknown backward backend {backend!r}; expected one of {_BACKWARD_BACKENDS}"
-        )
     perf = perf or NULL_RECORDER
-    count = len(model)
-    grads = GaussianGradients.zeros(count)
-    grad_color = np.asarray(grad_color, dtype=np.float64)
-    acc = _BackwardAccumulators.zeros(count)
-
-    perf.count("raster.backward_calls")
-    with perf.section("raster/backward_accumulate"):
-        if backend == "reference":
-            _accumulate_reference(model, result, grad_color, grad_depth, grad_silhouette, acc)
-        else:
-            _accumulate_bucketed(
-                model, result, grad_color, grad_depth, grad_silhouette, acc, perf
-            )
-
+    acc = _accumulate(
+        model, result, grad_color, grad_depth, grad_silhouette, backend, perf, pose_only=False
+    )
+    grads = GaussianGradients.zeros(len(model))
     projection = result.projection
-    d_mean2d = acc.d_mean2d
     d_cov2d = acc.d_cov2d
     grads.colors += acc.colors
 
@@ -579,9 +627,7 @@ def render_backward(
         jac = projection.proj_jacobians
         view_rot = projection.view_rotation
 
-        # Camera-space point gradient: through the projected mean and the depth.
-        d_cam_point = np.einsum("gij,gi->gj", jac, d_mean2d)
-        d_cam_point[:, 2] += acc.d_depth_per_gaussian
+        d_cam_point = _cam_point_gradient(projection, acc)
         grads.means += d_cam_point @ view_rot
 
         # Covariance chain: Sigma2D = T Sigma3D T^T with T = J W.
@@ -613,11 +659,34 @@ def render_backward(
         sig = model.alphas
         grads.opacities += acc.d_opacity_sigmoid * sig * (1.0 - sig)
 
-        pose_grads: PoseGradients | None = None
-        if compute_pose_gradient:
-            cam_points = projection.cam_points
-            d_translation = d_cam_point.sum(axis=0)
-            d_rotation = np.cross(cam_points, d_cam_point).sum(axis=0)
-            pose_grads = PoseGradients(translation=d_translation, rotation=d_rotation)
+        pose_grads = _pose_gradient(projection, d_cam_point) if compute_pose_gradient else None
 
     return grads, pose_grads
+
+
+def pose_backward(
+    model: GaussianModel,
+    camera: Camera,
+    result: RasterizationResult,
+    grad_color: np.ndarray,
+    grad_depth: np.ndarray | None = None,
+    grad_silhouette: np.ndarray | None = None,
+    backend: str = "auto",
+    perf: PerfRecorder | None = None,
+) -> PoseGradients:
+    """Back-propagate image-space gradients to the camera pose only.
+
+    The tracking entry point: it holds the Gaussians fixed, so it
+    accumulates only the depth and projected-mean sums the pose gradient
+    reads and skips the color, opacity and covariance terms and the 3-D
+    parameter chain.  Arguments are those of :func:`render_backward`; the
+    result is bit-identical to
+    ``render_backward(..., compute_pose_gradient=True)[1]`` on the same
+    backend (``backend="reference"`` runs the full per-tile specification).
+    """
+    perf = perf or NULL_RECORDER
+    acc = _accumulate(
+        model, result, grad_color, grad_depth, grad_silhouette, backend, perf, pose_only=True
+    )
+    with perf.section("raster/backward_chain"):
+        return _pose_gradient(result.projection, _cam_point_gradient(result.projection, acc))

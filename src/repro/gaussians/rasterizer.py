@@ -338,12 +338,12 @@ _FAST_CHUNK_ELEMENTS = 2_000_000
 
 @dataclasses.dataclass
 class _BucketedStats:
-    """Statistics accumulated by the bucketed engine (stats mode only)."""
+    """Statistics of the bucketed engine; zero-filled / empty unless recorded."""
 
     max_alpha: np.ndarray
     noncontrib: np.ndarray
     touched: np.ndarray
-    workloads: list[TileWorkload] | None
+    workloads: list[TileWorkload]
 
 
 def _bucket_tables(tile_grid: TileGrid) -> dict[tuple[int, int, int], list[GaussianTable]]:
@@ -380,7 +380,7 @@ def _render_bucketed(
     contribution_threshold: float = ALPHA_MIN,
     cache: ForwardCache | None = None,
     write_images: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None, _BucketedStats | None]:
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None, _BucketedStats]:
     """Bucketed tile engine: images, optional statistics, optional cache.
 
     Tiles are grouped into buckets of equal pixel count and similar
@@ -401,7 +401,6 @@ def _render_bucketed(
     reusable per-call scratch.  ``write_images=False`` skips the image
     compositing entirely (used when only the cache is needed).
     """
-    record_stats = record_workloads or record_contributions
     count = len(opacities_sigmoid)
     num_tiles_total = len(tile_grid.tables)
 
@@ -428,10 +427,10 @@ def _render_bucketed(
     g_depths_all = np.ascontiguousarray(projection.depths, dtype=dtype)
     g_opac_all = np.ascontiguousarray(opacities_sigmoid, dtype=dtype)
 
-    if record_stats:
-        max_alpha = np.zeros(count)
-        noncontrib = np.zeros(count, dtype=np.int64)
-        touched = np.zeros(count, dtype=np.int64)
+    # Contribution statistics stay zero-filled unless requested.
+    max_alpha = np.zeros(count)
+    noncontrib = np.zeros(count, dtype=np.int64)
+    touched = np.zeros(count, dtype=np.int64)
     if record_workloads:
         pairs_computed = np.zeros(num_tiles_total, dtype=np.int64)
         pairs_blended = np.zeros(num_tiles_total, dtype=np.int64)
@@ -655,7 +654,7 @@ def _render_bucketed(
                 np.subtract(dtype.type(1.0), alpha, out=one_minus)
                 final_t_flat[flat_index] = np.prod(one_minus, axis=2).reshape(-1)
 
-            if record_stats:
+            if record_contributions:
                 # Padding columns carry zero alpha/weights but their ids
                 # alias Gaussian 0, so every per-Gaussian scatter is
                 # restricted to the real (unpadded) table entries.
@@ -667,16 +666,20 @@ def _render_bucketed(
                 noncontrib_tile = (weights < thresh).sum(axis=1)
                 scatter_add(noncontrib, real_ids, noncontrib_tile[real])
                 scatter_add(touched, real_ids, num_pixels)
-                if record_workloads:
-                    blended = alpha > 0.0
+            if record_workloads:
+                # Alphas are non-negative, so the blended pairs are the
+                # nonzero ones.
+                blended_per_pixel = np.count_nonzero(alpha, axis=2).astype(np.int64, copy=False)
+                pairs_blended[tile_indices] = blended_per_pixel.sum(axis=1)
+                # Only entries inside the rectangular active interval count
+                # as evaluated — the workload semantics, not the execution
+                # schedule (the masked row-block schedule computes full
+                # active rows, the fallback computes everything; both are
+                # schedules over the same logical sparse workload) — and
+                # none past a pixel's early termination.  Padding entries
+                # carry empty intervals.
+                if terminated.any():
                     computed = ~terminated
-                    computed &= real[:, None, :]
-                    # Only entries inside the rectangular active interval
-                    # count as evaluated — the workload semantics, not the
-                    # execution schedule (the masked row-block schedule
-                    # computes full active rows, the fallback computes
-                    # everything; both are schedules over the same logical
-                    # sparse workload).
                     act = pool.take("act_mask", shape, np.bool_)
                     act_tmp = pool.take("act_tmp", shape, np.bool_)
                     np.greater_equal(row_off[None, :, None], iv[:, None, :, 0], out=act)
@@ -688,11 +691,14 @@ def _render_bucketed(
                     act &= act_tmp
                     computed &= act
                     pairs_computed[tile_indices] = computed.sum(axis=(1, 2))
-                    pairs_blended[tile_indices] = blended.sum(axis=(1, 2))
-                    tile_lengths[tile_indices] = lengths
-                    blended_per_pixel = blended.sum(axis=2).astype(np.int64)
-                    for slot in range(num_tiles):
-                        per_pixel_counts[int(tile_indices[slot])] = blended_per_pixel[slot]
+                else:
+                    # Nothing terminated: every pair computes its whole
+                    # interval.
+                    area = row_counts.reshape(num_tiles, padded) * (iv[:, :, 3] - iv[:, :, 2])
+                    pairs_computed[tile_indices] = area.sum(axis=1)
+                tile_lengths[tile_indices] = lengths
+                for slot in range(num_tiles):
+                    per_pixel_counts[int(tile_indices[slot])] = blended_per_pixel[slot]
 
             if cache is not None:
                 if use_masked:
@@ -720,24 +726,22 @@ def _render_bucketed(
                 )
             chunk_index += 1
 
-    stats = None
-    if record_stats:
-        workloads: list[TileWorkload] | None = None
-        if record_workloads:
-            empty_counts = np.zeros(0, dtype=np.int64)
-            workloads = [
-                TileWorkload(
-                    tile_index=tile_index,
-                    num_gaussians=int(tile_lengths[tile_index]),
-                    pairs_computed=int(pairs_computed[tile_index]),
-                    pairs_blended=int(pairs_blended[tile_index]),
-                    per_pixel_counts=per_pixel_counts.get(tile_index, empty_counts),
-                )
-                for tile_index in range(num_tiles_total)
-            ]
-        stats = _BucketedStats(
-            max_alpha=max_alpha, noncontrib=noncontrib, touched=touched, workloads=workloads
-        )
+    workloads: list[TileWorkload] = []
+    if record_workloads:
+        empty_counts = np.zeros(0, dtype=np.int64)
+        workloads = [
+            TileWorkload(
+                tile_index=tile_index,
+                num_gaussians=int(tile_lengths[tile_index]),
+                pairs_computed=int(pairs_computed[tile_index]),
+                pairs_blended=int(pairs_blended[tile_index]),
+                per_pixel_counts=per_pixel_counts.get(tile_index, empty_counts),
+            )
+            for tile_index in range(num_tiles_total)
+        ]
+    stats = _BucketedStats(
+        max_alpha=max_alpha, noncontrib=noncontrib, touched=touched, workloads=workloads
+    )
     return color, depth, silhouette, final_t, stats
 
 
@@ -825,10 +829,10 @@ def render(
         tile_grid: optionally reuse a precomputed tile grid.
         record_contributions: collect the per-Gaussian contribution
             statistics (``gaussian_max_alpha`` / ``gaussian_noncontrib_pixels``
-            / ``gaussian_pixels_touched``).  When both this and
-            ``record_workloads`` are False, rendering skips every
-            per-(pixel, Gaussian) statistic; the statistics arrays come
-            back zero-filled.
+            / ``gaussian_pixels_touched``, culled pairs added back).  Both
+            backends honour it independently of ``record_workloads``: when
+            False the three arrays come back zero-filled.  Only AGS's
+            key-frame mapping reads them.
         dtype: floating dtype of the bucketed backend (default float64);
             ``np.float32`` roughly halves time and memory at ~1e-4 image
             error (statistics counts may shift at threshold boundaries in
@@ -881,15 +885,10 @@ def render(
             contribution_threshold=contribution_threshold,
             cache=cache,
         )
-        if stats is None:
-            max_alpha = np.zeros(count)
-            noncontrib = np.zeros(count, dtype=np.int64)
-            touched = np.zeros(count, dtype=np.int64)
-            workloads: list[TileWorkload] = []
-        else:
-            max_alpha, noncontrib, touched = stats.max_alpha, stats.noncontrib, stats.touched
-            workloads = stats.workloads if stats.workloads is not None else []
-            _add_back_culled_stats(tile_grid, touched, noncontrib, contribution_threshold)
+        if record_contributions:
+            _add_back_culled_stats(
+                tile_grid, stats.touched, stats.noncontrib, contribution_threshold
+            )
         return RasterizationResult(
             color=color,
             depth=depth,
@@ -897,10 +896,10 @@ def render(
             final_transmittance=final_t,
             projection=projection,
             tile_grid=tile_grid,
-            gaussian_max_alpha=max_alpha,
-            gaussian_noncontrib_pixels=noncontrib,
-            gaussian_pixels_touched=touched,
-            tile_workloads=workloads,
+            gaussian_max_alpha=stats.max_alpha,
+            gaussian_noncontrib_pixels=stats.noncontrib,
+            gaussian_pixels_touched=stats.touched,
+            tile_workloads=stats.workloads,
             active_mask=mask_out,
             forward_cache=cache,
             forward_cache_generation=cache.generation if cache is not None else -1,
@@ -940,15 +939,16 @@ def render(
 
         ids = table.gaussian_ids
         alpha = data["alpha"]
-        # Contribution is judged on the blending weight T * alpha (the
-        # actual influence on the pixel color), which also captures
-        # occlusion by closer Gaussians — the quantity the paper's GS
-        # logging table extracts from the GPEs.
-        weights = data["weights"]
-        np.maximum.at(max_alpha, ids, alpha.max(axis=0))
-        noncontrib_tile = (weights < contribution_threshold).sum(axis=0)
-        np.add.at(noncontrib, ids, noncontrib_tile)
-        np.add.at(touched, ids, alpha.shape[0])
+        if record_contributions:
+            # Contribution is judged on the blending weight T * alpha (the
+            # actual influence on the pixel color), which also captures
+            # occlusion by closer Gaussians — the quantity the paper's GS
+            # logging table extracts from the GPEs.
+            weights = data["weights"]
+            np.maximum.at(max_alpha, ids, alpha.max(axis=0))
+            noncontrib_tile = (weights < contribution_threshold).sum(axis=0)
+            np.add.at(noncontrib, ids, noncontrib_tile)
+            np.add.at(touched, ids, alpha.shape[0])
 
         if record_workloads:
             blended_mask = alpha > 0.0
@@ -975,7 +975,8 @@ def render(
                 )
             )
 
-    _add_back_culled_stats(tile_grid, touched, noncontrib, contribution_threshold)
+    if record_contributions:
+        _add_back_culled_stats(tile_grid, touched, noncontrib, contribution_threshold)
     return RasterizationResult(
         color=color,
         depth=depth,

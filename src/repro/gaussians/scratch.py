@@ -20,6 +20,8 @@ name.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ScratchPool", "scatter_add"]
@@ -70,7 +72,9 @@ class ScratchPool:
         be done with the previous view before taking the name again.
         """
         dtype = np.dtype(dtype)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # math.prod, not np.prod: this runs ~80 times per render/backward
+        # call, where NumPy's reduction dispatch dominated the cost.
+        size = int(math.prod(shape))
         key = (name, dtype)
         backing = self._buffers.get(key)
         if backing is None or backing.size < size:

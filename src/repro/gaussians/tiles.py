@@ -81,8 +81,8 @@ class GaussianTable:
         gaussian_ids: indices into the Gaussian model, sorted by depth.
         depths: camera-space depths matching ``gaussian_ids``.
         intervals: (len, 4) int64 per-pair active-pixel intervals
-            ``(r0, r1, c0, c1)`` (half-open, tile-local rows and columns),
-            aligned with ``gaussian_ids``.  Outside the
+            ``(r0, r1, c0, c1)`` (half-open, tile-local rows and columns,
+            within the tile), aligned with ``gaussian_ids``.  Outside the
             ``[r0, r1) x [c0, c1)`` sub-rectangle the pair's alpha is
             provably below ``ALPHA_MIN``.
     """

@@ -20,7 +20,7 @@ import numpy as np
 from repro.gaussians.camera import Camera, Intrinsics, Pose
 from repro.gaussians.densify import DensificationConfig, densify_from_frame
 from repro.gaussians.gradients import render_backward
-from repro.gaussians.loss import l1_loss, psnr
+from repro.gaussians.loss import l1_loss
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.optimizer import DEFAULT_LEARNING_RATES, Adam
 from repro.gaussians.rasterizer import ALPHA_MIN, ForwardCache, render
@@ -70,7 +70,6 @@ class MappingOutcome:
     noncontrib_counts: np.ndarray
     contrib_counts: np.ndarray
     max_alphas: np.ndarray
-    frame_psnr: float
     num_densified: int
 
 
@@ -269,9 +268,6 @@ class GaussianMapper:
                 for name in GaussianModel.PARAM_NAMES:
                     self.optimizer.resize_state(name, keep_idx, len(keep_idx))
 
-        final_render = render(model, camera, record_workloads=False, record_contributions=False)
-        frame_quality = psnr(final_render.color, frame_color)
-
         workload = MappingWorkload(
             iterations=len(loss_history),
             renders=renders,
@@ -290,7 +286,6 @@ class GaussianMapper:
             noncontrib_counts=noncontrib,
             contrib_counts=contrib,
             max_alphas=max_alphas,
-            frame_psnr=frame_quality,
             num_densified=num_densified,
         )
 

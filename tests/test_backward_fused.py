@@ -17,9 +17,11 @@ from repro.gaussians import (
     GaussianModel,
     Intrinsics,
     Pose,
+    pose_backward,
     render,
     render_backward,
 )
+from repro.gaussians import rasterizer as rasterizer_module
 from repro.gaussians.rasterizer import ALPHA_MAX, build_forward_cache
 from repro.perf import PerfRecorder
 
@@ -212,6 +214,64 @@ def test_float32_forward_rebuild_matches_cache_hit():
         model, camera, plain, grads[0], grads[1], compute_pose_gradient=True
     )
     _assert_grads_match(from_cache, rebuilt, tol=dict(rtol=0, atol=0))
+
+
+# ----------------------------------------------------------------------
+# Pose-only backward (the tracker's entry point)
+# ----------------------------------------------------------------------
+def _assert_pose_only_exact(model, camera, result, grads, backend="auto"):
+    grad_color, grad_depth, grad_sil = grads
+    _, full = render_backward(
+        model, camera, result, grad_color, grad_depth, grad_sil,
+        compute_pose_gradient=True, backend=backend,
+    )
+    pose = pose_backward(
+        model, camera, result, grad_color, grad_depth, grad_sil, backend=backend
+    )
+    np.testing.assert_array_equal(pose.translation, full.translation)
+    np.testing.assert_array_equal(pose.rotation, full.rotation)
+
+
+@pytest.mark.parametrize("with_silhouette", [False, True])
+def test_pose_backward_cache_hit_is_exact(with_silhouette):
+    model, camera = _scene(seed=5)
+    cache = ForwardCache()
+    fused = render(model, camera, record_workloads=False, record_contributions=False, cache=cache)
+    perf = PerfRecorder()
+    grads = _image_grads(fused, with_silhouette=with_silhouette)
+    pose_backward(model, camera, fused, *grads, perf=perf)
+    assert perf.counters.as_dict()["raster.backward_cache_hits"] == 1
+    _assert_pose_only_exact(model, camera, fused, grads)
+
+
+def test_pose_backward_cache_rebuild_is_exact():
+    model, camera = _scene(seed=9)
+    plain = render(model, camera, record_workloads=False, record_contributions=False)
+    perf = PerfRecorder()
+    grads = _image_grads(plain)
+    pose_backward(model, camera, plain, *grads, perf=perf)
+    assert perf.counters.as_dict()["raster.backward_cache_builds"] == 1
+    _assert_pose_only_exact(model, camera, plain, grads)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 2.0])
+def test_pose_backward_dense_and_masked_chunks_are_exact(monkeypatch, threshold):
+    """``-1.0`` forces every chunk dense, ``2.0`` forces the masked path."""
+    monkeypatch.setattr(rasterizer_module, "_SPARSE_DENSITY_FALLBACK", threshold)
+    model, camera = _scene(count=120, seed=21, scale_shift=-0.4)
+    cache = ForwardCache()
+    fused = render(model, camera, cache=cache)
+    masked = [chunk.active is not None for chunk in cache.chunks]
+    assert all(masked) if threshold > 1.0 else not any(masked)
+    _assert_pose_only_exact(model, camera, fused, _image_grads(fused, with_silhouette=False))
+
+
+def test_pose_backward_reference_backend_is_exact():
+    model, camera = _scene(seed=13)
+    result = render(model, camera)
+    _assert_pose_only_exact(model, camera, result, _image_grads(result), backend="reference")
+    with pytest.raises(ValueError):
+        pose_backward(model, camera, result, np.zeros_like(result.color), backend="gpu")
 
 
 def test_scatter_add_matches_add_at():

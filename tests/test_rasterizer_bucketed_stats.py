@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.gaussians import Camera, ForwardCache, GaussianModel, Intrinsics, Pose, render
+from repro.gaussians.rasterizer import TRANSMITTANCE_EPS
 
 
 def _scene(count=80, seed=3, width=48, height=36, fov=60.0):
@@ -19,6 +20,16 @@ def _scene(count=80, seed=3, width=48, height=36, fov=60.0):
     model.means[:, 2] += 3.0
     camera = Camera(Intrinsics.from_fov(width, height, fov), Pose.identity())
     return model, camera
+
+
+def _assert_workloads_equal(reference, bucketed):
+    assert len(bucketed.tile_workloads) == len(reference.tile_workloads)
+    for ref_tile, fast_tile in zip(reference.tile_workloads, bucketed.tile_workloads):
+        assert fast_tile.tile_index == ref_tile.tile_index
+        assert fast_tile.num_gaussians == ref_tile.num_gaussians
+        assert fast_tile.pairs_computed == ref_tile.pairs_computed
+        assert fast_tile.pairs_blended == ref_tile.pairs_blended
+        np.testing.assert_array_equal(fast_tile.per_pixel_counts, ref_tile.per_pixel_counts)
 
 
 def _assert_stats_equal(reference, bucketed):
@@ -35,13 +46,7 @@ def _assert_stats_equal(reference, bucketed):
         bucketed.gaussian_pixels_touched, reference.gaussian_pixels_touched
     )
     np.testing.assert_array_equal(bucketed.gaussian_max_alpha, reference.gaussian_max_alpha)
-    assert len(bucketed.tile_workloads) == len(reference.tile_workloads)
-    for ref_tile, fast_tile in zip(reference.tile_workloads, bucketed.tile_workloads):
-        assert fast_tile.tile_index == ref_tile.tile_index
-        assert fast_tile.num_gaussians == ref_tile.num_gaussians
-        assert fast_tile.pairs_computed == ref_tile.pairs_computed
-        assert fast_tile.pairs_blended == ref_tile.pairs_blended
-        np.testing.assert_array_equal(fast_tile.per_pixel_counts, ref_tile.per_pixel_counts)
+    _assert_workloads_equal(reference, bucketed)
 
 
 def test_bucketed_stats_match_reference():
@@ -87,6 +92,50 @@ def test_bucketed_workloads_only():
     reference = render(model, camera, backend="reference", record_contributions=False)
     bucketed = render(model, camera, record_contributions=False)
     _assert_stats_equal(reference, bucketed)
+
+
+def test_workloads_exact_without_early_termination():
+    """Sparse, translucent scene: every chunk takes the interval-area count."""
+    model, camera = _scene(count=60, seed=12, width=64, height=48)
+    model.log_scales = model.log_scales - 0.5
+    model.opacities = model.opacities - 1.0
+    reference = render(model, camera, backend="reference", record_contributions=False)
+    bucketed = render(model, camera, record_contributions=False)
+    # No pixel reaches the termination threshold, and some pairs have
+    # sub-tile intervals, so the area formula is exercised non-trivially.
+    assert reference.final_transmittance.min() >= TRANSMITTANCE_EPS
+    intervals = np.concatenate([t.intervals for t in bucketed.tile_grid.tables if len(t)])
+    area = (intervals[:, 1] - intervals[:, 0]) * (intervals[:, 3] - intervals[:, 2])
+    assert (area < 16 * 16).any() and bucketed.total_pairs_computed > 0
+    _assert_workloads_equal(reference, bucketed)
+
+
+def test_workloads_exact_with_early_termination():
+    """Dense, high-opacity scene: chunks terminate early and keep the mask count."""
+    model, camera = _scene(count=400, seed=9, width=64, height=48)
+    model.opacities = model.opacities + 6.0
+    reference = render(model, camera, backend="reference", record_contributions=False)
+    bucketed = render(model, camera, record_contributions=False)
+    assert reference.final_transmittance.min() < TRANSMITTANCE_EPS
+    _assert_workloads_equal(reference, bucketed)
+
+
+@pytest.mark.parametrize("backend", ["bucketed", "reference"])
+@pytest.mark.parametrize("record_workloads", [False, True])
+def test_unrecorded_contributions_are_zero_filled(backend, record_workloads):
+    model, camera = _scene(seed=8)
+    result = render(
+        model, camera, backend=backend,
+        record_workloads=record_workloads, record_contributions=False,
+    )
+    for stats, dtype in (
+        (result.gaussian_max_alpha, np.float64),
+        (result.gaussian_noncontrib_pixels, np.int64),
+        (result.gaussian_pixels_touched, np.int64),
+    ):
+        assert stats.shape == (len(model),) and stats.dtype == dtype
+        assert not stats.any()
+    assert bool(result.tile_workloads) == record_workloads
 
 
 def test_bucketed_contributions_only_has_empty_workloads():
