@@ -1,13 +1,18 @@
-"""Hot-path micro-benchmarks: motion estimation and rasterization.
+"""Hot-path micro-benchmarks: motion estimation, rasterization, serving bytes.
 
-Times the two hottest paths of the reproduction —
+Times the hottest paths of the reproduction —
 
 * CODEC motion estimation: full search at three frame sizes and diamond
   search at the largest, for both the ``reference`` (scalar loop) and
   ``vectorized`` (batched) backends;
 * 3DGS rasterization: three model sizes through the per-tile ``reference``
   backend, the bucketed statistics-recording path (``full``), the
-  stats-free fast path (float64) and the float32 fast path —
+  stats-free fast path (float64) and the float32 fast path;
+* the serving tier's bytes layers: the frame wire codec on one 64x48
+  ``desk`` frame (``wire.64x48.encode`` / ``.decode``) and the v3 disk
+  checkpoint of ORB-lite and AGS sessions after 30 frames
+  (``ckpt.{orb,ags}.f30.save`` / ``.load``), each round trip checked
+  bit for bit before it is timed —
 
 and writes the results (with backend/fast-path speedups) to the
 ``BENCH_hotpaths.json`` perf-trajectory file at the repo root, so every
@@ -26,9 +31,12 @@ any gated hot-path timing regressed by more than ``--max-regression``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import pathlib
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -41,7 +49,11 @@ from perf_gate import check_gate, gate_table  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
 
 from repro.codec import motion_estimate  # noqa: E402
+from repro.datasets import load_sequence  # noqa: E402
+from repro.eval.service import build_session  # noqa: E402
 from repro.gaussians import Camera, GaussianModel, Intrinsics, Pose, render  # noqa: E402
+from repro.serve.api import decode_frame, encode_frame  # noqa: E402
+from repro.slam.session import load_session_state, save_session_state  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hotpaths.json"
 
@@ -49,6 +61,8 @@ MOTION_FRAME_SIZES = [(120, 160), (240, 320), (480, 640)]
 MOTION_SEARCH_RANGE = 4
 RENDER_MODEL_SIZES = [50, 200, 800]
 RENDER_IMAGE = (120, 160)  # (height, width)
+CKPT_SYSTEMS = ("orb", "ags")
+CKPT_FRAMES = 30
 
 # Timings gated by --gate: the vectorized/fast hot paths (the quantities
 # this repo promises to keep fast).  Reference timings are informational.
@@ -59,6 +73,12 @@ GATED_KEYS = [
     "render.n200.fast64",
     "render.n200.full",
     "render.n800.fast32",
+    "wire.64x48.encode",
+    "wire.64x48.decode",
+    "ckpt.orb.f30.save",
+    "ckpt.orb.f30.load",
+    "ckpt.ags.f30.save",
+    "ckpt.ags.f30.load",
 ]
 
 
@@ -134,10 +154,67 @@ def bench_render(repeats: int) -> dict[str, float]:
     return timings
 
 
+def _same(a, b) -> bool:
+    """Bit-exact equality of nested checkpoint values (arrays by bytes)."""
+    if isinstance(a, Pose):
+        return isinstance(b, Pose) and _same(a.as_vector(), b.as_vector())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(dataclasses.asdict(a), dataclasses.asdict(b))
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.generic):
+        a = a.item()  # the disk format stores numpy scalars as Python ones
+    if isinstance(a, float):
+        return type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+def bench_serving_bytes(repeats: int) -> dict[str, float]:
+    sequence = load_sequence("desk", num_frames=CKPT_FRAMES)
+    frame = sequence[0]
+    body = encode_frame(frame)
+    decoded = decode_frame(body)
+    if not all(
+        _same(getattr(decoded, name), getattr(frame, name))
+        for name in ("index", "color", "depth", "gt_pose", "timestamp")
+    ):
+        raise AssertionError("wire codec round trip is not bit-exact")
+    label = f"{frame.color.shape[1]}x{frame.color.shape[0]}"
+    timings = {
+        f"wire.{label}.encode": _best_of(lambda: encode_frame(frame), repeats),
+        f"wire.{label}.decode": _best_of(lambda: decode_frame(body), repeats),
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as root:
+        for algorithm in CKPT_SYSTEMS:
+            session = build_session(algorithm, sequence.intrinsics)
+            session.begin(sequence.name)
+            for index in range(CKPT_FRAMES):
+                session.feed(sequence[index])
+            state = session.state()
+            directory = pathlib.Path(root) / algorithm
+            save_session_state(state, directory)
+            if not _same(load_session_state(directory), state):
+                raise AssertionError(f"{algorithm} checkpoint round trip is not bit-exact")
+            key = f"ckpt.{algorithm}.f{CKPT_FRAMES}"
+            timings[f"{key}.save"] = _best_of(lambda: save_session_state(state, directory), repeats)
+            timings[f"{key}.load"] = _best_of(lambda: load_session_state(directory), repeats)
+    return timings
+
+
 def build_results(repeats: int) -> dict:
     timings = {}
     timings.update(bench_motion(repeats))
     timings.update(bench_render(repeats))
+    timings.update(bench_serving_bytes(repeats))
 
     speedups = {}
     for height, width in MOTION_FRAME_SIZES:
@@ -175,7 +252,10 @@ def build_results(repeats: int) -> dict:
             "motion_search_range": MOTION_SEARCH_RANGE,
             "render_model_sizes": RENDER_MODEL_SIZES,
             "render_image": list(RENDER_IMAGE),
+            "checkpoint_systems": list(CKPT_SYSTEMS),
+            "checkpoint_frames": CKPT_FRAMES,
             "repeats": repeats,
+            "cpu_count": os.cpu_count(),
         },
         "timings_seconds": {key: timings[key] for key in sorted(timings)},
         "speedups": {key: round(value, 2) for key, value in sorted(speedups.items())},

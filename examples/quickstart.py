@@ -76,7 +76,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         save_session_state(ags.state(), checkpoint_dir)
-        print(f"  checkpoint written to {checkpoint_dir} (npz + manifest.json)")
+        print(f"  checkpoint written to {checkpoint_dir} (state.bin + manifest.json)")
 
         # A *fresh* identically configured system resumes the checkpoint;
         # the continued run is bit-identical to an uninterrupted one.

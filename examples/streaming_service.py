@@ -12,11 +12,11 @@ drives two concurrent RGB-D streams through it with the matching
     the registry transparently resumes it from the parked checkpoint,
     possibly on a different shard — and streams the rest.
 
-Frames cross the wire as lossless float64 npz bundles and results come
-back as JSON whose floats round-trip exactly, so the example can end on
-the serving tier's headline property: the parked-and-resumed stream and
-the uninterrupted stream both match an in-process synchronous ``feed``
-loop **bit for bit**.
+Frames cross the wire as their raw bytes behind a small JSON header and
+results come back as JSON whose floats round-trip exactly, so the
+example can end on the serving tier's headline property: the
+parked-and-resumed stream and the uninterrupted stream both match an
+in-process synchronous ``feed`` loop **bit for bit**.
 
 Run with:  PYTHONPATH=src python examples/streaming_service.py
 """

@@ -17,9 +17,6 @@ replaces that with :class:`SlamService`:
   under the store lock, and dataset frame rendering is
   order-deterministic (see :mod:`repro.datasets.sequences`), so
   concurrent execution returns bit-identical results to sequential.
-* **Checkpointable**: live sessions can be parked to disk
-  (:meth:`SlamService.checkpoint` / :meth:`SlamService.resume`) using
-  the npz + JSON-manifest format of :mod:`repro.slam.session`.
 * **Fault-tolerant**: every run feeds its frames one at a time through
   :meth:`~repro.slam.session.SessionRunner.retry_frame`, so a transient
   failure (an injected fault from the key's plan, a flaky source read)
@@ -34,15 +31,13 @@ over the process-default service.
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import RetryPolicy, RunManyError
 from repro.perf import PerfRecorder, global_recorder
-from repro.serve.registry import LruMap, ParkingLot
+from repro.serve.registry import LruMap
 from repro.slam.results import SlamResult
-from repro.slam.session import SessionState
 
 __all__ = [
     "KNOWN_ALGORITHMS",
@@ -347,8 +342,6 @@ class SlamService:
             Results beyond the budget are evicted least-recently-used —
             the production-scale replacement for the former unbounded
             ``lru_cache(maxsize=None)``.
-        checkpoint_dir: optional directory for parked session
-            checkpoints (:meth:`checkpoint` / :meth:`resume`).
         perf: recorder uncached runs record into (default: the
             process-wide :func:`repro.perf.global_recorder`).  Several
             service instances may safely share one recorder — e.g. the
@@ -364,19 +357,15 @@ class SlamService:
     def __init__(
         self,
         max_entries: int = 128,
-        checkpoint_dir=None,
         perf: PerfRecorder | None = None,
         retry: RetryPolicy | None = None,
-        keep_parked: bool = False,
     ) -> None:
         # The bounded-LRU mechanics live in repro.serve.registry.LruMap —
         # one eviction implementation shared with the serving tier's
         # SessionRegistry (which parks instead of dropping).
         self._store: LruMap = LruMap(max_entries)
-        self.checkpoint_dir = None if checkpoint_dir is None else pathlib.Path(checkpoint_dir)
         self.perf = perf or global_recorder()
         self.retry = retry
-        self.keep_parked = keep_parked
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -540,36 +529,6 @@ class SlamService:
             raise RunManyError(failures)
         return [results.get(key, failures.get(key)) for key in keys]
 
-    # ------------------------------------------------------------------
-    # Disk checkpoints
-    # ------------------------------------------------------------------
-    def _lot(self, directory=None) -> ParkingLot:
-        base = pathlib.Path(directory) if directory is not None else self.checkpoint_dir
-        if base is None:
-            raise ValueError("no checkpoint directory configured")
-        return ParkingLot(base, keep_parked=self.keep_parked)
-
-    def checkpoint(self, key: RunKey, state: SessionState, directory=None) -> pathlib.Path:
-        """Park a live session's :class:`SessionState` on disk under ``key``.
-
-        Delegates to the serving tier's :class:`ParkingLot`: repeated
-        checkpoints of one key append ``gen-%05d`` generations under
-        ``<dir>/<key.slug()>`` instead of overwriting, and the returned
-        path is the generation just written.
-        """
-        return self._lot(directory).park(key.slug(), state)
-
-    def resume(self, key: RunKey, directory=None, keep_parked: bool | None = None) -> SessionState:
-        """Load the parked session state for ``key`` (newest valid gen).
-
-        A successful resume deletes the key's parked generations so
-        parking storage stays bounded — earlier revisions leaked the
-        checkpoint directory on every park/resume cycle.  Pass
-        ``keep_parked=True`` (or construct the service with it) to retain
-        them, e.g. to resume the same checkpoint on several shards.
-        """
-        return self._lot(directory).resume(key.slug(), keep_parked=keep_parked)
-
 
 _DEFAULT_LOCK = threading.Lock()
 _DEFAULT_SERVICE = SlamService()
@@ -581,10 +540,8 @@ def default_service() -> SlamService:
         return _DEFAULT_SERVICE
 
 
-def configure_default_service(
-    max_entries: int | None = None, checkpoint_dir=None, keep_parked: bool | None = None
-) -> SlamService:
-    """Adjust the process-default service (budget / checkpoint location).
+def configure_default_service(max_entries: int | None = None) -> SlamService:
+    """Adjust the process-default service's result budget.
 
     Atomic under concurrency: the module lock serializes configuration
     against :func:`default_service` lookups, so a racing ``run_slam``
@@ -596,8 +553,4 @@ def configure_default_service(
         service = _DEFAULT_SERVICE
         if max_entries is not None:
             service.max_entries = max_entries
-        if checkpoint_dir is not None:
-            service.checkpoint_dir = pathlib.Path(checkpoint_dir)
-        if keep_parked is not None:
-            service.keep_parked = keep_parked
         return service

@@ -134,7 +134,7 @@ SERVING_FAULT_PLANS: dict[str, ServingFaultPlan] = {
             delay=0.05, probability=0.4, window=Window(0.1, 0.9), max_fires=2
         ),
     ),
-    # Torn uploads: headers plus half an npz body, then a dead socket.
+    # Torn uploads: headers plus half a frame body, then a dead socket.
     # Asserts the no-half-ingestion contract end to end.
     "client-disconnect": ServingFaultPlan(
         name="client-disconnect",

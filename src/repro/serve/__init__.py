@@ -4,7 +4,8 @@ The batch-eval library (:mod:`repro.eval.service`) answers "run this
 key"; this package answers "serve many concurrent camera streams":
 
 * :mod:`repro.serve.registry` — bounded session registry with LRU
-  *checkpoint parking* eviction (bit-exact park/resume on any shard).
+  *checkpoint parking* eviction (bit-exact park/resume on any shard);
+  its ``ParkingLot`` is the one owner of durable session state.
 * :mod:`repro.serve.ingest` — asynchronous frame ingestion: bounded
   per-session queues drained by a worker pool, bit-identical to
   synchronous feeding.
@@ -12,9 +13,9 @@ key"; this package answers "serve many concurrent camera streams":
   registry shards sharing one parking root.
 * :mod:`repro.serve.admission` — overload shedding: per-client token
   buckets and a global in-flight-frames budget (HTTP 429).
-* :mod:`repro.serve.api` — the stdlib-only HTTP frontend (JSON/npz),
-  with per-frame deadlines, body caps, health endpoints and graceful
-  drain.
+* :mod:`repro.serve.api` — the stdlib-only HTTP frontend (JSON plus a
+  header-plus-raw-buffers frame codec), with per-frame deadlines, body
+  caps, health endpoints and graceful drain.
 * :mod:`repro.serve.chaos` — the storm driver hammering a server with N
   over-capacity concurrent clients on deterministic misbehavior
   schedules (:mod:`repro.faults.serving`).

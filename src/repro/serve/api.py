@@ -1,14 +1,14 @@
 """The network-facing frame-ingestion API (stdlib only).
 
 A thin HTTP layer over the serving tier — ``http.server`` plus JSON and
-npz payloads, no dependencies beyond the standard library:
+raw-buffer frame payloads, no dependencies beyond the standard library:
 
 * ``POST /sessions`` — JSON spec ``{"session_id", "algorithm", "width",
   "height", ...}`` opens (or transparently resumes) a session, routed to
   its shard by :func:`repro.serve.shard.shard_index`.
-* ``POST /sessions/<id>/frames`` — one RGB-D frame as an npz body
-  (:func:`encode_frame`); enqueued asynchronously, responds with the
-  frame's assigned index before tracking/mapping run.
+* ``POST /sessions/<id>/frames`` — one RGB-D frame as a raw-buffer
+  body (:func:`encode_frame`); enqueued asynchronously, responds with
+  the frame's assigned index before tracking/mapping run.
 * ``GET /sessions/<id>/result`` — flushes the queue and returns the
   finalized result as JSON (:func:`result_to_payload`).
 * ``POST /sessions/<id>/park`` — flushes, then parks the session's
@@ -28,7 +28,8 @@ instead of queueing it:
   (:meth:`SlamServer.stop` with a ``drain_timeout``) and admits no new
   work; reads (``/healthz``, ``/result``) still answer.
 * ``400`` — an undecodable frame body (e.g. a mid-upload disconnect
-  truncated the npz); the frame was never admitted into a session.  A
+  truncated it, so its length disagrees with its header); the frame was
+  never admitted into a session.  A
   malformed ``POST /sessions`` spec (not a JSON object, or a key the
   session builder does not accept) is refused the same way, naming the
   offending key, and registers nothing.
@@ -45,10 +46,20 @@ half-ingested), reported in the 200 response of a later request only
 via counters — the *submitting* POST already succeeded, which is the
 documented at-most-once-ingestion contract of deadline shedding.
 
-Bit-identity survives the wire: frames cross as lossless float64 npz
-bundles, and results cross as JSON whose floats round-trip exactly
-(Python serializes floats via ``repr``, which is shortest-round-trip),
-so a trajectory fetched over HTTP is bit-identical to one computed
+Wire format of a frame body (``Content-Type:
+application/x-repro-frame``): a 4-byte little-endian header length, a
+JSON header carrying ``index``, ``timestamp``, ``pose`` (the 7-vector
+of :meth:`Pose.as_vector`) and per-array ``shape`` and ``dtype``, then
+the raw C-order ``color`` and ``depth`` buffers.  Only little-endian
+float32 and float64 arrays are accepted, and each keeps its dtype.
+:func:`decode_frame` checks the header against the body length before
+it allocates anything and raises ``ValueError`` on any mismatch, which
+the server answers with ``400``.
+
+Bit-identity survives the wire: frames cross as their raw bytes, and
+results cross as JSON whose floats round-trip exactly (Python
+serializes floats via ``repr``, which is shortest-round-trip), so a
+trajectory fetched over HTTP is bit-identical to one computed
 in-process — ``tests/test_serve.py`` asserts it.  With
 ``admission=None`` (the default) and no deadlines the PR 10 layer is
 fully disarmed and the server behaves exactly like the PR 9 one.
@@ -60,8 +71,9 @@ fully disarmed and the server behaves exactly like the PR 9 one.
 from __future__ import annotations
 
 import inspect
-import io
 import json
+import math
+import struct
 import threading
 import time
 import urllib.error
@@ -89,36 +101,130 @@ __all__ = [
     "result_to_payload",
 ]
 
-_POSE_KEY = "gt_pose"
+# Wire format of one frame: a little-endian uint32 header length, that
+# many bytes of ASCII JSON header, then the raw C-order color and depth
+# buffers back to back.
+_HEADER_LENGTH = struct.Struct("<I")
+# The dtypes the systems consume.  A frame keeps its own dtype on the
+# wire, so a float32 frame is decoded as float32, never widened.
+WIRE_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+FRAME_CONTENT_TYPE = "application/x-repro-frame"
+_WIRE_ARRAYS = ("color", "depth")
 
 
 # ---------------------------------------------------------------------------
 # Wire codecs
 # ---------------------------------------------------------------------------
+def _wire_array(name: str, array) -> np.ndarray:
+    array = np.asarray(array)
+    if array.dtype.str not in WIRE_DTYPES:
+        raise ValueError(
+            f"frame {name} has dtype {array.dtype.str}; the wire carries "
+            f"only {sorted(WIRE_DTYPES)}"
+        )
+    return np.ascontiguousarray(array)
+
+
 def encode_frame(frame: RGBDFrame) -> bytes:
-    """Pack one RGB-D frame as a lossless npz payload."""
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        color=frame.color,
-        depth=frame.depth,
-        index=np.int64(frame.index),
-        timestamp=np.float64(frame.timestamp),
-        **{_POSE_KEY: frame.gt_pose.as_vector()},
-    )
-    return buffer.getvalue()
+    """Pack one RGB-D frame as a header-plus-raw-buffers payload.
+
+    Lossless: the arrays travel as their raw little-endian bytes (NaN
+    payloads and signed zeros included) and the scalars as JSON, whose
+    floats round-trip exactly.
+    """
+    arrays = [_wire_array(name, getattr(frame, name)) for name in _WIRE_ARRAYS]
+    header = {
+        "index": int(frame.index),
+        "timestamp": float(frame.timestamp),
+        "pose": frame.gt_pose.as_vector().tolist(),
+    }
+    for name, array in zip(_WIRE_ARRAYS, arrays):
+        header[name] = {"shape": list(array.shape), "dtype": array.dtype.str}
+    head = json.dumps(header, separators=(",", ":")).encode("ascii")
+    return b"".join([_HEADER_LENGTH.pack(len(head)), head, *arrays])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _array_spec(header: dict, name: str) -> tuple[np.dtype, tuple, int]:
+    """Validate one array's declared ``(dtype, shape)``; return its byte size."""
+    spec = header.get(name)
+    if not isinstance(spec, dict):
+        raise ValueError(f"frame header has no {name} spec")
+    dtype = spec.get("dtype")
+    shape = spec.get("shape")
+    if not isinstance(dtype, str) or dtype not in WIRE_DTYPES:
+        raise ValueError(f"frame {name} dtype {dtype!r} is not one of {sorted(WIRE_DTYPES)}")
+    if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
+        raise ValueError(f"frame {name} shape {shape!r} is not a list of sizes")
+    dtype = WIRE_DTYPES[dtype]
+    return dtype, tuple(shape), math.prod(shape) * dtype.itemsize
 
 
 def decode_frame(data: bytes) -> RGBDFrame:
-    """Inverse of :func:`encode_frame` (bit-exact round trip)."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as bundle:
-        return RGBDFrame(
-            index=int(bundle["index"]),
-            color=bundle["color"],
-            depth=bundle["depth"],
-            gt_pose=Pose.from_vector(bundle[_POSE_KEY]),
-            timestamp=float(bundle["timestamp"]),
+    """Inverse of :func:`encode_frame` (bit-exact round trip).
+
+    Raises ``ValueError`` — and nothing else — on any malformed payload:
+    a truncated body, an unreadable header, an unknown dtype, or a body
+    whose length disagrees with the header.  The length check runs
+    before any array is allocated, so a header declaring a huge shape
+    costs nothing.
+    """
+    view = memoryview(data)
+    if len(view) < _HEADER_LENGTH.size:
+        raise ValueError(f"frame body of {len(view)} bytes has no header length")
+    (head_size,) = _HEADER_LENGTH.unpack_from(view)
+    body_start = _HEADER_LENGTH.size + head_size
+    if body_start > len(view):
+        raise ValueError(
+            f"frame header of {head_size} bytes overruns the {len(view)}-byte body"
         )
+    try:
+        # Malformed JSON or UTF-8 raises ValueError subclasses already.
+        header = json.loads(bytes(view[_HEADER_LENGTH.size : body_start]))
+    except RecursionError:
+        raise ValueError("frame header nests too deeply") from None
+    if not isinstance(header, dict):
+        raise ValueError("frame header is not a JSON object")
+    index, timestamp, pose = header.get("index"), header.get("timestamp"), header.get("pose")
+    if not _is_int(index) or not _is_number(timestamp):
+        raise ValueError("frame header needs an integer index and a numeric timestamp")
+    if not isinstance(pose, list) or len(pose) != 7 or not all(map(_is_number, pose)):
+        raise ValueError("frame header pose is not a 7-vector")
+    specs = [_array_spec(header, name) for name in _WIRE_ARRAYS]
+    expected = body_start + sum(size for _dtype, _shape, size in specs)
+    if expected != len(view):
+        raise ValueError(
+            f"frame body is {len(view)} bytes, its header declares {expected}"
+        )
+    arrays = []
+    offset = body_start
+    for dtype, shape, size in specs:
+        # Copied out of the request body, so the frame owns aligned,
+        # writable memory and the body can be freed.  A bytearray copy
+        # holds the GIL throughout, where an ndarray copy would release
+        # and re-acquire it behind the busy ingest workers.
+        chunk = bytearray(view[offset : offset + size])
+        arrays.append(np.frombuffer(chunk, dtype=dtype).reshape(shape))
+        offset += size
+    color, depth = arrays
+    try:
+        pose, timestamp = np.array(pose, dtype=np.float64), float(timestamp)
+    except OverflowError:
+        raise ValueError("frame header holds a number beyond float64") from None
+    return RGBDFrame(
+        index=index,
+        color=color,
+        depth=depth,
+        gt_pose=Pose.from_vector(pose),
+        timestamp=timestamp,
+    )
 
 
 def result_to_payload(result: SlamResult) -> dict:
@@ -436,12 +542,9 @@ class SlamServer:
         if self.admission is not None:
             self.admission.admit(client_id)
         try:
-            try:
-                frame = decode_frame(body)
-            except Exception as exc:
-                # Truncated/garbled npz (e.g. a mid-upload disconnect
-                # resent by a proxy): the frame never touched a session.
-                raise ValueError(f"undecodable frame body: {exc}") from exc
+            # A torn or garbled body raises ValueError (400) before the
+            # frame touches a session.
+            frame = decode_frame(body)
             deadline = (
                 time.monotonic() + deadline_ms / 1000.0
                 if deadline_ms is not None
@@ -700,7 +803,7 @@ class SlamClient:
             "POST",
             f"/sessions/{session_id}/frames",
             encode_frame(frame),
-            "application/x-npz",
+            FRAME_CONTENT_TYPE,
             extra_headers=(
                 {"X-Deadline-Ms": f"{deadline_ms:g}"} if deadline_ms is not None else None
             ),

@@ -34,7 +34,7 @@ import time
 import urllib.parse
 
 from repro.faults.serving import ServingFaultPlan
-from repro.serve.api import SlamClient, SlamClientError, encode_frame
+from repro.serve.api import FRAME_CONTENT_TYPE, SlamClient, SlamClientError, encode_frame
 
 __all__ = ["StormClientReport", "StormReport", "run_storm"]
 
@@ -95,7 +95,7 @@ def _tear_upload(base_url: str, session_id: str, body: bytes, client_id: str) ->
         head = (
             f"POST /sessions/{session_id}/frames HTTP/1.1\r\n"
             f"Host: {parts.hostname}:{parts.port or 80}\r\n"
-            f"Content-Type: application/x-npz\r\n"
+            f"Content-Type: {FRAME_CONTENT_TYPE}\r\n"
             f"X-Client-Id: {client_id}\r\n"
             f"Content-Length: {len(body)}\r\n"
             "\r\n"

@@ -113,12 +113,15 @@ class ParkingLot:
     """Gen-numbered checkpoint parking under one root directory.
 
     Each parked name owns ``<root>/<name>/gen-%05d`` directories in the
-    atomic ``state.npz`` + ``manifest.json`` checkpoint format; repeated
-    parks of one name append generations.  :meth:`resume` loads the
-    newest generation that passes integrity (a corrupt newest generation
-    is skipped in favour of the next-older one) and then — unless
-    ``keep_parked`` — deletes the name's parking directory, so parking
-    storage is bounded by the *live* parked population, not its history.
+    atomic ``state.bin`` + ``manifest.json`` checkpoint format (v3);
+    repeated parks of one name append generations.  :meth:`resume` loads
+    the newest generation that passes integrity (a corrupt newest
+    generation is skipped in favour of the next-older one) and then —
+    unless ``keep_parked`` — deletes the name's parking directory, so
+    parking storage is bounded by the *live* parked population, not its
+    history.  The lot is the one owner of durable session state: the
+    registry parks through it, and so does any caller that checkpoints a
+    session to disk by name.
 
     Compound operations (park's read-next-generation-then-write,
     resume's load-then-GC) serialize per ``(root, name)`` through a
@@ -180,14 +183,14 @@ class ParkingLot:
                 state, self._session_dir(name) / f"{self.GEN_PREFIX}{next_gen:05d}"
             )
 
-    def resume(self, name: str, keep_parked: bool | None = None) -> SessionState:
+    def resume(self, name: str) -> SessionState:
         """Load the newest valid generation of ``name``; GC the parking.
 
         Corrupt generations (torn writes, bit rot) are skipped newest to
         oldest; if none survives, :class:`CheckpointCorruptError`
         propagates.  An unknown name raises :class:`KeyError`.  On
-        success the name's parking directory is deleted unless
-        ``keep_parked`` (argument, defaulting to the lot's setting).
+        success the name's parking directory is deleted unless the lot
+        was built with ``keep_parked=True``.
         """
         with self._name_lock(name):
             generations = self.generations(name)
@@ -204,8 +207,7 @@ class ParkingLot:
                 raise CheckpointCorruptError(
                     f"every parked generation of {name!r} is corrupt"
                 ) from error
-            keep = self.keep_parked if keep_parked is None else keep_parked
-            if not keep:
+            if not self.keep_parked:
                 self.discard(name)
             return state
 

@@ -21,7 +21,7 @@ only a batch ``run(sequence)``:
   payload (``_state_payload`` / ``_restore_payload``).
 * :class:`SessionState` — an in-memory checkpoint;
   :func:`save_session_state` / :func:`load_session_state` persist it as
-  a directory with an ``npz`` array bundle plus a JSON manifest.
+  a directory with one raw array blob plus a JSON manifest.
 
 Checkpoints restore *bit-exactly*: resuming a session mid-sequence (in
 the same or a freshly constructed, identically configured system) yields
@@ -36,6 +36,8 @@ import collections
 import copy
 import dataclasses
 import json
+import math
+import os
 import pathlib
 import threading
 import time
@@ -74,13 +76,15 @@ __all__ = [
 ]
 
 CHECKPOINT_MANIFEST = "manifest.json"
-CHECKPOINT_ARRAYS = "state.npz"
+CHECKPOINT_ARRAYS = "state.bin"
 CHECKPOINT_FORMAT = "repro-slam-session"
-# Version 2 added per-array CRC-32 checksums to the manifest (and made
-# both files atomic writes).  Loading verifies the version exactly: a
-# checkpoint from a different format generation is rejected as corrupt
-# rather than risking a silently wrong partial restore.
-CHECKPOINT_VERSION = 2
+# Version 2 added per-array CRC-32 checksums (and made both files atomic
+# writes); version 3 replaced the compressed npz with one raw blob laid
+# out by the manifest and stores history column by column.  Loading
+# verifies the version exactly: a checkpoint from a different format
+# generation is rejected as corrupt rather than risking a silently
+# wrong partial restore.
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +616,15 @@ class SessionRunner:
 
 
 # ---------------------------------------------------------------------------
-# Disk checkpoint format: one directory with state.npz + manifest.json
+# Disk checkpoint format: one directory with state.bin + manifest.json
 # ---------------------------------------------------------------------------
+def _plain(value):
+    """A history scalar as its JSON-able Python value."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _externalize(value, path: str, arrays: dict):
-    """Replace arrays in a nested payload with npz references."""
+    """Replace arrays in a nested payload with blob references."""
     if isinstance(value, np.ndarray):
         arrays[path] = value
         return {"__array__": path}
@@ -634,9 +643,8 @@ def _internalize(value, arrays):
     """Inverse of :func:`_externalize`."""
     if isinstance(value, dict):
         if set(value) == {"__array__"}:
-            # np.load already materialized a fresh array per npz key, and
-            # every payload restorer copies what it ingests — no extra
-            # defensive copy here.
+            # A view into the loaded blob: every payload restorer copies
+            # what it ingests, so the blob is freed once restore returns.
             return arrays[value["__array__"]]
         return {k: _internalize(v, arrays) for k, v in value.items()}
     if isinstance(value, list):
@@ -644,72 +652,139 @@ def _internalize(value, arrays):
     return value
 
 
-def _frame_result_to_payload(frame: FrameResult) -> dict:
-    payload = dataclasses.asdict(frame)
-    payload["estimated_pose"] = frame.estimated_pose.as_vector()
-    return payload
+# History is stored column by column: one JSON list per scalar field and
+# one array per array field, however many frames the session has seen.
+_FRAME_COLUMNS = tuple(
+    field.name for field in dataclasses.fields(FrameResult) if field.name != "estimated_pose"
+)
+_TRACE_COLUMNS = tuple(
+    field.name
+    for field in dataclasses.fields(FrameTrace)
+    if field.name not in ("tracking", "mapping")
+)
+_TRACKING_COLUMNS = tuple(
+    field.name for field in dataclasses.fields(TrackingWorkload) if field.name != "refine_renders"
+)
+_MAPPING_COLUMNS = tuple(
+    field.name for field in dataclasses.fields(MappingWorkload) if field.name != "renders"
+)
+_RENDER_COLUMNS = tuple(
+    field.name for field in dataclasses.fields(RenderWorkload) if field.name != "per_tile_gaussians"
+)
 
 
-def _frame_result_from_payload(payload: dict) -> FrameResult:
-    payload = dict(payload)
-    payload["estimated_pose"] = Pose.from_vector(payload["estimated_pose"])
-    return FrameResult(**payload)
+def _columns(records, names) -> dict:
+    return {name: [_plain(getattr(record, name)) for record in records] for name in names}
 
 
-def _render_from_payload(payload: dict) -> RenderWorkload:
-    payload = dict(payload)
-    payload["per_tile_gaussians"] = np.asarray(payload["per_tile_gaussians"])
-    return RenderWorkload(**payload)
+def _rows(columns: dict, names, count: int) -> list[dict]:
+    """Inverse of :func:`_columns`; a missing or short column raises."""
+    for name in names:
+        if len(columns[name]) != count:
+            raise ValueError(f"column {name!r} holds {len(columns[name])} of {count} rows")
+    return [{name: columns[name][row] for name in names} for row in range(count)]
 
 
-def _frame_trace_from_payload(payload: dict) -> FrameTrace:
-    tracking = payload["tracking"]
-    mapping = payload["mapping"]
-    return FrameTrace(
-        frame_index=payload["frame_index"],
-        tracking=TrackingWorkload(
-            coarse_flops=tracking["coarse_flops"],
-            refine_iterations=tracking["refine_iterations"],
-            refine_renders=[_render_from_payload(r) for r in tracking["refine_renders"]],
-        ),
-        mapping=MappingWorkload(
-            iterations=mapping["iterations"],
-            renders=[_render_from_payload(r) for r in mapping["renders"]],
-            is_keyframe=mapping["is_keyframe"],
-            gaussians_skipped=mapping["gaussians_skipped"],
-            gaussians_considered=mapping["gaussians_considered"],
-            contribution_entries_written=mapping["contribution_entries_written"],
-            contribution_entries_read=mapping["contribution_entries_read"],
-        ),
-        covisibility=payload["covisibility"],
-        codec_sad_evaluations=payload["codec_sad_evaluations"],
-        num_gaussians=payload["num_gaussians"],
-        # .get: trace payloads written before health tracking lack the key.
-        health_events=[str(event) for event in payload.get("health_events") or []],
+def _frames_to_columns(frames: list[FrameResult], arrays: dict) -> dict:
+    arrays["frames/estimated_pose"] = np.array(
+        [frame.estimated_pose.as_vector() for frame in frames], dtype=np.float64
+    ).reshape(len(frames), 7)
+    return {"count": len(frames), "columns": _columns(frames, _FRAME_COLUMNS)}
+
+
+def _frames_from_columns(entry: dict, arrays: dict) -> list[FrameResult]:
+    count = entry["count"]
+    poses = arrays["frames/estimated_pose"]
+    if poses.shape != (count, 7):
+        raise ValueError(f"pose column has shape {poses.shape}, expected ({count}, 7)")
+    rows = _rows(entry["columns"], _FRAME_COLUMNS, count)
+    return [
+        FrameResult(estimated_pose=Pose.from_vector(pose), **row)
+        for pose, row in zip(poses, rows)
+    ]
+
+
+def _traces_to_columns(traces: list[FrameTrace], arrays: dict) -> dict:
+    # Renders of every frame, tracking before mapping, flattened in order.
+    renders = [
+        render
+        for trace in traces
+        for render in (*trace.tracking.refine_renders, *trace.mapping.renders)
+    ]
+    sizes = [len(render.per_tile_gaussians) for render in renders]
+    arrays["traces/per_tile_gaussians"] = np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(render.per_tile_gaussians for render in renders)]
     )
+    arrays["traces/per_tile_offsets"] = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    return {
+        "count": len(traces),
+        "columns": _columns(traces, _TRACE_COLUMNS),
+        "tracking": _columns([trace.tracking for trace in traces], _TRACKING_COLUMNS),
+        "mapping": _columns([trace.mapping for trace in traces], _MAPPING_COLUMNS),
+        "tracking_renders": [len(trace.tracking.refine_renders) for trace in traces],
+        "mapping_renders": [len(trace.mapping.renders) for trace in traces],
+        "renders": _columns(renders, _RENDER_COLUMNS),
+    }
 
 
-def _array_checksum(array: np.ndarray) -> int:
-    """CRC-32 over an array's raw bytes (C-order), for the manifest."""
-    return zlib.crc32(np.ascontiguousarray(array).tobytes())
+def _traces_from_columns(entry: dict, arrays: dict) -> list[FrameTrace]:
+    count = entry["count"]
+    tracking_counts = entry["tracking_renders"]
+    mapping_counts = entry["mapping_renders"]
+    if len(tracking_counts) != count or len(mapping_counts) != count:
+        raise ValueError("render counts do not cover every trace")
+    total = sum(tracking_counts) + sum(mapping_counts)
+    tiles = arrays["traces/per_tile_gaussians"]
+    offsets = arrays["traces/per_tile_offsets"]
+    if offsets.shape != (total + 1,) or offsets[0] != 0 or offsets[-1] != len(tiles):
+        raise ValueError("per-tile offsets do not partition the per-tile column")
+    # One copy of the (small) column, so the renders never pin the blob.
+    per_tile = np.split(tiles.copy(), offsets[1:-1])
+    renders = iter(
+        RenderWorkload(per_tile_gaussians=tiles_of, **row)
+        for tiles_of, row in zip(per_tile, _rows(entry["renders"], _RENDER_COLUMNS, total))
+    )
+    traces = []
+    for row, tracking, mapping, n_tracking, n_mapping in zip(
+        _rows(entry["columns"], _TRACE_COLUMNS, count),
+        _rows(entry["tracking"], _TRACKING_COLUMNS, count),
+        _rows(entry["mapping"], _MAPPING_COLUMNS, count),
+        tracking_counts,
+        mapping_counts,
+    ):
+        tracking_renders = [next(renders) for _ in range(n_tracking)]
+        mapping_renders = [next(renders) for _ in range(n_mapping)]
+        traces.append(
+            FrameTrace(
+                tracking=TrackingWorkload(refine_renders=tracking_renders, **tracking),
+                mapping=MappingWorkload(renders=mapping_renders, **mapping),
+                **row,
+            )
+        )
+    return traces
 
 
 def save_session_state(state: SessionState, directory) -> pathlib.Path:
-    """Persist a :class:`SessionState` as ``state.npz`` + ``manifest.json``.
+    """Persist a :class:`SessionState` as ``state.bin`` + ``manifest.json``.
 
-    Arrays (maps, reference frames, optimizer moments, poses) go to the
-    compressed npz bundle; everything scalar — including the manifest
-    tree that stitches the arrays back together — goes to the JSON
-    manifest.  Both halves round-trip bit-exactly (``np.savez`` is
-    lossless and JSON preserves Python floats via ``repr``).
+    Format v3.  Every array (maps, reference frames, optimizer moments,
+    the history columns) goes into one uncompressed blob of raw buffers,
+    back to back; the compact JSON manifest holds one
+    ``[offset, dtype, shape, crc32]`` entry per array plus everything
+    scalar, including the tree that stitches the payload arrays back
+    together.  History is columnar: all estimated poses are one
+    ``(n, 7)`` array and every trace's ``per_tile_gaussians`` share one
+    concatenated array plus offsets, so the array count does not grow
+    with the stream.  Both halves round-trip bit-exactly (raw bytes, and
+    JSON preserves Python floats via ``repr``).
 
     The write is crash-safe: each file lands via a temporary sibling and
-    :func:`os.replace`, and the manifest — which carries a per-array
-    CRC-32 checksum table — is written *last*.  A crash at any point
-    leaves either the previous complete checkpoint or a state the loader
-    rejects as :class:`CheckpointCorruptError` (missing manifest, or a
-    manifest whose checksums do not match the array bundle); a torn
-    checkpoint can never be silently restored.
+    :func:`os.replace`, and the manifest — which carries the checksums —
+    is written *last*.  A crash at any point leaves either the previous
+    complete checkpoint or a state the loader rejects as
+    :class:`CheckpointCorruptError` (missing manifest, or a manifest
+    whose layout or checksums do not match the blob); a torn checkpoint
+    can never be silently restored.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -720,42 +795,75 @@ def save_session_state(state: SessionState, directory) -> pathlib.Path:
         "algorithm": state.algorithm,
         "sequence": state.sequence,
         "next_index": state.next_index,
-        "frames": [
-            _externalize(_frame_result_to_payload(frame), f"frames/{i}", arrays)
-            for i, frame in enumerate(state.frames)
-        ],
-        "traces": (
-            None
-            if state.traces is None
-            else [
-                _externalize(dataclasses.asdict(trace), f"traces/{i}", arrays)
-                for i, trace in enumerate(state.traces)
-            ]
-        ),
+        "frames": _frames_to_columns(state.frames, arrays),
+        "traces": None if state.traces is None else _traces_to_columns(state.traces, arrays),
         "payload": _externalize(state.payload, "payload", arrays),
     }
-    manifest["checksums"] = {key: _array_checksum(value) for key, value in arrays.items()}
-    # np.savez appends ".npz" to plain string paths, so bundle into an
-    # in-memory buffer first and let the atomic writer own the filename.
-    import io
-
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    atomic_write_bytes(directory / CHECKPOINT_ARRAYS, buffer.getvalue())
-    atomic_write_text(directory / CHECKPOINT_MANIFEST, json.dumps(manifest, indent=1))
+    table = {}
+    chunks = []
+    offset = 0
+    # Widest items first: with no padding, every array then starts
+    # aligned to its own itemsize.
+    for key, array in sorted(arrays.items(), key=lambda item: -item[1].dtype.itemsize):
+        raw = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        table[key] = [offset, array.dtype.str, list(array.shape), zlib.crc32(raw)]
+        chunks.append(raw)
+        offset += raw.nbytes
+    manifest["arrays"] = table
+    atomic_write_bytes(directory / CHECKPOINT_ARRAYS, b"".join(chunks))
+    atomic_write_text(
+        directory / CHECKPOINT_MANIFEST, json.dumps(manifest, separators=(",", ":"))
+    )
     return directory
+
+
+def _blob_entries(table, directory) -> list[tuple[str, int, np.dtype, tuple, int, int]]:
+    """Validate the manifest's array table; return ``(key, offset, dtype,
+    shape, nbytes, crc32)`` per array.  Offsets must tile the blob exactly."""
+    if not isinstance(table, dict):
+        raise CheckpointCorruptError(f"{directory}: manifest has no array table")
+    entries = []
+    end = 0
+    for key, entry in table.items():
+        try:
+            offset, dtype, shape, crc = entry
+            dtype = np.dtype(dtype)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointCorruptError(
+                f"{directory}: malformed entry for array '{key}' ({exc})"
+            ) from None
+        if (
+            dtype.hasobject
+            or dtype.itemsize == 0
+            or not isinstance(shape, list)
+            or not all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise CheckpointCorruptError(f"{directory}: invalid layout for array '{key}'")
+        shape = tuple(shape)
+        if type(offset) is not int or offset != end:
+            raise CheckpointCorruptError(
+                f"{directory}: array '{key}' starts at byte {offset}, expected {end} "
+                "(overlapping or gapped layout)"
+            )
+        nbytes = math.prod(shape) * dtype.itemsize
+        entries.append((key, offset, dtype, shape, nbytes, crc))
+        end += nbytes
+    return entries
 
 
 def load_session_state(directory) -> SessionState:
     """Load a checkpoint written by :func:`save_session_state`.
 
-    Every integrity violation — missing directory or manifest, truncated
-    or otherwise unreadable array bundle, a bit-flipped array failing its
-    manifest checksum, an unknown format or a version mismatch — raises
-    :class:`repro.errors.CheckpointCorruptError` *before* any state is
-    materialized, so a corrupt checkpoint can never partially restore a
-    session.  :class:`repro.serve.registry.ParkingLot` responds by falling
-    back to an older checkpoint generation.
+    Every integrity violation — missing directory or manifest, an
+    unknown format or a version mismatch (v2 included), an array table
+    whose offsets overlap or leave gaps, a blob that is truncated or has
+    trailing bytes, an array failing its CRC-32, or history columns that
+    do not fit together — raises
+    :class:`repro.errors.CheckpointCorruptError`.  The blob is read once,
+    and its layout and every checksum are verified *before* any state is
+    built, so a corrupt checkpoint can never partially restore a
+    session.  :class:`repro.serve.registry.ParkingLot` responds by
+    falling back to an older checkpoint generation.
     """
     directory = pathlib.Path(directory)
     manifest_path = directory / CHECKPOINT_MANIFEST
@@ -765,7 +873,7 @@ def load_session_state(directory) -> SessionState:
         raise CheckpointCorruptError(f"{directory}: missing {CHECKPOINT_MANIFEST}") from None
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointCorruptError(f"{directory}: unreadable manifest ({exc})") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointCorruptError(f"{directory} is not a session checkpoint")
     version = manifest.get("version")
     if version != CHECKPOINT_VERSION:
@@ -773,49 +881,49 @@ def load_session_state(directory) -> SessionState:
             f"{directory}: checkpoint format version {version!r} "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
+    entries = _blob_entries(manifest.get("arrays"), directory)
+    expected = sum(entry[4] for entry in entries)
     try:
-        with np.load(directory / CHECKPOINT_ARRAYS, allow_pickle=False) as bundle:
-            arrays = {key: bundle[key] for key in bundle.files}
+        with open(directory / CHECKPOINT_ARRAYS, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size != expected:
+                raise CheckpointCorruptError(
+                    f"{directory}: {CHECKPOINT_ARRAYS} holds {size} bytes, "
+                    f"the manifest lays out {expected}"
+                )
+            blob = bytearray(size)
+            if handle.readinto(blob) != size:
+                raise CheckpointCorruptError(f"{directory}: short read of {CHECKPOINT_ARRAYS}")
     except FileNotFoundError:
         raise CheckpointCorruptError(f"{directory}: missing {CHECKPOINT_ARRAYS}") from None
-    except Exception as exc:
-        # np.load surfaces truncation/corruption as zipfile/OS/value
-        # errors depending on where the damage sits; all mean "torn".
-        raise CheckpointCorruptError(
-            f"{directory}: unreadable array bundle ({exc})"
-        ) from exc
-    checksums = manifest.get("checksums")
-    if not isinstance(checksums, dict):
-        raise CheckpointCorruptError(f"{directory}: manifest has no checksum table")
-    if set(checksums) != set(arrays):
-        raise CheckpointCorruptError(
-            f"{directory}: array bundle does not match the manifest "
-            f"({len(arrays)} arrays vs {len(checksums)} checksums)"
-        )
-    for key, expected in checksums.items():
-        actual = _array_checksum(arrays[key])
-        if actual != expected:
+    except OSError as exc:
+        raise CheckpointCorruptError(f"{directory}: unreadable {CHECKPOINT_ARRAYS} ({exc})") from exc
+    view = memoryview(blob)
+    arrays = {}
+    for key, offset, dtype, shape, nbytes, expected_crc in entries:
+        actual = zlib.crc32(view[offset : offset + nbytes])
+        if actual != expected_crc:
             raise CheckpointCorruptError(
                 f"{directory}: checksum mismatch for array '{key}' "
-                f"({actual:#010x} != {expected:#010x})"
+                f"({actual:#010x} != {expected_crc!r})"
             )
-    frames = [
-        _frame_result_from_payload(_internalize(entry, arrays))
-        for entry in manifest["frames"]
-    ]
-    traces = (
-        None
-        if manifest["traces"] is None
-        else [
-            _frame_trace_from_payload(_internalize(entry, arrays))
-            for entry in manifest["traces"]
-        ]
-    )
-    return SessionState(
-        algorithm=manifest["algorithm"],
-        sequence=manifest["sequence"],
-        next_index=int(manifest["next_index"]),
-        frames=frames,
-        traces=traces,
-        payload=_internalize(manifest["payload"], arrays),
-    )
+        arrays[key] = np.frombuffer(
+            blob, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+        ).reshape(shape)
+    try:
+        return SessionState(
+            algorithm=manifest["algorithm"],
+            sequence=manifest["sequence"],
+            next_index=int(manifest["next_index"]),
+            frames=_frames_from_columns(manifest["frames"], arrays),
+            traces=(
+                None
+                if manifest["traces"] is None
+                else _traces_from_columns(manifest["traces"], arrays)
+            ),
+            payload=_internalize(manifest["payload"], arrays),
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointCorruptError(
+            f"{directory}: manifest history does not fit together ({exc!r})"
+        ) from exc

@@ -13,8 +13,9 @@ The headline invariants of the SLAM-as-a-service stack:
 3. **Deterministic routing** — session-id sharding is a pure CRC-32
    function, stable across processes (pinned assignments).
 4. **Wire fidelity** — a trajectory fetched over the stdlib HTTP API is
-   bit-identical to one computed in-process (npz frames in, JSON
-   results out).
+   bit-identical to one computed in-process (raw-buffer frames in, JSON
+   results out), and the frame codec refuses every torn or garbled body
+   with ``ValueError`` (HTTP 400) before allocating from its header.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.serve import (
     shard_index,
 )
 from repro.slam import OrbLiteSlam
+from repro.slam.session import CHECKPOINT_ARRAYS
 
 CHEAP = dict(tracking_iterations=4, mapping_iterations=2)
 SYSTEMS = ("splatam", "gaussian-slam", "orb", "droid", "ags")
@@ -119,6 +121,19 @@ def test_parking_lot_generations_and_gc(tmp_path, tiny_sequence):
         lot.resume("cam")
 
 
+def test_parking_lot_keep_parked_retains_generations(tmp_path, tiny_sequence):
+    lot = ParkingLot(tmp_path, keep_parked=True)
+    system = OrbLiteSlam(tiny_sequence.intrinsics)
+    system.begin(tiny_sequence.name)
+    system.feed(tiny_sequence[0], index=0)
+    lot.park("cam", system.state())
+    assert lot.resume("cam").next_index == 1
+    assert lot.resume("cam").next_index == 1  # still parked: resumable again
+    assert [p.name for p in lot.generations("cam")] == ["gen-00000"]
+    lot.discard("cam")
+    assert not (tmp_path / "cam").exists()
+
+
 def test_parking_lot_skips_corrupt_newest_generation(tmp_path, tiny_sequence):
     lot = ParkingLot(tmp_path, keep_parked=True)
     system = OrbLiteSlam(tiny_sequence.intrinsics)
@@ -127,9 +142,9 @@ def test_parking_lot_skips_corrupt_newest_generation(tmp_path, tiny_sequence):
     lot.park("cam", system.state())
     system.feed(tiny_sequence[1], index=1)
     newest = lot.park("cam", system.state())
-    (newest / "state.npz").write_bytes(b"torn")
+    (newest / CHECKPOINT_ARRAYS).write_bytes(b"torn")
     assert lot.resume("cam").next_index == 1  # fell back to gen-00000
-    (lot.generations("cam")[0] / "state.npz").write_bytes(b"torn")
+    (lot.generations("cam")[0] / CHECKPOINT_ARRAYS).write_bytes(b"torn")
     with pytest.raises(CheckpointCorruptError, match="every parked generation"):
         lot.resume("cam")
 

@@ -8,7 +8,9 @@ import pytest
 from repro.eval.runner import EvalSettings, run_slam
 from repro.eval.service import KNOWN_ALGORITHMS, RunKey, SlamService, default_service
 from repro.perf import PerfRecorder
+from repro.serve import ParkingLot
 from repro.slam import OrbLiteSlam
+from repro.slam.session import CHECKPOINT_ARRAYS, CHECKPOINT_MANIFEST
 
 CHEAP = dict(num_frames=4, tracking_iterations=4, mapping_iterations=2)
 
@@ -134,19 +136,19 @@ def test_run_slam_supports_the_droid_session():
 # Session checkpoint parking
 # ---------------------------------------------------------------------------
 def test_service_parks_and_resumes_session_checkpoints(tmp_path, tiny_sequence):
-    service = SlamService(
-        max_entries=4, checkpoint_dir=tmp_path, perf=PerfRecorder(enabled=False)
-    )
+    """A run key's slug names its parked checkpoint in the ``ParkingLot``,
+    the one owner of durable session state."""
+    lot = ParkingLot(tmp_path)
     key = RunKey("orb", "desk", **CHEAP)
 
     system = OrbLiteSlam(tiny_sequence.intrinsics)
     system.begin(tiny_sequence.name)
     for index, frame in tiny_sequence.stream(stop=2):
         system.feed(frame, index=index)
-    path = service.checkpoint(key, system.state())
-    assert (path / "manifest.json").exists() and (path / "state.npz").exists()
+    path = lot.park(key.slug(), system.state())
+    assert (path / CHECKPOINT_MANIFEST).exists() and (path / CHECKPOINT_ARRAYS).exists()
 
-    resumed_state = service.resume(key)
+    resumed_state = lot.resume(key.slug())
     resumed = OrbLiteSlam(tiny_sequence.intrinsics)
     resumed.restore(resumed_state)
     for index, frame in tiny_sequence.stream(start=2, stop=4):
@@ -154,12 +156,6 @@ def test_service_parks_and_resumes_session_checkpoints(tmp_path, tiny_sequence):
 
     reference = OrbLiteSlam(tiny_sequence.intrinsics).run(tiny_sequence, num_frames=4)
     assert_same_trajectories(reference, resumed.finalize())
-
-
-def test_checkpoint_without_directory_raises():
-    service = SlamService(max_entries=4, perf=PerfRecorder(enabled=False))
-    with pytest.raises(ValueError, match="checkpoint directory"):
-        service.resume(RunKey("orb", "desk"))
 
 
 def test_run_many_batch_larger_than_budget_executes_each_run_once():
@@ -235,35 +231,7 @@ def test_two_services_sharing_one_recorder_do_not_drop_merges(monkeypatch):
     assert shared.timers.get("eval/stub").calls == total
 
 
-def test_resume_garbage_collects_the_parked_checkpoint(tmp_path, tiny_sequence):
-    """Regression: resume used to leave the parked directory behind, so
-    park/resume cycles leaked storage without bound."""
-    service = SlamService(
-        max_entries=4, checkpoint_dir=tmp_path, perf=PerfRecorder(enabled=False)
-    )
-    key = RunKey("orb", "desk", **CHEAP)
-    system = OrbLiteSlam(tiny_sequence.intrinsics)
-    system.begin(tiny_sequence.name)
-    system.feed(tiny_sequence[0], index=0)
-
-    service.checkpoint(key, system.state())
-    assert (tmp_path / key.slug()).is_dir()
-    service.resume(key)
-    assert not (tmp_path / key.slug()).exists()  # GC'd on successful resume
-    with pytest.raises(KeyError):
-        service.resume(key)
-
-    # The keep_parked knob (per call or per service) retains generations.
-    service.checkpoint(key, system.state())
-    service.resume(key, keep_parked=True)
-    assert (tmp_path / key.slug()).is_dir()
-    system.feed(tiny_sequence[1], index=1)
-    path = service.checkpoint(key, system.state())
-    assert path.name == "gen-00001"  # repeated parks append generations
-    assert service.resume(key).next_index == 2  # newest generation wins
-
-
-def test_configure_default_service_is_atomic_under_concurrency(tmp_path):
+def test_configure_default_service_is_atomic_under_concurrency():
     """Regression: a racing caller could observe a half-configured
     default service (budget updated, trim not yet applied).  The module
     lock makes configure/lookup atomic; the store lock commits the
@@ -274,14 +242,13 @@ def test_configure_default_service_is_atomic_under_concurrency(tmp_path):
 
     service = configure_default_service(max_entries=8)
     original_budget = service.max_entries
-    original_dir = service.checkpoint_dir
     stop = threading.Event()
     errors = []
 
     def flip():
         try:
             while not stop.is_set():
-                configure_default_service(max_entries=1, checkpoint_dir=tmp_path)
+                configure_default_service(max_entries=1)
                 configure_default_service(max_entries=8)
         except BaseException as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
@@ -306,4 +273,3 @@ def test_configure_default_service_is_atomic_under_concurrency(tmp_path):
         t.join()
     assert not errors
     configure_default_service(max_entries=original_budget)
-    service.checkpoint_dir = original_dir
