@@ -6,8 +6,8 @@ Times the hottest paths of the reproduction —
   search at the largest, for both the ``reference`` (scalar loop) and
   ``vectorized`` (batched) backends;
 * 3DGS rasterization: three model sizes through the per-tile ``reference``
-  backend, the bucketed statistics-recording path (``full``), the
-  stats-free fast path (float64) and the float32 fast path;
+  backend, the bucketed statistics-recording path (``full``) and the
+  stats-free fast path (``fast64``);
 * the serving tier's bytes layers: the frame wire codec on one 64x48
   ``desk`` frame (``wire.64x48.encode`` / ``.decode``) and the v3 disk
   checkpoint of ORB-lite and AGS sessions after 30 frames
@@ -15,47 +15,29 @@ Times the hottest paths of the reproduction —
   bit for bit before it is timed —
 
 and writes the results (with backend/fast-path speedups) to the
-``BENCH_hotpaths.json`` perf-trajectory file at the repo root, so every
-future PR is accountable to the measured trajectory.
+``BENCH_hotpaths.json`` perf-trajectory file at the repo root through the
+shared ``perf_gate`` harness (CLI, gate and file format are documented
+there)::
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_speed_hotpaths.py           # write
-    PYTHONPATH=src python benchmarks/bench_speed_hotpaths.py --gate    # guard
-
-``--gate`` refuses to overwrite an existing ``BENCH_hotpaths.json`` when
-any gated hot-path timing regressed by more than ``--max-regression``
-(default 20 %), exiting non-zero — run it from ``scripts/bench_speed.sh``.
+    PYTHONPATH=src python benchmarks/bench_speed_hotpaths.py --gate
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import os
 import pathlib
-import sys
 import tempfile
-import time
 
 import numpy as np
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+from perf_gate import best_of, main  # also puts src/ on sys.path
 
-from perf_gate import check_gate, gate_table  # noqa: E402
-from repro.ioutil import atomic_write_text  # noqa: E402
-
-from repro.codec import motion_estimate  # noqa: E402
-from repro.datasets import load_sequence  # noqa: E402
-from repro.eval.service import build_session  # noqa: E402
-from repro.gaussians import Camera, GaussianModel, Intrinsics, Pose, render  # noqa: E402
-from repro.serve.api import decode_frame, encode_frame  # noqa: E402
-from repro.slam.session import load_session_state, save_session_state  # noqa: E402
-
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hotpaths.json"
+from repro.codec import motion_estimate
+from repro.datasets import load_sequence
+from repro.eval.service import build_session
+from repro.gaussians import Camera, GaussianModel, Intrinsics, Pose, render
+from repro.serve.api import decode_frame, encode_frame
+from repro.slam.session import load_session_state, save_session_state
 
 MOTION_FRAME_SIZES = [(120, 160), (240, 320), (480, 640)]
 MOTION_SEARCH_RANGE = 4
@@ -72,7 +54,6 @@ GATED_KEYS = [
     "render.n50.fast64",
     "render.n200.fast64",
     "render.n200.full",
-    "render.n800.fast32",
     "wire.64x48.encode",
     "wire.64x48.decode",
     "ckpt.orb.f30.save",
@@ -80,17 +61,6 @@ GATED_KEYS = [
     "ckpt.ags.f30.save",
     "ckpt.ags.f30.load",
 ]
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn()`` (after warmup)."""
-    fn()
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return float(best)
 
 
 def _motion_frames(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +78,7 @@ def bench_motion(repeats: int) -> dict[str, float]:
         label = f"{height}x{width}"
         for backend in ("reference", "vectorized"):
             reps = 1 if backend == "reference" else repeats
-            timings[f"motion.full.{label}.{backend}"] = _best_of(
+            timings[f"motion.full.{label}.{backend}"] = best_of(
                 lambda b=backend: motion_estimate(
                     current, previous, search_range=MOTION_SEARCH_RANGE, method="full", backend=b
                 ),
@@ -117,7 +87,7 @@ def bench_motion(repeats: int) -> dict[str, float]:
     height, width = MOTION_FRAME_SIZES[-1]
     current, previous = _motion_frames(height, width)
     for backend in ("reference", "vectorized"):
-        timings[f"motion.diamond.{height}x{width}.{backend}"] = _best_of(
+        timings[f"motion.diamond.{height}x{width}.{backend}"] = best_of(
             lambda b=backend: motion_estimate(
                 current, previous, search_range=MOTION_SEARCH_RANGE, method="diamond", backend=b
             ),
@@ -133,22 +103,12 @@ def bench_render(repeats: int) -> dict[str, float]:
     for count in RENDER_MODEL_SIZES:
         model = GaussianModel.random(count, extent=1.0, seed=3)
         model.means[:, 2] += 3.0
-        timings[f"render.n{count}.reference"] = _best_of(
+        timings[f"render.n{count}.reference"] = best_of(
             lambda: render(model, camera, backend="reference"), repeats
         )
-        timings[f"render.n{count}.full"] = _best_of(lambda: render(model, camera), repeats)
-        timings[f"render.n{count}.fast64"] = _best_of(
+        timings[f"render.n{count}.full"] = best_of(lambda: render(model, camera), repeats)
+        timings[f"render.n{count}.fast64"] = best_of(
             lambda: render(model, camera, record_workloads=False, record_contributions=False),
-            repeats,
-        )
-        timings[f"render.n{count}.fast32"] = _best_of(
-            lambda: render(
-                model,
-                camera,
-                record_workloads=False,
-                record_contributions=False,
-                dtype=np.float32,
-            ),
             repeats,
         )
     return timings
@@ -190,8 +150,8 @@ def bench_serving_bytes(repeats: int) -> dict[str, float]:
         raise AssertionError("wire codec round trip is not bit-exact")
     label = f"{frame.color.shape[1]}x{frame.color.shape[0]}"
     timings = {
-        f"wire.{label}.encode": _best_of(lambda: encode_frame(frame), repeats),
-        f"wire.{label}.decode": _best_of(lambda: decode_frame(body), repeats),
+        f"wire.{label}.encode": best_of(lambda: encode_frame(frame), repeats),
+        f"wire.{label}.decode": best_of(lambda: decode_frame(body), repeats),
     }
     with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as root:
         for algorithm in CKPT_SYSTEMS:
@@ -205,12 +165,12 @@ def bench_serving_bytes(repeats: int) -> dict[str, float]:
             if not _same(load_session_state(directory), state):
                 raise AssertionError(f"{algorithm} checkpoint round trip is not bit-exact")
             key = f"ckpt.{algorithm}.f{CKPT_FRAMES}"
-            timings[f"{key}.save"] = _best_of(lambda: save_session_state(state, directory), repeats)
-            timings[f"{key}.load"] = _best_of(lambda: load_session_state(directory), repeats)
+            timings[f"{key}.save"] = best_of(lambda: save_session_state(state, directory), repeats)
+            timings[f"{key}.load"] = best_of(lambda: load_session_state(directory), repeats)
     return timings
 
 
-def build_results(repeats: int) -> dict:
+def measure(repeats: int) -> dict:
     timings = {}
     timings.update(bench_motion(repeats))
     timings.update(bench_render(repeats))
@@ -229,24 +189,18 @@ def build_results(repeats: int) -> dict:
     for count in RENDER_MODEL_SIZES:
         # All render speedups are measured against the per-tile reference
         # backend (the executable spec); "full" is the bucketed
-        # statistics-recording path introduced in PR 2.
+        # statistics-recording path.
         reference = timings[f"render.n{count}.reference"]
         speedups[f"render.n{count}.full"] = reference / timings[f"render.n{count}.full"]
         speedups[f"render.n{count}.fast64"] = reference / timings[f"render.n{count}.fast64"]
-        speedups[f"render.n{count}.fast32"] = reference / timings[f"render.n{count}.fast32"]
 
     targets = {
         # Tentpole targets: >=20x on full-search ME at 480x640/R=4, >=2x on
         # the 50-Gaussian benchmark render.
         "motion.full.480x640 >= 20x": speedups["motion.full.480x640"] >= 20.0,
-        "render.n50 >= 2x": max(
-            speedups["render.n50.fast64"], speedups["render.n50.fast32"]
-        )
-        >= 2.0,
+        "render.n50 >= 2x": speedups["render.n50.fast64"] >= 2.0,
     }
     return {
-        "benchmark": "hotpaths",
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": {
             "motion_frame_sizes": [list(size) for size in MOTION_FRAME_SIZES],
             "motion_search_range": MOTION_SEARCH_RANGE,
@@ -254,58 +208,12 @@ def build_results(repeats: int) -> dict:
             "render_image": list(RENDER_IMAGE),
             "checkpoint_systems": list(CKPT_SYSTEMS),
             "checkpoint_frames": CKPT_FRAMES,
-            "repeats": repeats,
-            "cpu_count": os.cpu_count(),
         },
-        "timings_seconds": {key: timings[key] for key in sorted(timings)},
-        "speedups": {key: round(value, 2) for key, value in sorted(speedups.items())},
+        "timings_seconds": timings,
+        "speedups": speedups,
         "targets_met": targets,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="fail (and keep the old file) on a hot-path regression",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="allowed fractional slowdown per gated timing (default 0.20)",
-    )
-    args = parser.parse_args(argv)
-
-    results = build_results(args.repeats)
-    print(f"hot-path benchmark ({args.repeats} repeats, best-of):")
-    for key, value in results["timings_seconds"].items():
-        print(f"  {key:<38}{value * 1e3:>10.2f} ms")
-    print("speedups:")
-    for key, value in results["speedups"].items():
-        print(f"  {key:<38}{value:>9.1f}x")
-    for target, met in results["targets_met"].items():
-        print(f"  target {target}: {'MET' if met else 'MISSED'}")
-
-    if args.gate and args.output.exists():
-        previous = json.loads(args.output.read_text())
-        failures = check_gate(previous, results, args.max_regression, GATED_KEYS)
-        print("\ngated timings vs previous BENCH_hotpaths.json:")
-        print(gate_table(previous, results, GATED_KEYS))
-        if failures:
-            print("\nPERF GATE FAILED — keeping previous BENCH_hotpaths.json:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print("perf gate PASSED")
-
-    atomic_write_text(args.output, json.dumps(results, indent=2) + "\n")
-    print(f"\nwrote {args.output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("hotpaths", measure, GATED_KEYS, description=__doc__))

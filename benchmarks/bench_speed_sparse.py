@@ -20,37 +20,20 @@ Two more things are recorded:
   is justified only while a bench scene sits on each side of it.
 
 The results go to the ``BENCH_sparse.json`` perf-trajectory file at the
-repo root.
+repo root through the shared ``perf_gate`` harness (CLI, gate and file
+format are documented there)::
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_speed_sparse.py           # write
-    PYTHONPATH=src python benchmarks/bench_speed_sparse.py --gate    # guard
-    scripts/bench_speed.sh --only sparse                             # same, via the gate script
-
-``--gate`` refuses to overwrite an existing ``BENCH_sparse.json`` when
-any gated timing regressed by more than ``--max-regression`` (default
-20 %), exiting non-zero — run it from ``scripts/bench_speed.sh``.
+    PYTHONPATH=src python benchmarks/bench_speed_sparse.py --gate
+    scripts/bench_speed.sh --only sparse                  # same, via the gate script
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-import time
-
 import numpy as np
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+from perf_gate import best_of_each, main  # also puts src/ on sys.path
 
-from perf_gate import check_gate, gate_table  # noqa: E402
-from repro.ioutil import atomic_write_text  # noqa: E402
-
-from repro.gaussians import (  # noqa: E402
+from repro.gaussians import (
     Camera,
     ForwardCache,
     GaussianModel,
@@ -59,9 +42,7 @@ from repro.gaussians import (  # noqa: E402
     render,
     render_backward,
 )
-from repro.gaussians import rasterizer as rasterizer_module  # noqa: E402
-
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_sparse.json"
+from repro.gaussians import rasterizer as rasterizer_module
 
 IMAGE = (120, 160)  # (height, width), matching the hot-path render bench
 MODEL_SIZES = [200, 800]
@@ -74,23 +55,6 @@ GATED_KEYS = [
     "sparse.n800.render",
     "sparse.n800.iteration",
 ]
-
-
-def _best_of_each(fns: dict[str, object], repeats: int) -> dict[str, float]:
-    """Best-of-``repeats`` seconds per entry, repeats interleaved.
-
-    Alternating the entries inside one repeat loop keeps the recorded
-    ratios honest under machine phase drift.
-    """
-    for fn in fns.values():  # warmup
-        fn()
-    best = {name: np.inf for name in fns}
-    for _ in range(repeats):
-        for name, fn in fns.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return {name: float(value) for name, value in best.items()}
 
 
 def _forced(threshold: float | None, fn):
@@ -188,12 +152,12 @@ def bench_sparse(repeats: int) -> tuple[dict[str, float], dict[str, dict]]:
         if count == MODEL_SIZES[0]:
             cases["iteration.masked"] = lambda: one_iteration(FORCE_MASKED)
             cases["iteration.dense"] = lambda: one_iteration(FORCE_DENSE)
-        for key, value in _best_of_each(cases, repeats).items():
+        for key, value in best_of_each(cases, repeats).items():
             timings[f"sparse.{label}.{key}"] = value
     return timings, reductions
 
 
-def build_results(repeats: int) -> dict:
+def measure(repeats: int) -> dict:
     timings, reductions = bench_sparse(repeats)
     masked_speedup = timings["sparse.n200.iteration.dense"] / timings["sparse.n200.iteration.masked"]
     targets = {
@@ -202,71 +166,17 @@ def build_results(repeats: int) -> dict:
         "sparse.n200.iteration masked >= 1.0x dense": masked_speedup >= 1.0,
     }
     return {
-        "benchmark": "sparse",
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": {
             "image": list(IMAGE),
             "model_sizes": MODEL_SIZES,
-            "repeats": repeats,
             "verified": "bucketed == reference, masked == dense",
         },
-        "timings_seconds": {key: timings[key] for key in sorted(timings)},
-        "speedups": {"sparse.n200.iteration.masked_vs_dense": round(masked_speedup, 2)},
+        "timings_seconds": timings,
+        "speedups": {"sparse.n200.iteration.masked_vs_dense": masked_speedup},
         "reduction": reductions,
         "targets_met": targets,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="fail (and keep the old file) on a hot-path regression",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="allowed fractional slowdown per gated timing (default 0.20)",
-    )
-    args = parser.parse_args(argv)
-
-    results = build_results(args.repeats)
-    print(f"sparse-rasterizer benchmark ({args.repeats} repeats, best-of, verified):")
-    for key, value in results["timings_seconds"].items():
-        print(f"  {key:<38}{value * 1e3:>10.2f} ms")
-    for key, value in results["speedups"].items():
-        print(f"  {key:<38}{value:>9.2f}x")
-    print("work removed (vs the classic 3-sigma tables / within retained pairs):")
-    print(f"  {'scene':<8}{'pairs':>10}{'culled':>10}{'frac':>8}{'pixels':>10}{'culled':>10}{'frac':>8}")
-    for label, row in results["reduction"].items():
-        print(
-            f"  {label:<8}{row['pairs_total']:>10}{row['pairs_culled']:>10}"
-            f"{row['pairs_culled_fraction']:>8.1%}{row['pixels_total']:>10}"
-            f"{row['pixels_culled']:>10}{row['pixels_culled_fraction']:>8.1%}"
-        )
-    for target, met in results["targets_met"].items():
-        print(f"  target {target}: {'MET' if met else 'MISSED'}")
-
-    if args.gate and args.output.exists():
-        previous = json.loads(args.output.read_text())
-        failures = check_gate(previous, results, args.max_regression, GATED_KEYS)
-        print(f"\ngated timings vs previous {args.output.name}:")
-        print(gate_table(previous, results, GATED_KEYS))
-        if failures:
-            print(f"\nPERF GATE FAILED — keeping previous {args.output.name}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print("perf gate PASSED")
-
-    atomic_write_text(args.output, json.dumps(results, indent=2) + "\n")
-    print(f"\nwrote {args.output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("sparse", measure, GATED_KEYS, description=__doc__))

@@ -10,7 +10,7 @@ monitor armed and disarmed, and shows
   * which frames the monitor flagged and which fallback-ladder rungs it
     took (re-seeded photometric retry, feature-based relocalization),
   * the trajectory error with and without the fallback ladder — the
-    measurable win the BENCH_robustness.json gate locks in.
+    measurable win ``tests/test_robustness.py`` locks in.
 
 The same scenarios drive the full eval grid:
 ``python -m repro.eval.robustness`` (or ``--smoke`` for the CI lane).

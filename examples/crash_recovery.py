@@ -13,11 +13,11 @@ backoff.  It shows
     and the run length — identical on every machine),
   * the frames that were retried, and how often,
   * that the crashed-and-retried run is **bit-identical** to the
-    uninterrupted run — the invariant the BENCH_faults.json gate locks
+    uninterrupted run — the invariant ``tests/test_faults.py`` locks
     in for every registered plan x system cell.
 
-The same plans drive the full recovery grid:
-``python benchmarks/bench_faults.py`` (or ``--smoke`` for the CI lane).
+The same plans drive the full recovery matrix:
+``PYTHONPATH=src python -m pytest -m slow tests/test_faults.py``.
 
 Run with:  python examples/crash_recovery.py
 """

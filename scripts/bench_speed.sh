@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Hot-path perf gate: re-measure the motion-estimation, rasterizer,
-# rasterizer-backward and sparse-rasterizer benchmarks and update
-# BENCH_hotpaths.json / BENCH_backward.json / BENCH_sparse.json (plus the
-# correctness-gated BENCH_robustness.json / BENCH_faults.json /
-# BENCH_serve.json / BENCH_overload.json) at the repo root.
+# Perf gate: re-measure the motion-estimation/rasterizer hot paths, the
+# rasterizer backward and the sparse rasterizer, and update
+# BENCH_hotpaths.json / BENCH_backward.json / BENCH_sparse.json at the
+# repo root.  All three benches run on the shared benchmarks/perf_gate.py
+# harness.
 #
-# If a gated hot-path timing regressed by more than 20% against a
-# committed BENCH_*.json, the script exits non-zero and leaves that
-# previous file untouched — wire it into CI so perf regressions fail PRs.
+# If a gated timing regressed by more than 20% against a committed
+# BENCH_*.json, or a gated timing is missing from the new run, the script
+# exits non-zero and leaves that previous file untouched — wire it into
+# CI so perf regressions fail PRs.
 #
 # Usage: scripts/bench_speed.sh [--only <bench>] [extra bench args]
 #   e.g. scripts/bench_speed.sh --max-regression 0.1
@@ -16,7 +17,7 @@
 #        scripts/bench_speed.sh --only sparse --repeats 9
 #
 # --only runs a single benchmark; <bench> is one of:
-#   hotpaths backward sparse robustness faults serve overload
+#   hotpaths backward sparse
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,10 +31,10 @@ if [[ "${1:-}" == "--only" ]]; then
     ONLY="$2"
     shift 2
     case "$ONLY" in
-        hotpaths|backward|sparse|robustness|faults|serve|overload) ;;
+        hotpaths|backward|sparse) ;;
         *)
             echo "unknown benchmark: $ONLY" >&2
-            echo "expected one of: hotpaths backward sparse robustness faults serve overload" >&2
+            echo "expected one of: hotpaths backward sparse" >&2
             exit 2
             ;;
     esac
@@ -51,18 +52,3 @@ run_bench() {
 run_bench hotpaths benchmarks/bench_speed_hotpaths.py --gate "$@"
 run_bench backward benchmarks/bench_speed_backward.py --gate "$@"
 run_bench sparse benchmarks/bench_speed_sparse.py --gate "$@"
-# Robustness grid: correctness-gated (clean-stream bit-identity and the
-# fallback-ablation wins), not timing-gated, so it takes no extra args.
-run_bench robustness benchmarks/bench_robustness.py --gate
-# Fault-recovery grid: correctness-gated (crash-at-fault + recovery is
-# bit-identical to the uninterrupted run, per plan x system).
-run_bench faults benchmarks/bench_faults.py --gate
-# Serving tier: correctness-gated (async streams over a tiny parking
-# budget are bit-identical to a synchronous feed loop); throughput and
-# ingest latency are recorded, not gated.
-run_bench serve benchmarks/bench_serve.py --gate
-# Overload tier: correctness-gated (4x over-capacity chaos storm loses
-# no admitted frame, disarmed server matches the PR 9 path bit-exactly,
-# graceful drain parks and resumes bit-exactly); admitted-POST p95 is
-# bounded, not trend-gated.
-run_bench overload benchmarks/bench_overload.py --gate

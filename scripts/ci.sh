@@ -1,15 +1,22 @@
 #!/usr/bin/env bash
-# CI entry point: repo hygiene, the tier-1 test suite, the robustness /
-# fault / serving / overload smokes and the hot-path perf gate (which
-# includes the sparse-rasterizer bench).
+# CI entry point: repo hygiene, the tier-1 test suite, the robustness
+# smoke and the perf gate of the three timing benches (hot paths,
+# backward, sparse rasterizer).
 #
 #   scripts/ci.sh          # hygiene + tier-1 tests + scripts/bench_speed.sh
 #   scripts/ci.sh --slow   # additionally run the weekly `pytest -m slow`
 #                          # lane (long randomized equivalence sweeps)
 #
 # The perf gate fails (exit != 0) on a >20% regression of any gated
-# hot-path timing and keeps the previous BENCH_*.json files; on success
-# it refreshes them and prints the gated-timings comparison table.
+# timing, or on a gated timing the bench no longer produces, and keeps
+# the previous BENCH_*.json files; on success it refreshes them and
+# prints the gated-timings comparison table.
+#
+# Fault recovery, serving under parking churn and overload storms are
+# checked by the tier-1 suite, e.g.
+#   tests/test_faults.py::test_chaos_recovery_is_bit_identical
+#   tests/test_serve.py::test_async_streams_under_parking_churn_are_bit_identical
+#   tests/test_overload.py::test_storm_over_capacity_never_loses_admitted_frames
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,35 +63,13 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 echo "== robustness smoke grid =="
 # One scenario, two systems, few frames: exercises the full scenario ->
 # health-monitor -> fallback-ablation path on every push.  The full
-# matrix runs in the slow lane (tests/test_robustness.py -m slow) and in
-# benchmarks/bench_robustness.py.
+# matrix runs in the slow lane (tests/test_robustness.py -m slow).
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.eval.robustness --smoke
 
-echo "== fault-recovery smoke =="
-# One fault plan, two systems: a run whose faulted frames are rolled
-# back and retried must be bit-identical to the uninterrupted run.  The full plan x system matrix runs in the slow
-# lane (tests/test_faults.py -m slow) and in benchmarks/bench_faults.py.
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_faults.py --smoke
-
-echo "== serving smoke =="
-# Two interleaved streams over a one-slot registry: eviction must park
-# and resume mid-stream without breaking bit-identity with a plain
-# synchronous feed.  The 1/4/16-session grid runs in
-# benchmarks/bench_serve.py.
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_serve.py --smoke
-
-echo "== overload smoke =="
-# One chaos storm client (stalls + a torn upload) against a one-slot
-# admission budget: the server must shed loudly, leak no admission
-# slot, and the admitted stream must stay bit-identical to a plain
-# synchronous feed.  The 8-client / 2-slot storm grid runs in
-# benchmarks/bench_overload.py.
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_overload.py --smoke
-
 if [[ "$RUN_SLOW" == "1" ]]; then
-    echo "== slow lane (randomized equivalence sweeps + full robustness and fault matrices) =="
+    echo "== slow lane (randomized equivalence sweeps, full robustness and fault matrices, serving storms) =="
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q -m slow
 fi
 
-echo "== hot-path perf gate =="
+echo "== perf gate =="
 scripts/bench_speed.sh

@@ -2,9 +2,9 @@
 
 The process-layer mirror of :data:`repro.datasets.scenarios.SCENARIOS`:
 each entry is a frozen :class:`~repro.faults.injector.FaultPlan` whose
-schedule is a pure function of (plan, run length), so the recovery grid
-(`benchmarks/bench_faults.py`) runs the same failure at the same frame on
-every machine.
+schedule is a pure function of (plan, run length), so the recovery
+matrix (``tests/test_faults.py``, full plan x system grid under
+``-m slow``) runs the same failure at the same frame on every machine.
 
 Budgeting convention: every *transient* plan keeps
 ``plan.max_total_fires <= 3`` — the default per-frame

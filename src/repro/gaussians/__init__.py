@@ -38,9 +38,6 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
   accumulates only the depth / projected-mean sums the pose reads; its
   result is bit-identical to ``render_backward(...,
   compute_pose_gradient=True)[1]``.
-* ``dtype=np.float32`` runs the bucketed forward in single precision
-  (~1e-4 image error, roughly half the time and memory).  The reference
-  backend always computes in float64.
 * Tile assignment is one exact sparse engine (no mode knobs).
   Opacity-aware splat radii plus a conic-vs-tile test drop every
   (tile, Gaussian) pair whose alpha is provably below ``ALPHA_MIN``

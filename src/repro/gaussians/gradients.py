@@ -325,9 +325,9 @@ def _accumulate_bucketed(
         or cache.height != height
         or cache.width != width
     ):
-        # No (valid) retained intermediates: rebuild them once, bucketed, in
-        # the dtype the forward render used so gradients do not depend on
-        # whether the cache was hit or rebuilt.
+        # No (valid) retained intermediates: rebuild them once, bucketed.
+        # The rebuild runs the same float64 kernels as the forward render,
+        # so gradients do not depend on whether the cache was hit.
         perf.count("raster.backward_cache_builds")
         with perf.section("raster/backward_cache_build"):
             cache = build_forward_cache(
@@ -337,7 +337,6 @@ def _accumulate_bucketed(
                 model.alphas,
                 height,
                 width,
-                dtype=result.color.dtype,
             )
     else:
         perf.count("raster.backward_cache_hits")

@@ -145,9 +145,8 @@ class ForwardCache:
     ``generation`` is bumped on every populate and stamped onto the
     :class:`RasterizationResult`, and the backward pass rebuilds the
     intermediates when the stamps (or the image shape) disagree rather
-    than silently reading overwritten buffers.  Intermediates are stored
-    in the forward compute dtype, so the fused backward is bit-for-bit
-    independent of caching.
+    than silently reading overwritten buffers.  The fused backward is
+    bit-for-bit independent of whether the cache was hit or rebuilt.
     """
 
     def __init__(self, pool: ScratchPool | None = None) -> None:
@@ -155,15 +154,13 @@ class ForwardCache:
         self.chunks: list[_CachedChunk] = []
         self.height = 0
         self.width = 0
-        self.dtype: np.dtype | None = None
         self.generation = 0
 
-    def begin(self, height: int, width: int, dtype: np.dtype) -> None:
+    def begin(self, height: int, width: int) -> None:
         """Start a new populate: invalidate previous contents."""
         self.chunks.clear()
         self.height = int(height)
         self.width = int(width)
-        self.dtype = np.dtype(dtype)
         self.generation += 1
 
     def __len__(self) -> int:
@@ -374,7 +371,6 @@ def _render_bucketed(
     opacities_sigmoid: np.ndarray,
     height: int,
     width: int,
-    dtype: np.dtype,
     record_workloads: bool = False,
     record_contributions: bool = False,
     contribution_threshold: float = ALPHA_MIN,
@@ -407,25 +403,25 @@ def _render_bucketed(
     color = depth = silhouette = final_t = None
     color_flat = depth_flat = silhouette_flat = final_t_flat = None
     if write_images:
-        color = np.zeros((height, width, 3), dtype=dtype)
-        depth = np.zeros((height, width), dtype=dtype)
-        silhouette = np.zeros((height, width), dtype=dtype)
-        final_t = np.ones((height, width), dtype=dtype)
+        color = np.zeros((height, width, 3))
+        depth = np.zeros((height, width))
+        silhouette = np.zeros((height, width))
+        final_t = np.ones((height, width))
         color_flat = color.reshape(-1, 3)
         depth_flat = depth.reshape(-1)
         silhouette_flat = silhouette.reshape(-1)
         final_t_flat = final_t.reshape(-1)
 
     # Per-Gaussian quantities gathered once per frame, flat and contiguous
-    # in the rendering dtype (per-bucket work then only fancy-indexes them).
-    means_x = np.ascontiguousarray(projection.means2d[:, 0], dtype=dtype)
-    means_y = np.ascontiguousarray(projection.means2d[:, 1], dtype=dtype)
-    conic00 = np.ascontiguousarray(projection.conics[:, 0, 0], dtype=dtype)
-    conic01 = np.ascontiguousarray(projection.conics[:, 0, 1], dtype=dtype)
-    conic11 = np.ascontiguousarray(projection.conics[:, 1, 1], dtype=dtype)
-    g_colors_all = np.ascontiguousarray(colors, dtype=dtype)
-    g_depths_all = np.ascontiguousarray(projection.depths, dtype=dtype)
-    g_opac_all = np.ascontiguousarray(opacities_sigmoid, dtype=dtype)
+    # in float64 (per-bucket work then only fancy-indexes them).
+    means_x = np.ascontiguousarray(projection.means2d[:, 0], dtype=np.float64)
+    means_y = np.ascontiguousarray(projection.means2d[:, 1], dtype=np.float64)
+    conic00 = np.ascontiguousarray(projection.conics[:, 0, 0], dtype=np.float64)
+    conic01 = np.ascontiguousarray(projection.conics[:, 0, 1], dtype=np.float64)
+    conic11 = np.ascontiguousarray(projection.conics[:, 1, 1], dtype=np.float64)
+    g_colors_all = np.ascontiguousarray(colors, dtype=np.float64)
+    g_depths_all = np.ascontiguousarray(projection.depths, dtype=np.float64)
+    g_opac_all = np.ascontiguousarray(opacities_sigmoid, dtype=np.float64)
 
     # Contribution statistics stay zero-filled unless requested.
     max_alpha = np.zeros(count)
@@ -436,14 +432,14 @@ def _render_bucketed(
         pairs_blended = np.zeros(num_tiles_total, dtype=np.int64)
         tile_lengths = np.zeros(num_tiles_total, dtype=np.int64)
         per_pixel_counts: dict[int, np.ndarray] = {}
-    thresh = dtype.type(contribution_threshold)
+    thresh = np.float64(contribution_threshold)
 
     if cache is not None:
-        cache.begin(height, width, dtype)
+        cache.begin(height, width)
         pool = cache.pool
     else:
         pool = ScratchPool()
-    eps = dtype.type(TRANSMITTANCE_EPS)
+    eps = np.float64(TRANSMITTANCE_EPS)
 
     chunk_index = 0
     for (tile_w, tile_h, padded), tables in _bucket_tables(tile_grid).items():
@@ -456,9 +452,9 @@ def _render_bucketed(
 
             ids = np.zeros((num_tiles, padded), dtype=np.int64)
             if cache is not None:
-                opac = np.zeros((num_tiles, padded), dtype=dtype)
+                opac = np.zeros((num_tiles, padded))
             else:
-                opac = pool.take("opac", (num_tiles, padded), dtype)
+                opac = pool.take("opac", (num_tiles, padded))
                 opac[:] = 0.0  # zero-opacity padding: exact no-op entries
             lengths = np.empty(num_tiles, dtype=np.int64)
             tile_indices = np.empty(num_tiles, dtype=np.int64)
@@ -479,8 +475,8 @@ def _render_bucketed(
                 iv[slot, : len(table_ids)] = table.intervals
 
             # Pixel centers (tiles, pixels) and flat image indices.
-            px = (origin_x[:, None] + col_off[None, :] + 0.5).astype(dtype)
-            py = (origin_y[:, None] + row_off[None, :] + 0.5).astype(dtype)
+            px = origin_x[:, None] + col_off[None, :] + 0.5
+            py = origin_y[:, None] + row_off[None, :] + 0.5
             flat_index = ((origin_y[:, None] + row_off[None, :]) * width
                           + origin_x[:, None] + col_off[None, :]).reshape(-1)
 
@@ -520,76 +516,76 @@ def _render_bucketed(
                 if cache is not None:
                     # Retained compressed for the fused backward pass
                     # (``dy`` at segment granularity).
-                    e_dx = pool.take(f"cache.dx.{chunk_index}", sshape, dtype)
-                    e_dy = pool.take(f"cache.dy.{chunk_index}", (num_segments,), dtype)
+                    e_dx = pool.take(f"cache.dx.{chunk_index}", sshape)
+                    e_dy = pool.take(f"cache.dy.{chunk_index}", (num_segments,))
                 else:
-                    e_dx = pool.take("entry.dx", sshape, dtype)
-                    e_dy = pool.take("entry.dy", (num_segments,), dtype)
-                e_power = pool.take("entry.power", sshape, dtype)
-                e_cross = pool.take("entry.cross", sshape, dtype)
+                    e_dx = pool.take("entry.dx", sshape)
+                    e_dy = pool.take("entry.dy", (num_segments,))
+                e_power = pool.take("entry.power", sshape)
+                e_cross = pool.take("entry.cross", sshape)
                 cols = np.arange(tile_w, dtype=np.int64)
                 np.subtract(
-                    (origin_x[tile_slot][:, None] + cols[None, :] + 0.5).astype(dtype),
+                    origin_x[tile_slot][:, None] + cols[None, :] + 0.5,
                     means_x[gids][:, None],
                     out=e_dx,
                 )
                 np.subtract(
-                    (origin_y[tile_slot] + seg_row + 0.5).astype(dtype),
+                    origin_y[tile_slot] + seg_row + 0.5,
                     means_y[gids],
                     out=e_dy,
                 )
                 np.multiply(e_dx, e_dx, out=e_power)
                 np.multiply(conic00[gids][:, None], e_power, out=e_power)
-                np.multiply((dtype.type(2.0) * conic01[gids])[:, None], e_dx, out=e_cross)
+                np.multiply((np.float64(2.0) * conic01[gids])[:, None], e_dx, out=e_cross)
                 np.multiply(e_cross, e_dy[:, None], out=e_cross)
                 np.add(e_power, e_cross, out=e_power)
                 seg_cross = e_dy * e_dy
                 np.multiply(conic11[gids], seg_cross, out=seg_cross)
                 np.add(e_power, seg_cross[:, None], out=e_power)
-                np.multiply(e_power, dtype.type(-0.5), out=e_power)
-                np.minimum(e_power, dtype.type(0.0), out=e_power)
+                np.multiply(e_power, np.float64(-0.5), out=e_power)
+                np.minimum(e_power, np.float64(0.0), out=e_power)
                 e_alpha = np.exp(e_power, out=e_power)
                 np.multiply(opac.reshape(-1)[seg_tg][:, None], e_alpha, out=e_alpha)
 
                 e_clamped = None
                 if cache is not None:
                     e_clamped = pool.take("entry.clamped", sshape, np.bool_)
-                    np.greater(e_alpha, dtype.type(ALPHA_MAX), out=e_clamped)
-                np.minimum(e_alpha, dtype.type(ALPHA_MAX), out=e_alpha)
-                e_alpha[e_alpha < dtype.type(ALPHA_MIN)] = 0.0
+                    np.greater(e_alpha, np.float64(ALPHA_MAX), out=e_clamped)
+                np.minimum(e_alpha, np.float64(ALPHA_MAX), out=e_alpha)
+                e_alpha[e_alpha < np.float64(ALPHA_MIN)] = 0.0
 
                 # Scatter into the dense lattice; inactive entries are an
                 # exact zero in the dense path too, since the intervals are
                 # conservative supersets of the alpha >= ALPHA_MIN support.
                 if cache is not None:
-                    alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
-                    t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
+                    alpha = pool.take(f"cache.alpha.{chunk_index}", shape)
+                    t_before = pool.take(f"cache.t_before.{chunk_index}", shape)
                     clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                    weights_out = pool.take(f"cache.weights.{chunk_index}", shape, dtype)
+                    weights_out = pool.take(f"cache.weights.{chunk_index}", shape)
                 else:
-                    alpha = pool.take("power", shape, dtype)
-                    t_before = pool.take("t_before", shape, dtype)
+                    alpha = pool.take("power", shape)
+                    t_before = pool.take("t_before", shape)
                     clamped = None
-                    weights_out = pool.take("cross", shape, dtype)
+                    weights_out = pool.take("cross", shape)
                 alpha[...] = 0.0
                 alpha.reshape(-1)[active] = e_alpha
                 if clamped is not None:
                     clamped[...] = False
                     clamped.reshape(-1)[active] = e_clamped
-                one_minus_out = pool.take("one_minus", shape, dtype)
+                one_minus_out = pool.take("one_minus", shape)
                 dx = dy = None
             else:
                 if cache is not None:
                     # The pixel offsets are retained for the fused backward
                     # pass (dpower/dmean and dpower/dconic both need them),
                     # so the backward skips recomputing them per chunk.
-                    dx = pool.take(f"cache.dx.{chunk_index}", shape, dtype)
-                    dy = pool.take(f"cache.dy.{chunk_index}", shape, dtype)
+                    dx = pool.take(f"cache.dx.{chunk_index}", shape)
+                    dy = pool.take(f"cache.dy.{chunk_index}", shape)
                 else:
-                    dx = pool.take("dx", shape, dtype)
-                    dy = pool.take("dy", shape, dtype)
-                power = pool.take("power", shape, dtype)
-                cross = pool.take("cross", shape, dtype)
+                    dx = pool.take("dx", shape)
+                    dy = pool.take("dy", shape)
+                power = pool.take("power", shape)
+                cross = pool.take("cross", shape)
                 np.subtract(px[:, :, None], means_x[ids][:, None, :], out=dx)
                 np.subtract(py[:, :, None], means_y[ids][:, None, :], out=dy)
 
@@ -597,36 +593,36 @@ def _render_bucketed(
                 # with the same association order as tile_forward.
                 np.multiply(dx, dx, out=power)
                 np.multiply(conic00[ids][:, None, :], power, out=power)
-                np.multiply(dtype.type(2.0) * conic01[ids][:, None, :], dx, out=cross)
+                np.multiply(np.float64(2.0) * conic01[ids][:, None, :], dx, out=cross)
                 np.multiply(cross, dy, out=cross)
                 np.add(power, cross, out=power)
                 np.multiply(dy, dy, out=cross)
                 np.multiply(conic11[ids][:, None, :], cross, out=cross)
                 np.add(power, cross, out=power)
-                np.multiply(power, dtype.type(-0.5), out=power)
-                np.minimum(power, dtype.type(0.0), out=power)
+                np.multiply(power, np.float64(-0.5), out=power)
+                np.minimum(power, np.float64(0.0), out=power)
 
                 if cache is not None:
-                    alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
+                    alpha = pool.take(f"cache.alpha.{chunk_index}", shape)
                     np.exp(power, out=alpha)
-                    t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
+                    t_before = pool.take(f"cache.t_before.{chunk_index}", shape)
                     clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                    weights_out = pool.take(f"cache.weights.{chunk_index}", shape, dtype)
+                    weights_out = pool.take(f"cache.weights.{chunk_index}", shape)
                 else:
                     alpha = np.exp(power, out=power)
-                    t_before = pool.take("t_before", shape, dtype)
+                    t_before = pool.take("t_before", shape)
                     clamped = None
                     weights_out = dy
                 np.multiply(opac[:, None, :], alpha, out=alpha)
                 if clamped is not None:
-                    np.greater(alpha, dtype.type(ALPHA_MAX), out=clamped)
-                np.minimum(alpha, dtype.type(ALPHA_MAX), out=alpha)
-                alpha[alpha < dtype.type(ALPHA_MIN)] = 0.0
+                    np.greater(alpha, np.float64(ALPHA_MAX), out=clamped)
+                np.minimum(alpha, np.float64(ALPHA_MAX), out=alpha)
+                alpha[alpha < np.float64(ALPHA_MIN)] = 0.0
                 one_minus_out = (
-                    pool.take("one_minus", shape, dtype) if cache is not None else dx
+                    pool.take("one_minus", shape) if cache is not None else dx
                 )
 
-            one_minus = np.subtract(dtype.type(1.0), alpha, out=one_minus_out)
+            one_minus = np.subtract(np.float64(1.0), alpha, out=one_minus_out)
             np.cumprod(one_minus, axis=2, out=t_before)
             t_before[:, :, 1:] = t_before[:, :, :-1]
             t_before[:, :, 0] = 1.0
@@ -642,16 +638,16 @@ def _render_bucketed(
                 # output, so exact-zero (culled) entries drop out of the
                 # sums without perturbing a bit — the invariant the pair-
                 # culling exactness tests pin down.
-                gpar = pool.take("gpar", (num_tiles, padded, 5), dtype)
+                gpar = pool.take("gpar", (num_tiles, padded, 5))
                 gpar[:, :, :3] = g_colors_all[ids]
                 gpar[:, :, 3] = g_depths_all[ids]
                 gpar[:, :, 4] = 1.0
-                composite = pool.take("composite", (num_tiles, num_pixels, 5), dtype)
+                composite = pool.take("composite", (num_tiles, num_pixels, 5))
                 np.matmul(weights, gpar, out=composite)
                 color_flat[flat_index] = composite[:, :, :3].reshape(-1, 3)
                 depth_flat[flat_index] = composite[:, :, 3].reshape(-1)
                 silhouette_flat[flat_index] = composite[:, :, 4].reshape(-1)
-                np.subtract(dtype.type(1.0), alpha, out=one_minus)
+                np.subtract(np.float64(1.0), alpha, out=one_minus)
                 final_t_flat[flat_index] = np.prod(one_minus, axis=2).reshape(-1)
 
             if record_contributions:
@@ -660,9 +656,7 @@ def _render_bucketed(
                 # restricted to the real (unpadded) table entries.
                 real = np.arange(padded)[None, :] < lengths[:, None]
                 real_ids = ids[real]
-                np.maximum.at(
-                    max_alpha, real_ids, alpha.max(axis=1)[real].astype(np.float64)
-                )
+                np.maximum.at(max_alpha, real_ids, alpha.max(axis=1)[real])
                 noncontrib_tile = (weights < thresh).sum(axis=1)
                 scatter_add(noncontrib, real_ids, noncontrib_tile[real])
                 scatter_add(touched, real_ids, num_pixels)
@@ -752,7 +746,6 @@ def build_forward_cache(
     opacities_sigmoid: np.ndarray,
     height: int,
     width: int,
-    dtype=np.float64,
     cache: ForwardCache | None = None,
 ) -> ForwardCache:
     """Populate a :class:`ForwardCache` without compositing any images.
@@ -770,7 +763,6 @@ def build_forward_cache(
         opacities_sigmoid,
         height,
         width,
-        np.dtype(dtype),
         cache=cache,
         write_images=False,
     )
@@ -809,7 +801,6 @@ def render(
     projection: ProjectionResult | None = None,
     tile_grid: TileGrid | None = None,
     record_contributions: bool = True,
-    dtype=None,
     backend: str | None = None,
     cache: ForwardCache | None = None,
     perf=None,
@@ -833,10 +824,6 @@ def render(
             backends honour it independently of ``record_workloads``: when
             False the three arrays come back zero-filled.  Only AGS's
             key-frame mapping reads them.
-        dtype: floating dtype of the bucketed backend (default float64);
-            ``np.float32`` roughly halves time and memory at ~1e-4 image
-            error (statistics counts may shift at threshold boundaries in
-            float32).  The reference backend always computes in float64.
         backend: ``"bucketed"`` (default) or ``"reference"`` — the
             original per-tile loop kept as the executable specification.
         cache: optional :class:`ForwardCache` to fill with the blending
@@ -879,7 +866,6 @@ def render(
             opac,
             height,
             width,
-            np.dtype(np.float64 if dtype is None else dtype),
             record_workloads=record_workloads,
             record_contributions=record_contributions,
             contribution_threshold=contribution_threshold,

@@ -18,11 +18,11 @@ stated against:
 * a torn upload is followed by a proper re-send of the same frame — so
   a correct server answers 400 to the torn half (nothing half-ingested)
   and 200 to the re-send, and the session stream stays gapless;
-* per-admitted-POST latencies are recorded per client, giving the
-  benchmark its bounded-p95 gate.
+* per-admitted-POST latencies are recorded per client.
 
-``benchmarks/bench_overload.py`` gates on the report; the CI smoke runs
-one storm client against a one-slot server.
+``tests/test_overload.py`` asserts on the report: a 3-client storm
+against a one-slot budget in tier-1, and 8 clients against two slots on
+two shards under ``-m slow``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ the two mechanisms that bound that footprint:
   process sharing the parking root — is *bit-exact*: the resumed stream
   reproduces the uninterrupted run bit-for-bit (PR 3's checkpoint
   invariant, property-tested per system in ``tests/test_serve.py``).
-  Resuming garbage-collects the parked generations by default so
-  parking storage stays bounded; ``keep_parked=True`` retains them.
+  Resuming garbage-collects the parked generations so parking storage
+  stays bounded.
 * :class:`SessionRegistry` — a bounded, thread-safe registry of live
   sessions keyed by session id.  When the number of live sessions
   exceeds ``max_live``, the least-recently-touched unpinned session is
@@ -116,10 +116,9 @@ class ParkingLot:
     atomic ``state.bin`` + ``manifest.json`` checkpoint format (v3);
     repeated parks of one name append generations.  :meth:`resume` loads
     the newest generation that passes integrity (a corrupt newest
-    generation is skipped in favour of the next-older one) and then —
-    unless ``keep_parked`` — deletes the name's parking directory, so
-    parking storage is bounded by the *live* parked population, not its
-    history.  The lot is the one owner of durable session state: the
+    generation is skipped in favour of the next-older one) and then
+    deletes the name's parking directory, so parking storage is bounded
+    by the *live* parked population, not its history.  The lot is the one owner of durable session state: the
     registry parks through it, and so does any caller that checkpoints a
     session to disk by name.
 
@@ -139,9 +138,8 @@ class ParkingLot:
     _LOCKS_GUARD = threading.Lock()
     _LOCKS: dict = {}
 
-    def __init__(self, root, keep_parked: bool = False) -> None:
+    def __init__(self, root) -> None:
         self.root = pathlib.Path(root)
-        self.keep_parked = keep_parked
 
     def _name_lock(self, name: str) -> threading.RLock:
         key = (os.path.abspath(self.root), name)
@@ -189,8 +187,7 @@ class ParkingLot:
         Corrupt generations (torn writes, bit rot) are skipped newest to
         oldest; if none survives, :class:`CheckpointCorruptError`
         propagates.  An unknown name raises :class:`KeyError`.  On
-        success the name's parking directory is deleted unless the lot
-        was built with ``keep_parked=True``.
+        success the name's parking directory is deleted.
         """
         with self._name_lock(name):
             generations = self.generations(name)
@@ -207,8 +204,7 @@ class ParkingLot:
                 raise CheckpointCorruptError(
                     f"every parked generation of {name!r} is corrupt"
                 ) from error
-            if not self.keep_parked:
-                self.discard(name)
+            self.discard(name)
             return state
 
     def discard(self, name: str) -> None:
@@ -266,8 +262,6 @@ class SessionRegistry:
         perf: recorder for the ``serve.sessions_parked`` /
             ``serve.sessions_resumed`` counters (default: the
             process-wide recorder).
-        keep_parked: retain parked generations after resuming (default
-            deletes them, bounding parking storage).
     """
 
     def __init__(
@@ -275,7 +269,6 @@ class SessionRegistry:
         max_live: int = 8,
         park_root=None,
         perf: PerfRecorder | None = None,
-        keep_parked: bool = False,
         max_live_gaussians: int | None = None,
         max_live_bytes: int | None = None,
     ) -> None:
@@ -292,7 +285,7 @@ class SessionRegistry:
         if park_root is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-serve-park-")
             park_root = self._tmp.name
-        self.lot = ParkingLot(park_root, keep_parked=keep_parked)
+        self.lot = ParkingLot(park_root)
         self.perf = perf or global_recorder()
         self._entries: dict[str, _SessionEntry] = {}
         # Live LRU order only; parked entries stay in _entries with

@@ -49,7 +49,6 @@ class ShardedRegistry:
         max_live: int = 8,
         park_root=None,
         perf: PerfRecorder | None = None,
-        keep_parked: bool = False,
         max_live_gaussians: int | None = None,
         max_live_bytes: int | None = None,
     ) -> None:
@@ -62,7 +61,6 @@ class ShardedRegistry:
             max_live=max_live,
             park_root=park_root,
             perf=perf,
-            keep_parked=keep_parked,
             max_live_gaussians=max_live_gaussians,
             max_live_bytes=max_live_bytes,
         )
@@ -71,7 +69,6 @@ class ShardedRegistry:
                 max_live=max_live,
                 park_root=first.lot.root,
                 perf=perf,
-                keep_parked=keep_parked,
                 max_live_gaussians=max_live_gaussians,
                 max_live_bytes=max_live_bytes,
             )

@@ -195,27 +195,6 @@ def test_backward_perf_counters():
     assert perf.counters.as_dict()["raster.backward_cache_builds"] == 1
 
 
-def test_float32_forward_rebuild_matches_cache_hit():
-    """Gradients must not depend on whether the float32 cache was hit or rebuilt."""
-    model, camera = _scene(seed=3)
-    cache = ForwardCache()
-    fused = render(
-        model, camera, record_workloads=False, record_contributions=False,
-        dtype=np.float32, cache=cache,
-    )
-    plain = render(
-        model, camera, record_workloads=False, record_contributions=False, dtype=np.float32
-    )
-    grads = _image_grads(fused)
-    from_cache = render_backward(
-        model, camera, fused, grads[0], grads[1], compute_pose_gradient=True
-    )
-    rebuilt = render_backward(
-        model, camera, plain, grads[0], grads[1], compute_pose_gradient=True
-    )
-    _assert_grads_match(from_cache, rebuilt, tol=dict(rtol=0, atol=0))
-
-
 # ----------------------------------------------------------------------
 # Pose-only backward (the tracker's entry point)
 # ----------------------------------------------------------------------

@@ -74,6 +74,26 @@ def assert_results_identical(a, b):
         assert fa.num_gaussians == fb.num_gaussians
 
 
+def _sync_feed(intrinsics, frames):
+    """The synchronous ORB-lite feed every served stream is compared to."""
+    reference = build_session("orb", intrinsics, **CHEAP)
+    reference.begin("cam")
+    for frame in frames:
+        reference.feed(frame)
+    return reference.finalize()
+
+
+def assert_payload_matches(payload, expected):
+    """A served JSON result vs an in-process result, bit-exactly."""
+    assert payload["num_frames"] == len(expected.frames)
+    for got, ref in zip(payload["frames"], expected.frames):
+        assert got["frame_index"] == ref.frame_index
+        assert got["estimated_pose"] == ref.estimated_pose.as_vector().tolist()
+        assert got["tracking_loss"] == ref.tracking_loss
+        assert got["mapping_loss"] == ref.mapping_loss
+        assert got["num_gaussians"] == ref.num_gaussians
+
+
 # ---------------------------------------------------------------------------
 # TokenBucket / AdmissionController
 # ---------------------------------------------------------------------------
@@ -255,14 +275,8 @@ def test_graceful_drain_parks_sessions_bit_exactly(tmp_path, tiny_sequence):
         for index in range(3, 6):
             client.post_frame("cam", tiny_sequence[index])
         served = client.result("cam")
-    reference = build_session("orb", tiny_sequence.intrinsics, **CHEAP)
-    reference.begin("cam")
-    for index in range(6):
-        reference.feed(tiny_sequence[index])
-    expected = reference.finalize()
-    assert served["num_frames"] == 6
-    for frame, ref in zip(served["frames"], expected.frames):
-        assert frame["estimated_pose"] == ref.estimated_pose.as_vector().tolist()
+    frames = [tiny_sequence[index] for index in range(6)]
+    assert_payload_matches(served, _sync_feed(tiny_sequence.intrinsics, frames))
 
 
 def test_draining_server_answers_503(tiny_sequence):
@@ -306,17 +320,12 @@ def test_disarmed_server_is_bit_identical_to_sync(tiny_sequence):
     with SlamServer(num_shards=2, pool_workers=2) as server:
         client = SlamClient(server.address)
         client.create_session("cam", "orb", 64, 48, **CHEAP)
-        for index in range(4):
-            client.post_frame("cam", tiny_sequence[index])
+        frames = [tiny_sequence[index] for index in range(4)]
+        for frame in frames:
+            client.post_frame("cam", frame)
         served = client.result("cam")
-    reference = build_session("orb", tiny_sequence.intrinsics, **CHEAP)
-    reference.begin("cam")
-    for index in range(4):
-        reference.feed(tiny_sequence[index])
-    expected = reference.finalize()
-    for frame, ref in zip(served["frames"], expected.frames):
-        assert frame["estimated_pose"] == ref.estimated_pose.as_vector().tolist()
-        assert frame["tracking_loss"] == ref.tracking_loss
+        assert client.healthz()["admission"] is None  # the machinery is off
+    assert_payload_matches(served, _sync_feed(tiny_sequence.intrinsics, frames))
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +418,44 @@ def test_registry_budget_validation():
 # ---------------------------------------------------------------------------
 # Chaos: over-capacity storms survive with nothing lost
 # ---------------------------------------------------------------------------
-def test_storm_over_capacity_never_loses_admitted_frames(tiny_sequence):
-    frames = [tiny_sequence[i] for i in range(3)]
-    admission = AdmissionController(max_in_flight=1)
+def _storm(tiny_sequence, num_clients, max_in_flight, num_shards, pool_workers, num_frames):
+    """Over-capacity chaos clients: loud sheds, nothing lost, exact streams."""
+    frames = [tiny_sequence[i] for i in range(num_frames)]
+    admission = AdmissionController(max_in_flight=max_in_flight)
     with SlamServer(
-        num_shards=1, max_live=2, pool_workers=1, admission=admission
+        num_shards=num_shards, max_live=2, pool_workers=pool_workers, admission=admission
     ) as server:
         report = run_storm(
             server.address,
             frames,
-            num_clients=3,  # 3x the in-flight budget
+            num_clients=num_clients,
             algorithm="orb",
             session_spec=CHEAP,
             plan=get_serving_fault_plan("serve-chaos"),
         )
-        assert [c.error for c in report.clients] == [None, None, None]
-        assert len(report.survivors) == 3
+        assert [c.error for c in report.clients] == [None] * num_clients
+        assert len(report.survivors) == num_clients
         assert report.total_sheds > 0  # the storm really overloaded it
-        # Every admitted frame landed exactly once, in order.
+        # Overload slows admitted posts down (back-off); it never wedges
+        # them.  SlamClient's 60 s socket timeout would surface as an error.
+        assert max(report.admitted_latencies()) < 60.0
+        # Every admitted frame landed exactly once, in order, and every
+        # stream is bit-identical to a synchronous feed.
+        expected = _sync_feed(tiny_sequence.intrinsics, frames)
         for client_report in report.clients:
-            assert client_report.result["num_frames"] == len(frames)
-            indices = [f["frame_index"] for f in client_report.result["frames"]]
-            assert indices == list(range(len(frames)))
+            assert_payload_matches(client_report.result, expected)
         health = SlamClient(server.address).healthz()
         assert health["admission"]["in_flight"] == 0  # every slot returned
+
+
+def test_storm_over_capacity_never_loses_admitted_frames(tiny_sequence):
+    _storm(  # 3x the in-flight budget
+        tiny_sequence, num_clients=3, max_in_flight=1, num_shards=1, pool_workers=1, num_frames=3
+    )
+
+
+@pytest.mark.slow
+def test_storm_four_times_over_capacity_on_two_shards(tiny_sequence):
+    _storm(  # the two shards also churn the parking lot (max_live=2 each)
+        tiny_sequence, num_clients=8, max_in_flight=2, num_shards=2, pool_workers=2, num_frames=6
+    )

@@ -2,9 +2,11 @@
 
 Covers the monitor's unit behavior (baseline arming, assessment
 reasons, ladder accept/reject rules, checkpoint round-trip), the two
-system-level invariants the PR guarantees — clean-stream neutrality and
-degraded-stream improvement — and, under ``-m slow``, the full
-robustness matrix the ``BENCH_robustness.json`` trajectory records.
+system-level invariants — clean-stream neutrality for every monitored
+system and degraded-stream improvement — and, under ``-m slow``, the full
+robustness matrix: every degraded scenario on every system, with the
+fallback ladder beating its disarmed arm on at least two scenarios for
+both SplaTAM and AGS.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from repro.datasets.scenarios import apply_scenario
 from repro.gaussians import Pose
 from repro.perf import PerfRecorder
 from repro.slam import (
+    GaussianSlam,
+    GaussianSlamConfig,
     HealthConfig,
     SplaTam,
     SplaTamConfig,
@@ -239,6 +243,11 @@ def _make_system(name, intrinsics, enabled):
             intrinsics,
             SplaTamConfig(tracking_iterations=5, mapping_iterations=3, health=health),
         )
+    if name == "gaussian-slam":
+        return GaussianSlam(
+            intrinsics,
+            GaussianSlamConfig(tracking_iterations=5, mapping_iterations=3, health=health),
+        )
     return AgsSlam(
         intrinsics,
         AGSConfig(iter_t=2, baseline_tracking_iterations=5),
@@ -247,9 +256,12 @@ def _make_system(name, intrinsics, enabled):
     )
 
 
-@pytest.mark.parametrize("name", ["splatam", "ags"])
+@pytest.mark.parametrize("name", ["splatam", "gaussian-slam", "ags"])
 def test_clean_stream_with_monitor_is_bit_identical(name, tiny_sequence):
-    """Armed vs disarmed monitor on the clean stream: same trajectory."""
+    """Armed vs disarmed monitor on the clean stream: same trajectory.
+
+    Covers every system with a tracking-health monitor.
+    """
     armed = _make_system(name, tiny_sequence.intrinsics, True).run(
         tiny_sequence, num_frames=5
     )
@@ -267,9 +279,8 @@ def test_fallback_ladder_recovers_ags_on_stress():
 
     AGS's coarse tracker diverges at the fault onset; the monitor's
     pose-jump detection catches it and the re-seed retry recovers.  The
-    budgets match the robustness grid (BENCH_robustness.json), where the
-    same property is recorded for both AGS and SplaTAM on two scenarios
-    each.
+    budgets match the robustness grid, where the slow lane asserts the
+    same property for both AGS and SplaTAM on two scenarios each.
     """
     sequence = load_sequence("desk", num_frames=10)
     degraded = apply_scenario(sequence, "stress")
@@ -294,7 +305,7 @@ def test_fallback_ladder_recovers_ags_on_stress():
 
 
 # ---------------------------------------------------------------------------
-# Full robustness matrix (slow lane; mirrors BENCH_robustness.json)
+# Full robustness matrix (slow lane)
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_full_robustness_matrix_targets():

@@ -103,48 +103,37 @@ def test_lru_map_pop_and_trim():
 # ---------------------------------------------------------------------------
 # ParkingLot
 # ---------------------------------------------------------------------------
+def _park_two_generations(lot, name, sequence):
+    """Park ``name`` after frame 0 and again after frame 1."""
+    system = OrbLiteSlam(sequence.intrinsics)
+    system.begin(sequence.name)
+    system.feed(sequence[0], index=0)
+    oldest = lot.park(name, system.state())
+    system.feed(sequence[1], index=1)
+    return oldest, lot.park(name, system.state())
+
+
 def test_parking_lot_generations_and_gc(tmp_path, tiny_sequence):
     lot = ParkingLot(tmp_path)
-    system = OrbLiteSlam(tiny_sequence.intrinsics)
-    system.begin(tiny_sequence.name)
-    system.feed(tiny_sequence[0], index=0)
-    first = lot.park("cam", system.state())
-    system.feed(tiny_sequence[1], index=1)
-    second = lot.park("cam", system.state())
+    first, second = _park_two_generations(lot, "cam", tiny_sequence)
     assert [p.name for p in lot.generations("cam")] == ["gen-00000", "gen-00001"]
     assert first.name == "gen-00000" and second.name == "gen-00001"
 
     state = lot.resume("cam")
     assert state.next_index == 2  # newest generation wins
-    assert not lot.has("cam")  # resume GCs the parking by default
+    assert not lot.has("cam")  # resume GCs the parking
     with pytest.raises(KeyError):
         lot.resume("cam")
 
 
-def test_parking_lot_keep_parked_retains_generations(tmp_path, tiny_sequence):
-    lot = ParkingLot(tmp_path, keep_parked=True)
-    system = OrbLiteSlam(tiny_sequence.intrinsics)
-    system.begin(tiny_sequence.name)
-    system.feed(tiny_sequence[0], index=0)
-    lot.park("cam", system.state())
-    assert lot.resume("cam").next_index == 1
-    assert lot.resume("cam").next_index == 1  # still parked: resumable again
-    assert [p.name for p in lot.generations("cam")] == ["gen-00000"]
-    lot.discard("cam")
-    assert not (tmp_path / "cam").exists()
-
-
 def test_parking_lot_skips_corrupt_newest_generation(tmp_path, tiny_sequence):
-    lot = ParkingLot(tmp_path, keep_parked=True)
-    system = OrbLiteSlam(tiny_sequence.intrinsics)
-    system.begin(tiny_sequence.name)
-    system.feed(tiny_sequence[0], index=0)
-    lot.park("cam", system.state())
-    system.feed(tiny_sequence[1], index=1)
-    newest = lot.park("cam", system.state())
+    lot = ParkingLot(tmp_path)
+    _, newest = _park_two_generations(lot, "cam", tiny_sequence)
     (newest / CHECKPOINT_ARRAYS).write_bytes(b"torn")
     assert lot.resume("cam").next_index == 1  # fell back to gen-00000
-    (lot.generations("cam")[0] / CHECKPOINT_ARRAYS).write_bytes(b"torn")
+    oldest, newest = _park_two_generations(lot, "cam", tiny_sequence)
+    for generation in (oldest, newest):
+        (generation / CHECKPOINT_ARRAYS).write_bytes(b"torn")
     with pytest.raises(CheckpointCorruptError, match="every parked generation"):
         lot.resume("cam")
 
@@ -389,6 +378,42 @@ def test_async_results_stream_in_order(tiny_sequence):
     assert seen == list(range(NUM_FRAMES))
     handle.close()
     registry.shutdown()
+
+
+@pytest.mark.parametrize("num_streams", [4, pytest.param(16, marks=pytest.mark.slow)])
+def test_async_streams_under_parking_churn_are_bit_identical(tiny_sequence, num_streams):
+    """Async handles over one-slot shards sharing an ingest pool.
+
+    Round-robin submission keeps every shard's single live slot
+    contended, so sessions are parked and resumed mid-stream; every
+    stream still finishes bit-identical to a synchronous feed.
+    """
+    factory = _factory("orb", tiny_sequence.intrinsics)
+    reference = factory()
+    reference.begin(tiny_sequence.name)
+    for index in range(NUM_FRAMES):
+        reference.feed(tiny_sequence[index], index=index)
+    expected = reference.finalize()
+
+    registry = ShardedRegistry(num_shards=2, max_live=1)
+    served = []
+    with IngestPool(workers=2) as pool:
+        handles = []
+        for stream in range(num_streams):
+            session_id = f"cam-{stream:02d}"
+            registry.open(session_id, factory, sequence_name=session_id)
+            handles.append(AsyncSessionHandle(registry, session_id, pool=pool, queue_depth=2))
+        for index in range(NUM_FRAMES):
+            for handle in handles:
+                handle.submit(tiny_sequence[index])
+        for handle in handles:
+            served.append(handle.result())
+            handle.close()
+    stats = registry.stats()
+    registry.shutdown()
+    for result in served:
+        assert_results_identical(expected, result)
+    assert stats["parks"] >= 1 and stats["resumes"] >= 1
 
 
 # ---------------------------------------------------------------------------
