@@ -13,7 +13,7 @@ monitor armed and disarmed, and shows
     measurable win ``tests/test_robustness.py`` locks in.
 
 The same scenarios drive the full eval grid:
-``python -m repro.eval.robustness`` (or ``--smoke`` for the CI lane).
+``python -m repro.eval.robustness``.
 
 Run with:  python examples/adverse_stream_recovery.py
 """

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: repo hygiene, the tier-1 test suite, the robustness
-# smoke and the perf gate of the three timing benches (hot paths,
-# backward, sparse rasterizer).
+# CI entry point: repo hygiene, the tier-1 test suite and the perf gate
+# of the three timing benches (hot paths, backward, sparse rasterizer).
 #
 #   scripts/ci.sh          # hygiene + tier-1 tests + scripts/bench_speed.sh
 #   scripts/ci.sh --slow   # additionally run the weekly `pytest -m slow`
@@ -12,9 +11,10 @@
 # the previous BENCH_*.json files; on success it refreshes them and
 # prints the gated-timings comparison table.
 #
-# Fault recovery, serving under parking churn and overload storms are
-# checked by the tier-1 suite, e.g.
+# Fault recovery, the robustness grid, serving under parking churn and
+# overload storms are checked by the tier-1 suite, e.g.
 #   tests/test_faults.py::test_chaos_recovery_is_bit_identical
+#   tests/test_robustness.py::test_robustness_smoke_grid_fires_the_ladder
 #   tests/test_serve.py::test_async_streams_under_parking_churn_are_bit_identical
 #   tests/test_overload.py::test_storm_over_capacity_never_loses_admitted_frames
 
@@ -59,12 +59,6 @@ echo "no non-atomic BENCH_*.json writers"
 
 echo "== tier-1 test suite =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
-
-echo "== robustness smoke grid =="
-# One scenario, two systems, few frames: exercises the full scenario ->
-# health-monitor -> fallback-ablation path on every push.  The full
-# matrix runs in the slow lane (tests/test_robustness.py -m slow).
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.eval.robustness --smoke
 
 if [[ "$RUN_SLOW" == "1" ]]; then
     echo "== slow lane (randomized equivalence sweeps, full robustness and fault matrices, serving storms) =="

@@ -62,8 +62,10 @@ class StreamingEncoder:
         method: ``"full"`` or ``"diamond"`` block search.
         gop_length: distance between intra (key) frames; intra frames do
             not produce SAD metadata, matching real encoders.
-        backend: motion-estimation backend, ``"vectorized"`` (batched hot
-            path) or ``"reference"`` (scalar loop); results are identical.
+
+    Motion estimation runs on the vectorized backend;
+    :func:`~repro.codec.motion_estimation.motion_estimate`'s
+    ``backend="reference"`` is its executable specification.
     """
 
     # Bits-per-pixel constants of a crude rate model: intra frames cost a
@@ -77,13 +79,11 @@ class StreamingEncoder:
         search_range: int = 4,
         method: str = "full",
         gop_length: int = 0,
-        backend: str = "vectorized",
     ) -> None:
         self.block_size = block_size
         self.search_range = search_range
         self.method = method
         self.gop_length = gop_length
-        self.backend = backend
         self._previous_frame: np.ndarray | None = None
         self._frame_index = 0
         self.history: list[CodecFrameMetadata] = []
@@ -112,7 +112,6 @@ class StreamingEncoder:
                 block_size=self.block_size,
                 search_range=self.search_range,
                 method=self.method,
-                backend=self.backend,
             )
             bits = self._INTER_BITS_PER_SAD * motion.total_sad + 0.02 * gray_frame.size
 
@@ -142,7 +141,6 @@ class StreamingEncoder:
             block_size=self.block_size,
             search_range=self.search_range,
             method=self.method,
-            backend=self.backend,
         )
         bits = self._INTER_BITS_PER_SAD * motion.total_sad
         return CodecFrameMetadata(

@@ -203,7 +203,12 @@ def motion_estimate(
         search_range: maximum displacement searched in each direction.
         method: ``"full"`` or ``"diamond"``.
         backend: ``"vectorized"`` (batched hot path) or ``"reference"``
-            (scalar per-block loop).  Results are identical.
+            (scalar per-block loop).  Results are identical on finite
+            frames.  The vectorized backend assumes finite input: with a
+            NaN pixel its full search raises ``ValueError`` and its
+            diamond search can count different ``sad_evaluations`` than
+            the reference.  SLAM sessions refuse non-finite frames before
+            tracking (``SessionRunner.feed`` / ``feed_nowait``).
 
     Returns:
         A :class:`MotionEstimationResult` with per-block minimum SADs.

@@ -36,9 +36,6 @@ class CovisibilityConfig:
         block_size: macro-block edge length used by the CODEC.
         search_range: motion-estimation search range in pixels.
         method: block-matching search strategy (``"full"`` / ``"diamond"``).
-        backend: motion-estimation backend, ``"vectorized"`` (batched hot
-            path, default) or ``"reference"`` (scalar loop).  Both return
-            identical SADs, so covisibility values do not depend on it.
         sad_scale: per-pixel mean SAD (on the 0-255 luma scale) that maps
             to covisibility 0.  Consecutive SLAM frames produce per-pixel
             SADs far below 255, so normalizing by the full luma range would
@@ -50,7 +47,6 @@ class CovisibilityConfig:
     block_size: int = MACROBLOCK_SIZE
     search_range: int = 2
     method: str = "full"
-    backend: str = "vectorized"
     sad_scale: float = 40.0
 
 
@@ -92,7 +88,6 @@ class FrameCovisibilityDetector:
             block_size=self.config.block_size,
             search_range=self.config.search_range,
             method=self.config.method,
-            backend=self.config.backend,
         )
         self._previous_gray: np.ndarray | None = None
         self._previous_index: int | None = None

@@ -18,8 +18,6 @@ receives both workloads in the trace.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.core.config import AGSConfig
@@ -29,32 +27,14 @@ from repro.core.tracking import MovementAdaptiveTracker
 from repro.gaussians.camera import Intrinsics
 from repro.gaussians.model import GaussianModel
 from repro.perf import PerfRecorder
-from repro.slam.health import HealthConfig, TrackingHealthMonitor
+from repro.slam.health import HealthConfig, TrackedFrame, TrackingHealthMonitor
 from repro.slam.keyframes import KeyframeManager
 from repro.slam.mapper import MapperConfig
 from repro.slam.results import FrameResult
 from repro.slam.session import SessionRunner, pack_model, pack_pose, unpack_model, unpack_pose
-from repro.slam.tracker import TrackerConfig
 from repro.workloads import FrameTrace, TrackingWorkload
 
 __all__ = ["AgsSlam"]
-
-
-@dataclasses.dataclass
-class _AgsTrackedFrame:
-    """AGS ``_track`` → ``_map`` handoff (pose + covisibility evidence)."""
-
-    pose: object
-    used_coarse_only: bool
-    tracking_loss: float
-    refine_iterations: int
-    workload: TrackingWorkload
-    tracking_cov: float | None
-    tracking_sad_evaluations: int
-    health_events: list = dataclasses.field(default_factory=list)
-    degraded: bool = False
-    fallbacks_used: int = 0
-    relocalized: bool = False
 
 
 class AgsSlam(SessionRunner):
@@ -66,33 +46,25 @@ class AgsSlam(SessionRunner):
         self,
         intrinsics: Intrinsics,
         config: AGSConfig | None = None,
-        tracker_config: TrackerConfig | None = None,
-        mapper_config: MapperConfig | None = None,
-        covisibility_config: CovisibilityConfig | None = None,
         mapping_iterations: int = 6,
-        keyframe_window: int = 8,
-        anchor_first_pose_to_gt: bool = True,
         collect_trace: bool = True,
         perf: PerfRecorder | None = None,
         health_config: HealthConfig | None = None,
     ) -> None:
         self.config = config or AGSConfig()
         super().__init__(intrinsics, collect_trace=collect_trace, perf=perf)
-        covisibility_config = covisibility_config or CovisibilityConfig(
-            sad_scale=self.config.covisibility_sad_scale
+        self.covisibility = FrameCovisibilityDetector(
+            CovisibilityConfig(sad_scale=self.config.covisibility_sad_scale)
         )
-        self.covisibility = FrameCovisibilityDetector(covisibility_config)
-        self.tracking = MovementAdaptiveTracker(
-            intrinsics, self.config, tracker_config, perf=self.perf
-        )
-        mapper_config = mapper_config or MapperConfig()
-        mapper_config = dataclasses.replace(mapper_config, num_iterations=mapping_iterations)
+        self.tracking = MovementAdaptiveTracker(intrinsics, self.config, perf=self.perf)
         self.mapping = ContributionAwareMapper(
-            intrinsics, self.config, mapper_config, perf=self.perf
+            intrinsics,
+            self.config,
+            MapperConfig(num_iterations=mapping_iterations),
+            perf=self.perf,
         )
-        self.keyframes = KeyframeManager(max_keyframes=keyframe_window)
+        self.keyframes = KeyframeManager(max_keyframes=8)
         self.health = TrackingHealthMonitor(health_config or HealthConfig(), intrinsics)
-        self.anchor_first_pose_to_gt = anchor_first_pose_to_gt
         self.model = GaussianModel.empty()
         self._prev_frame = None
         self._prev_pose = None
@@ -157,11 +129,7 @@ class AgsSlam(SessionRunner):
         )
 
     # ------------------------------------------------------------------
-    def process_frame(self, index: int, frame) -> tuple[FrameResult, FrameTrace]:
-        """Process one frame sequentially through FC detection, tracking, mapping."""
-        return self._step(index, frame)
-
-    def _track(self, index: int, frame) -> _AgsTrackedFrame:
+    def _track(self, index: int, frame) -> TrackedFrame:
         """Tracking sub-stage: frame covisibility + movement-adaptive pose.
 
         Everything here is independent of the previous frame's mapping —
@@ -174,24 +142,18 @@ class AgsSlam(SessionRunner):
 
         # -------- Step 1: CODEC-assisted frame covisibility detection ----
         with perf.section("ags/covisibility"):
-            tracking_measurement = self.covisibility.observe(index, gray)
-        tracking_cov = tracking_measurement.value if tracking_measurement else None
+            measurement = self.covisibility.observe(index, gray)
+        covisibility = measurement.value if measurement else None
+        sad_evaluations = measurement.sad_evaluations if measurement else 0
 
         # -------- Step 2: movement-adaptive tracking ----------------------
-        health_events: list = []
-        degraded = False
-        fallbacks_used = 0
-        relocalized = False
         if index == 0 or self._prev_frame is None:
-            pose = frame.gt_pose.copy() if self.anchor_first_pose_to_gt else None
-            if pose is None:
-                from repro.gaussians.camera import Pose
-
-                pose = Pose.identity()
-            used_coarse_only = False
-            tracking_loss = 0.0
-            refine_iterations = 0
-            tracking_workload = TrackingWorkload(coarse_flops=0.0, refine_iterations=0)
+            tracked = TrackedFrame(
+                pose=frame.gt_pose.copy(),
+                workload=TrackingWorkload(coarse_flops=0.0, refine_iterations=0),
+                covisibility=covisibility,
+                sad_evaluations=sad_evaluations,
+            )
         else:
             prev_frame = self._prev_frame
             prev_pose = self._prev_pose
@@ -204,17 +166,25 @@ class AgsSlam(SessionRunner):
                     frame.color,
                     frame.depth,
                     gray,
-                    covisibility=tracking_cov,
+                    covisibility=covisibility,
                     collect_workload=self.collect_trace,
                 )
-            moderated = self.health.moderate(
+            tracked = self.health.moderate(
                 index,
-                pose=outcome.pose,
-                loss=outcome.tracking_loss,
-                iterations=outcome.refine_iterations,
-                workload=outcome.workload,
-                prev_pose=prev_pose,
-                retrack=lambda seed: self._retrack(frame, seed),
+                TrackedFrame(
+                    pose=outcome.pose,
+                    workload=outcome.workload,
+                    loss=outcome.tracking_loss,
+                    iterations=outcome.refine_iterations,
+                    used_coarse_only=outcome.used_coarse_only,
+                    covisibility=covisibility,
+                    sad_evaluations=sad_evaluations,
+                ),
+                prev_pose,
+                retrack=self.health.photometric_retry(
+                    self.tracking.fine_tracker, self.model, frame,
+                    self.collect_trace, perf, "ags/tracking",
+                ),
                 feature_pose=lambda: self.health.feature_pose(
                     index,
                     prev_frame.gray,
@@ -226,67 +196,19 @@ class AgsSlam(SessionRunner):
                 ),
                 perf=perf,
             )
-            pose = moderated.pose
-            tracking_loss = moderated.loss
-            refine_iterations = moderated.iterations
-            tracking_workload = moderated.workload
-            health_events = moderated.events
-            degraded = moderated.degraded
-            fallbacks_used = moderated.fallbacks_used
-            relocalized = moderated.relocalized
-            # The coarse estimate was overruled: the frame can no longer
-            # claim the skip, and the velocity prior must extrapolate from
-            # the corrected pose, not the rejected one.
-            used_coarse_only = outcome.used_coarse_only and not fallbacks_used
-            if fallbacks_used:
-                self.tracking.update_velocity_prior(pose, prev_pose)
-        perf.count("tracking.refine_iterations", refine_iterations)
+            if tracked.fallbacks_used:
+                # The coarse estimate was overruled: the frame can no
+                # longer claim the skip, and the velocity prior must
+                # extrapolate from the corrected pose, not the rejected one.
+                tracked.used_coarse_only = False
+                self.tracking.update_velocity_prior(tracked.pose, prev_pose)
+        perf.count("tracking.refine_iterations", tracked.iterations)
 
         self._prev_frame = frame
-        self._prev_pose = pose.copy()
-        return _AgsTrackedFrame(
-            pose=pose,
-            used_coarse_only=used_coarse_only,
-            tracking_loss=tracking_loss,
-            refine_iterations=refine_iterations,
-            workload=tracking_workload,
-            tracking_cov=tracking_cov,
-            tracking_sad_evaluations=(
-                tracking_measurement.sad_evaluations if tracking_measurement else 0
-            ),
-            health_events=health_events,
-            degraded=degraded,
-            fallbacks_used=fallbacks_used,
-            relocalized=relocalized,
-        )
+        self._prev_pose = tracked.pose.copy()
+        return tracked
 
-    def _retrack(self, frame, seed_pose):
-        """Fallback retry: full-budget photometric refinement from ``seed_pose``.
-
-        A flagged frame bypasses the covisibility-scaled iteration budget:
-        the retry runs the fine tracker at its full configured budget plus
-        ``retry_iterations``, since a frame the monitor flagged is exactly
-        the kind the movement-adaptive schedule under-provisioned.
-        """
-        model = self.model
-        if len(model) == 0:
-            return seed_pose, 0.0, 0, TrackingWorkload(coarse_flops=0.0, refine_iterations=0)
-        iterations = (
-            self.tracking.fine_tracker.config.num_iterations
-            + self.health.config.retry_iterations
-        )
-        with self.perf.section("ags/tracking"):
-            outcome = self.tracking.fine_tracker.track(
-                model,
-                frame.color,
-                frame.depth,
-                seed_pose,
-                num_iterations=iterations,
-                collect_workload=self.collect_trace,
-            )
-        return outcome.pose, outcome.final_loss, outcome.iterations_run, outcome.workload
-
-    def _map(self, index: int, frame, tracked: _AgsTrackedFrame) -> tuple[FrameResult, FrameTrace]:
+    def _map(self, index: int, frame, tracked: TrackedFrame) -> tuple[FrameResult, FrameTrace]:
         """Mapping sub-stage: keyframe covisibility + contribution-aware mapping.
 
         The keyframe comparison lives here (not in ``_track``) because
@@ -296,12 +218,11 @@ class AgsSlam(SessionRunner):
         gray = frame.gray
         perf = self.perf
         pose = tracked.pose
-        tracking_cov = tracked.tracking_cov
 
         with perf.section("ags/covisibility"):
             mapping_measurement = self.covisibility.compare_with_keyframe(gray)
         mapping_cov = mapping_measurement.value if mapping_measurement else None
-        sad_evaluations = tracked.tracking_sad_evaluations + (
+        sad_evaluations = tracked.sad_evaluations + (
             mapping_measurement.sad_evaluations if mapping_measurement else 0
         )
         perf.count("codec.sad_evaluations", sad_evaluations)
@@ -329,13 +250,13 @@ class AgsSlam(SessionRunner):
         frame_result = FrameResult(
             frame_index=index,
             estimated_pose=pose.copy(),
-            tracking_iterations=tracked.refine_iterations,
+            tracking_iterations=tracked.iterations,
             mapping_iterations=mapping_outcome.mapping.iterations_run,
-            tracking_loss=tracked.tracking_loss,
+            tracking_loss=tracked.loss,
             mapping_loss=mapping_outcome.mapping.final_loss,
             used_coarse_only=tracked.used_coarse_only,
             is_keyframe=mapping_outcome.is_keyframe,
-            covisibility=tracking_cov,
+            covisibility=tracked.covisibility,
             num_gaussians=len(self.model),
             gaussians_skipped=mapping_outcome.gaussians_skipped,
             degraded=tracked.degraded,
@@ -346,7 +267,7 @@ class AgsSlam(SessionRunner):
             frame_index=index,
             tracking=tracked.workload,
             mapping=mapping_outcome.mapping.workload,
-            covisibility=tracking_cov,
+            covisibility=tracked.covisibility,
             codec_sad_evaluations=sad_evaluations,
             num_gaussians=len(self.model),
             health_events=list(tracked.health_events),

@@ -18,8 +18,8 @@ from repro.core.config import AGSConfig
 from repro.gaussians.camera import Intrinsics, Pose
 from repro.gaussians.model import GaussianModel
 from repro.perf import PerfRecorder
-from repro.slam.droid import DroidLiteConfig, DroidLiteTracker
-from repro.slam.tracker import GaussianPoseTracker, TrackerConfig
+from repro.slam.droid import DroidLiteTracker
+from repro.slam.tracker import GaussianPoseTracker
 from repro.workloads import TrackingWorkload
 
 __all__ = ["AdaptiveTrackingOutcome", "MovementAdaptiveTracker"]
@@ -45,16 +45,12 @@ class MovementAdaptiveTracker:
         self,
         intrinsics: Intrinsics,
         config: AGSConfig | None = None,
-        tracker_config: TrackerConfig | None = None,
-        droid_config: DroidLiteConfig | None = None,
         perf: PerfRecorder | None = None,
     ) -> None:
         self.intrinsics = intrinsics
         self.config = config or AGSConfig()
-        self.coarse_tracker = DroidLiteTracker(intrinsics, droid_config)
-        self.fine_tracker = GaussianPoseTracker(
-            intrinsics, tracker_config or TrackerConfig(), perf=perf
-        )
+        self.coarse_tracker = DroidLiteTracker(intrinsics)
+        self.fine_tracker = GaussianPoseTracker(intrinsics, perf=perf)
         self._last_relative: Pose | None = None
 
     def reset(self) -> None:

@@ -24,7 +24,10 @@ both metrics.
 
 Run as a script for the text report::
 
-    python -m repro.eval.robustness [--smoke]
+    python -m repro.eval.robustness [--workers N]
+
+``tests/test_robustness.py`` runs a CI-sized slice (stress, SplaTAM and
+AGS, 10 frames) in tier-1 and the full grids in the slow lane.
 """
 
 from __future__ import annotations
@@ -269,23 +272,10 @@ def format_robustness_report(grid: dict, ablation: dict | None = None) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="fast CI grid: one scenario, two systems, few frames",
-    )
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.smoke:
-        grid = robustness_grid(
-            num_frames=6, scenarios=("stress",), systems=("splatam", "ags"),
-            workers=args.workers,
-        )
-        ablation = fallback_ablation(
-            num_frames=6, scenarios=("stress",), workers=args.workers
-        )
-    else:
-        grid = robustness_grid(workers=args.workers)
-        ablation = fallback_ablation(workers=args.workers)
+    grid = robustness_grid(workers=args.workers)
+    ablation = fallback_ablation(workers=args.workers)
     print(format_robustness_report(grid, ablation))
     return 0
 

@@ -29,7 +29,7 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
   ``tests/test_rasterizer_bucketed_stats.py``).
 * ``render(..., cache=ForwardCache())`` additionally retains the
   per-bucket blending intermediates; ``render_backward`` (default
-  ``backend="auto"``) then consumes them with bucketed einsum /
+  ``backend="bucketed"``) then consumes them with bucketed einsum /
   ``bincount`` accumulation instead of re-running the forward per tile —
   the fused forward/backward path tracking and mapping run on.
   ``render_backward(..., backend="reference")`` keeps the per-tile

@@ -54,7 +54,7 @@ from repro.perf import NULL_RECORDER, PerfRecorder
 
 __all__ = ["GaussianGradients", "PoseGradients", "pose_backward", "render_backward"]
 
-_BACKWARD_BACKENDS = ("auto", "bucketed", "reference")
+_BACKWARD_BACKENDS = ("bucketed", "reference")
 
 
 @dataclasses.dataclass
@@ -583,7 +583,7 @@ def render_backward(
     grad_depth: np.ndarray | None = None,
     grad_silhouette: np.ndarray | None = None,
     compute_pose_gradient: bool = False,
-    backend: str = "auto",
+    backend: str = "bucketed",
     perf: PerfRecorder | None = None,
 ) -> tuple[GaussianGradients, PoseGradients | None]:
     """Back-propagate image-space gradients to Gaussian and pose parameters.
@@ -599,10 +599,10 @@ def render_backward(
         grad_depth: optional (H, W) gradient w.r.t. the rendered depth.
         grad_silhouette: optional (H, W) gradient w.r.t. the silhouette.
         compute_pose_gradient: also compute the camera-pose gradient.
-        backend: ``"auto"`` / ``"bucketed"`` use the bucketed accumulator
-            (reusing ``result.forward_cache`` when it is still valid,
-            rebuilding the intermediates once otherwise); ``"reference"``
-            runs the original per-tile loop.
+        backend: ``"bucketed"`` runs the bucketed accumulator (reusing
+            ``result.forward_cache`` when it is still valid, rebuilding
+            the intermediates once otherwise); ``"reference"`` runs the
+            original per-tile loop.
         perf: optional :class:`repro.perf.PerfRecorder` fed the
             ``raster/backward*`` timers and ``raster.backward_*`` counters.
 
@@ -670,7 +670,7 @@ def pose_backward(
     grad_color: np.ndarray,
     grad_depth: np.ndarray | None = None,
     grad_silhouette: np.ndarray | None = None,
-    backend: str = "auto",
+    backend: str = "bucketed",
     perf: PerfRecorder | None = None,
 ) -> PoseGradients:
     """Back-propagate image-space gradients to the camera pose only.

@@ -10,7 +10,7 @@ and compared against.
 from repro.slam.health import (
     HealthConfig,
     HealthReport,
-    ModeratedTracking,
+    TrackedFrame,
     TrackingHealthMonitor,
 )
 from repro.slam.results import FrameResult, SlamResult
@@ -18,7 +18,6 @@ from repro.slam.session import (
     SessionRunner,
     SessionState,
     SlamSession,
-    TrackedFrame,
     load_session_state,
     save_session_state,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "KeyframeManager",
     "MapperConfig",
     "MappingOutcome",
-    "ModeratedTracking",
     "OrbLiteConfig",
     "OrbLiteSlam",
     "SessionRunner",

@@ -46,14 +46,16 @@ from typing import Callable
 import numpy as np
 
 from repro.gaussians.camera import Intrinsics, Pose
+from repro.gaussians.model import GaussianModel
 from repro.perf import NULL_RECORDER, PerfRecorder
 from repro.slam.orb import OrbLiteConfig, estimate_relative_rigid
+from repro.slam.tracker import GaussianPoseTracker
 from repro.workloads import TrackingWorkload
 
 __all__ = [
     "HealthConfig",
     "HealthReport",
-    "ModeratedTracking",
+    "TrackedFrame",
     "TrackingHealthMonitor",
     "merge_tracking_workloads",
 ]
@@ -83,8 +85,8 @@ class HealthConfig:
             which the pose update is implausible for a handheld stream.
         rotation_jump_deg: frame-to-frame rotation bound in degrees.
         max_fallbacks: ladder rungs allowed per frame.
-        retry_iterations: photometric iterations for the re-seed retry
-            on systems whose normal path runs fewer (AGS's ``IterT``).
+        retry_iterations: iterations the ladder's photometric passes run
+            on top of the tracker's configured budget.
         orb: feature-extraction configuration of the feature fallback.
         orb_seed: base seed of the per-frame-index RANSAC generators.
     """
@@ -113,17 +115,28 @@ class HealthReport:
 
 
 @dataclasses.dataclass
-class ModeratedTracking:
-    """A tracking outcome after passing through the fallback ladder."""
+class TrackedFrame:
+    """The ``_track`` → ``_map`` handoff of the three 3DGS systems.
+
+    A system builds it from its primary tracking pass and
+    :meth:`TrackingHealthMonitor.moderate` returns it, carrying the
+    monitor's verdict (``health_events`` … ``relocalized``) to the
+    result and trace assembly in ``_map``.  The covisibility evidence
+    (``used_coarse_only`` … ``sad_evaluations``) is AGS's and keeps its
+    defaults on SplaTAM and Gaussian-SLAM.
+    """
 
     pose: Pose
-    loss: float
-    iterations: int
     workload: TrackingWorkload
-    events: list[str]
+    loss: float = 0.0
+    iterations: int = 0
+    health_events: list = dataclasses.field(default_factory=list)
     degraded: bool = False
     fallbacks_used: int = 0
     relocalized: bool = False
+    used_coarse_only: bool = False
+    covisibility: float | None = None
+    sad_evaluations: int = 0
 
 
 def merge_tracking_workloads(
@@ -236,56 +249,85 @@ class TrackingHealthMonitor:
             return None
         return relative.compose(prev_pose)
 
+    def photometric_retry(
+        self,
+        tracker: GaussianPoseTracker,
+        model: GaussianModel,
+        frame,
+        collect_workload: bool,
+        perf: PerfRecorder,
+        section: str,
+    ) -> Callable[[Pose], tuple[Pose, float, int, TrackingWorkload]]:
+        """The ladder's photometric pass, as :meth:`moderate`'s ``retrack``.
+
+        Re-runs ``tracker`` against ``model`` on ``frame`` from a seed
+        pose, with the tracker's configured budget plus
+        ``retry_iterations``: a flagged frame is worth extra convergence
+        effort, and a retry that merely ties the primary pass is rejected
+        by the ladder anyway.  On AGS that budget is the fine tracker's
+        full one, not the covisibility-scaled ``IterT`` — a flagged frame
+        is exactly the kind the movement-adaptive schedule
+        under-provisioned.  Each pass is timed under ``section``, as the
+        system's primary pass is.
+        """
+        iterations = tracker.config.num_iterations + self.config.retry_iterations
+
+        def retrack(seed_pose: Pose) -> tuple[Pose, float, int, TrackingWorkload]:
+            with perf.section(section):
+                outcome = tracker.track(
+                    model, frame.color, frame.depth, seed_pose,
+                    num_iterations=iterations,
+                    collect_workload=collect_workload,
+                )
+            return outcome.pose, outcome.final_loss, outcome.iterations_run, outcome.workload
+
+        return retrack
+
     # ------------------------------------------------------------------
     def moderate(
         self,
         index: int,
-        pose: Pose,
-        loss: float,
-        iterations: int,
-        workload: TrackingWorkload,
+        tracked: TrackedFrame,
         prev_pose: Pose | None,
         retrack: Callable[[Pose], tuple[Pose, float, int, TrackingWorkload]] | None = None,
         feature_pose: Callable[[], Pose | None] | None = None,
         perf: PerfRecorder | None = None,
-    ) -> ModeratedTracking:
+    ) -> TrackedFrame:
         """Run one tracked frame through assessment and (if needed) the ladder.
 
         Args:
             index: frame index (events/labels only; randomness is owned
                 by the ``feature_pose`` closure).
-            pose / loss / iterations / workload: the system's primary
-                tracking outcome.
+            tracked: the system's primary tracking outcome.
             prev_pose: previous frame's accepted pose (assessment
                 reference and retry seed).
             retrack: re-run photometric tracking from a seed pose,
-                returning ``(pose, loss, iterations, workload)``.
+                returning ``(pose, loss, iterations, workload)``
+                (see :meth:`photometric_retry`).
             feature_pose: produce the feature-based absolute pose (or
                 None when unavailable).
             perf: counter sink for the ``session.*`` robustness counters.
 
         Returns:
-            A :class:`ModeratedTracking`; on healthy frames it carries
-            the inputs through unchanged.
+            ``tracked`` itself on healthy frames (and when the monitor is
+            disabled); otherwise a copy carrying the ladder's pose, loss,
+            summed iterations and workload, and its verdict.
         """
         perf = perf or NULL_RECORDER
         config = self.config
         if not config.enabled:
-            return ModeratedTracking(
-                pose=pose, loss=loss, iterations=iterations, workload=workload, events=[]
-            )
+            return tracked
+        pose, loss = tracked.pose, tracked.loss
         report = self.assess(loss, pose, prev_pose)
         if report.healthy:
             self.record(loss)
-            return ModeratedTracking(
-                pose=pose, loss=loss, iterations=iterations, workload=workload, events=[]
-            )
+            return tracked
 
         perf.count("session.frames_degraded")
         events = [f"degraded:{reason}" for reason in report.reasons]
         best_pose, best_loss = pose, loss
-        total_iterations = iterations
-        merged_workload = workload
+        total_iterations = tracked.iterations
+        merged_workload = tracked.workload
         fallbacks = 0
         relocalized = False
 
@@ -353,12 +395,13 @@ class TrackingHealthMonitor:
             else:
                 events.append("feature:unavailable")
 
-        return ModeratedTracking(
+        return dataclasses.replace(
+            tracked,
             pose=best_pose,
             loss=best_loss,
             iterations=total_iterations,
             workload=merged_workload,
-            events=events,
+            health_events=events,
             degraded=True,
             fallbacks_used=fallbacks,
             relocalized=relocalized,

@@ -64,7 +64,6 @@ __all__ = [
     "SessionRunner",
     "SessionState",
     "SlamSession",
-    "TrackedFrame",
     "load_session_state",
     "pack_model",
     "pack_pose",
@@ -122,26 +121,6 @@ def restore_rng(state: dict) -> np.random.Generator:
     bit_generator = getattr(np.random, str(state["bit_generator"]))()
     bit_generator.state = copy.deepcopy(state)
     return np.random.Generator(bit_generator)
-
-
-@dataclasses.dataclass
-class TrackedFrame:
-    """Standard ``_track`` → ``_map`` handoff of the 3DGS systems.
-
-    Systems with richer tracking outputs (AGS's covisibility
-    measurements) define their own handoff type — the session runner
-    treats it as opaque.  The health fields carry the tracking-health monitor's
-    verdict from ``_track`` to the result/trace assembly in ``_map``.
-    """
-
-    pose: Pose
-    workload: TrackingWorkload
-    loss: float = 0.0
-    iterations: int = 0
-    health_events: list = dataclasses.field(default_factory=list)
-    degraded: bool = False
-    fallbacks_used: int = 0
-    relocalized: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +275,14 @@ class SessionRunner:
             height=self.intrinsics.height,
         )
 
-    def _check_frame_shape(self, frame) -> None:
-        """Raise ``ValueError`` unless the frame matches ``self.intrinsics``.
+    def _check_frame(self, frame) -> None:
+        """Raise ``ValueError`` unless the frame fits ``self.intrinsics``
+        and its colour and depth are finite.
 
-        Runs before a frame is queued or tracked, so a wrong-shaped frame
-        is refused at the boundary instead of failing inside the drain
-        loop on every retry and wedging the queue behind it.
+        Runs before a frame is queued or tracked, so a wrong-shaped or
+        non-finite frame is refused at the boundary instead of failing
+        inside the drain loop on every retry and wedging the queue behind
+        it (the vectorized motion search assumes finite input).
         """
         height, width = self.intrinsics.height, self.intrinsics.width
         color_shape = np.shape(frame.color)
@@ -312,6 +293,8 @@ class SessionRunner:
                 f"{depth_shape}, session expects {(height, width, 3)} and "
                 f"{(height, width)}"
             )
+        if not (np.isfinite(frame.color).all() and np.isfinite(frame.depth).all()):
+            raise ValueError("frame colour or depth holds a non-finite value")
 
     def feed(self, frame, index: int | None = None) -> FrameResult:
         """Ingest one RGB-D frame and return its :class:`FrameResult`.
@@ -319,10 +302,11 @@ class SessionRunner:
         Frames must arrive in order; ``index`` (optional) asserts the
         caller and the session agree on the position.  The first ``feed``
         of a fresh system auto-begins a session named ``"stream"``.  A
-        frame whose shapes disagree with the intrinsics raises
-        ``ValueError`` before any work runs.
+        frame whose shapes disagree with the intrinsics, or whose colour
+        or depth is not finite, raises ``ValueError`` before any work
+        runs.
         """
-        self._check_frame_shape(frame)
+        self._check_frame(frame)
         if self._session_result is None:
             self.begin()
         if index is not None and index != self._next_index:
@@ -375,13 +359,14 @@ class SessionRunner:
         under deadline shedding — earlier rejections shift later queued
         frames down.
 
-        A frame whose shapes disagree with the intrinsics raises
-        ``ValueError`` and is never queued.
+        A frame whose shapes disagree with the intrinsics, or whose
+        colour or depth is not finite, raises ``ValueError`` and is never
+        queued.
 
         Thread-safe against one concurrent drainer; multiple producers
         must serialize among themselves to keep arrival order defined.
         """
-        self._check_frame_shape(frame)
+        self._check_frame(frame)
         if self._session_result is None:
             self.begin()
         with self._pending_lock:

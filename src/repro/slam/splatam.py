@@ -15,6 +15,11 @@ This is the baseline the paper profiles and accelerates: for every frame,
 The run produces a :class:`repro.slam.results.SlamResult` with the
 estimated trajectory, the final map, per-frame statistics and — when
 requested — a full workload trace for the hardware simulator.
+
+The tracking stage (step 1, moderated by the tracking-health ladder) is
+shared: :class:`repro.slam.gaussian_slam.GaussianSlam` subclasses
+:class:`SplaTam` and overrides only the map it tracks against and maps
+into.
 """
 
 from __future__ import annotations
@@ -23,23 +28,22 @@ import dataclasses
 
 import numpy as np
 
-from repro.gaussians.camera import Intrinsics, Pose
+from repro.gaussians.camera import Intrinsics
 from repro.gaussians.model import GaussianModel
 from repro.perf import PerfRecorder
-from repro.slam.health import HealthConfig, TrackingHealthMonitor
+from repro.slam.health import HealthConfig, TrackedFrame, TrackingHealthMonitor
 from repro.slam.keyframes import KeyframeManager
 from repro.slam.mapper import GaussianMapper, MapperConfig
 from repro.slam.results import FrameResult
 from repro.slam.session import (
     SessionRunner,
-    TrackedFrame,
     pack_model,
     pack_pose,
     unpack_model,
     unpack_pose,
 )
 from repro.slam.tracker import GaussianPoseTracker, TrackerConfig
-from repro.workloads import FrameTrace, MappingWorkload, TrackingWorkload
+from repro.workloads import FrameTrace, TrackingWorkload
 
 __all__ = ["SplaTamConfig", "SplaTam"]
 
@@ -53,6 +57,10 @@ class SplaTamConfig:
     scaled-down 30 / 6 split, which preserves the paper's roughly 6.7:1
     tracking-to-mapping iteration ratio (and hence the time-breakdown
     shape of Fig. 3) at tractable runtimes.
+
+    ``collect_trace`` is the session's initial ``collect_trace``; the
+    system reads the session attribute, so setting it before ``begin``
+    takes effect.
     """
 
     tracking_iterations: int = 30
@@ -61,15 +69,22 @@ class SplaTamConfig:
     mapper: MapperConfig = dataclasses.field(default_factory=MapperConfig)
     keyframe_every: int = 4
     max_keyframes: int = 8
-    anchor_first_pose_to_gt: bool = True
     collect_trace: bool = True
     health: HealthConfig = dataclasses.field(default_factory=HealthConfig)
 
 
 class SplaTam(SessionRunner):
-    """The baseline 3DGS-SLAM pipeline (a streaming :class:`SlamSession`)."""
+    """The baseline 3DGS-SLAM pipeline (a streaming :class:`SlamSession`).
+
+    Subclasses swap the map through four hooks (``_reset_map``,
+    ``_tracking_model``, ``_map_payload``, ``_restore_map_payload``),
+    ``_final_model`` and ``_map``; the photometric tracking stage stays
+    this one.
+    """
 
     algorithm = "splatam"
+    # Root of the ``<prefix>/tracking`` and ``<prefix>/mapping`` timers.
+    _timer_prefix = "splatam"
 
     def __init__(
         self,
@@ -95,26 +110,39 @@ class SplaTam(SessionRunner):
             every_n=self.config.keyframe_every, max_keyframes=self.config.max_keyframes
         )
         self.health = TrackingHealthMonitor(self.config.health, intrinsics)
-        self.model = GaussianModel.empty()
+        self.reset()
+
+    # ------------------------------------------------------------------
+    def reset(self) -> None:
+        """Reset the system for a new sequence."""
+        self._reset_map()
+        self.mapper.reset()
+        self.keyframes.reset()
+        self.health.reset()
         self._pose_history: list = []
         self._prev_gray: np.ndarray | None = None
         self._prev_depth: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Reset the system for a new sequence."""
+    # The map (one model here; Gaussian-SLAM's sub-maps override these)
+    # ------------------------------------------------------------------
+    def _reset_map(self) -> None:
         self.model = GaussianModel.empty()
-        self.mapper.reset()
-        self.keyframes.reset()
-        self.health.reset()
-        self._pose_history = []
-        self._prev_gray = None
-        self._prev_depth = None
+
+    def _tracking_model(self) -> GaussianModel:
+        """The map the tracking stage renders against."""
+        return self.model
+
+    def _map_payload(self) -> dict:
+        return {"model": pack_model(self.model)}
+
+    def _restore_map_payload(self, payload: dict) -> None:
+        self.model = unpack_model(payload["model"])
 
     # ------------------------------------------------------------------
     def _state_payload(self) -> dict:
         return {
-            "model": pack_model(self.model),
+            **self._map_payload(),
             "keyframes": self.keyframes.state_dict(),
             "pose_history": [pack_pose(pose) for pose in self._pose_history],
             "mapper": self.mapper.state_dict(),
@@ -124,7 +152,7 @@ class SplaTam(SessionRunner):
         }
 
     def _restore_payload(self, payload: dict) -> None:
-        self.model = unpack_model(payload["model"])
+        self._restore_map_payload(payload)
         self.keyframes.load_state_dict(payload["keyframes"])
         self._pose_history = [unpack_pose(vector) for vector in payload["pose_history"]]
         self.mapper.load_state_dict(payload["mapper"])
@@ -134,42 +162,42 @@ class SplaTam(SessionRunner):
         self._prev_depth = None if prev_depth is None else np.asarray(prev_depth).copy()
 
     # ------------------------------------------------------------------
-    def process_frame(self, index: int, frame) -> tuple[FrameResult, FrameTrace]:
-        """Process one frame sequentially: track, densify, map."""
-        return self._step(index, frame)
-
     def _track(self, index: int, frame) -> TrackedFrame:
         """Tracking sub-stage: optimize the pose against the current map.
 
-        SplaTAM's tracker renders the Gaussian map, so past the trivial
-        warm start this stage depends on the previous frame's mapping.
+        Frame 0 is anchored at its ground-truth pose.  Later frames warm
+        start with constant velocity, run photometric tracking and pass
+        through the tracking-health ladder.  The tracker renders the
+        map, so past frame 0 this stage depends on the previous frame's
+        mapping.
         """
-        config = self.config
-        health_events: list = []
-        degraded = False
-        fallbacks_used = 0
-        relocalized = False
         if index == 0:
-            pose = frame.gt_pose.copy() if config.anchor_first_pose_to_gt else self.tracker.initial_guess([])
-            tracking_workload = TrackingWorkload(coarse_flops=0.0, refine_iterations=0)
-            tracking_loss = 0.0
-            tracking_iterations = 0
+            tracked = TrackedFrame(
+                pose=frame.gt_pose.copy(),
+                workload=TrackingWorkload(coarse_flops=0.0, refine_iterations=0),
+            )
         else:
             prev_pose = self._pose_history[-1]
             initial = self.tracker.initial_guess(self._pose_history)
-            with self.perf.section("splatam/tracking"):
+            model = self._tracking_model()
+            section = f"{self._timer_prefix}/tracking"
+            with self.perf.section(section):
                 outcome = self.tracker.track(
-                    self.model, frame.color, frame.depth, initial,
-                    collect_workload=config.collect_trace,
+                    model, frame.color, frame.depth, initial,
+                    collect_workload=self.collect_trace,
                 )
-            moderated = self.health.moderate(
+            tracked = self.health.moderate(
                 index,
-                pose=outcome.pose,
-                loss=outcome.final_loss,
-                iterations=outcome.iterations_run,
-                workload=outcome.workload,
-                prev_pose=prev_pose,
-                retrack=lambda seed: self._retrack(frame, seed),
+                TrackedFrame(
+                    pose=outcome.pose,
+                    workload=outcome.workload,
+                    loss=outcome.final_loss,
+                    iterations=outcome.iterations_run,
+                ),
+                prev_pose,
+                retrack=self.health.photometric_retry(
+                    self.tracker, model, frame, self.collect_trace, self.perf, section
+                ),
                 feature_pose=lambda: self.health.feature_pose(
                     index,
                     self._prev_gray,
@@ -181,58 +209,24 @@ class SplaTam(SessionRunner):
                 ),
                 perf=self.perf,
             )
-            pose = moderated.pose
-            tracking_workload = moderated.workload
-            tracking_loss = moderated.loss
-            tracking_iterations = moderated.iterations
-            health_events = moderated.events
-            degraded = moderated.degraded
-            fallbacks_used = moderated.fallbacks_used
-            relocalized = moderated.relocalized
-        self._pose_history.append(pose.copy())
+        self._pose_history.append(tracked.pose.copy())
         if self.health.config.enabled:
             self._prev_gray = np.asarray(frame.gray)
             self._prev_depth = np.asarray(frame.depth)
-        self.perf.count("tracking.refine_iterations", tracking_iterations)
-        return TrackedFrame(
-            pose=pose,
-            workload=tracking_workload,
-            loss=tracking_loss,
-            iterations=tracking_iterations,
-            health_events=health_events,
-            degraded=degraded,
-            fallbacks_used=fallbacks_used,
-            relocalized=relocalized,
-        )
-
-    def _retrack(self, frame, seed_pose):
-        """Fallback retry: re-run photometric tracking from ``seed_pose``.
-
-        The retry gets the primary budget plus ``retry_iterations`` — a
-        flagged frame is worth extra convergence effort, and a retry that
-        merely ties the primary pass is rejected by the ladder anyway.
-        """
-        iterations = self.config.tracking_iterations + self.health.config.retry_iterations
-        with self.perf.section("splatam/tracking"):
-            outcome = self.tracker.track(
-                self.model, frame.color, frame.depth, seed_pose,
-                num_iterations=iterations,
-                collect_workload=self.config.collect_trace,
-            )
-        return outcome.pose, outcome.final_loss, outcome.iterations_run, outcome.workload
+        self.perf.count("tracking.refine_iterations", tracked.iterations)
+        return tracked
 
     def _map(self, index: int, frame, tracked: TrackedFrame) -> tuple[FrameResult, FrameTrace]:
         """Mapping sub-stage: densify, optimize the map, manage keyframes."""
-        config = self.config
         pose = tracked.pose
-        with self.perf.section("splatam/mapping"):
+        with self.perf.section(f"{self._timer_prefix}/mapping"):
             mapping_outcome = self.mapper.map_frame(
                 self.model,
                 frame.color,
                 frame.depth,
                 pose,
                 keyframes=self.keyframes.mapping_views(),
-                collect_workload=config.collect_trace,
+                collect_workload=self.collect_trace,
             )
         self.model = mapping_outcome.model
         self.perf.count("frames.processed")
@@ -257,11 +251,7 @@ class SplaTam(SessionRunner):
         frame_trace = FrameTrace(
             frame_index=index,
             tracking=tracked.workload,
-            mapping=mapping_outcome.workload
-            if config.collect_trace
-            else MappingWorkload(iterations=mapping_outcome.iterations_run),
-            covisibility=None,
-            codec_sad_evaluations=0,
+            mapping=mapping_outcome.workload,
             num_gaussians=len(self.model),
             health_events=list(tracked.health_events),
         )

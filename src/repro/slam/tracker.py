@@ -45,8 +45,6 @@ class TrackerConfig:
             value are excluded from the loss (SplaTAM's presence mask).
         convergence_tol: early stop when the pose update norm falls below
             this threshold.
-        use_constant_velocity_init: initialize the pose by extrapolating
-            the previous relative motion (standard SplaTAM warm start).
     """
 
     num_iterations: int = 30
@@ -54,7 +52,6 @@ class TrackerConfig:
     depth_weight: float = 0.5
     silhouette_threshold: float = 0.5
     convergence_tol: float = 1e-5
-    use_constant_velocity_init: bool = True
 
 
 @dataclasses.dataclass
@@ -98,7 +95,7 @@ class GaussianPoseTracker:
         """Warm-start pose: constant-velocity extrapolation of recent motion."""
         if not previous_poses:
             return Pose.identity()
-        if len(previous_poses) == 1 or not self.config.use_constant_velocity_init:
+        if len(previous_poses) == 1:
             return previous_poses[-1].copy()
         last, before = previous_poses[-1], previous_poses[-2]
         velocity = last.relative_to(before)

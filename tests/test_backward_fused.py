@@ -198,7 +198,7 @@ def test_backward_perf_counters():
 # ----------------------------------------------------------------------
 # Pose-only backward (the tracker's entry point)
 # ----------------------------------------------------------------------
-def _assert_pose_only_exact(model, camera, result, grads, backend="auto"):
+def _assert_pose_only_exact(model, camera, result, grads, backend="bucketed"):
     grad_color, grad_depth, grad_sil = grads
     _, full = render_backward(
         model, camera, result, grad_color, grad_depth, grad_sil,

@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import AGSConfig, AgsSlam
-from repro.datasets import load_sequence
-from repro.datasets.scenarios import apply_scenario
 from repro.gaussians import Pose
 from repro.perf import PerfRecorder
 from repro.slam import (
@@ -25,14 +23,22 @@ from repro.slam import (
     HealthConfig,
     SplaTam,
     SplaTamConfig,
+    TrackedFrame,
     TrackingHealthMonitor,
-    ate_rmse,
 )
 from repro.workloads import TrackingWorkload
 
 
 def _workload(iters=3):
     return TrackingWorkload(coarse_flops=0.0, refine_iterations=iters)
+
+
+def _tracked(loss, iters, pose=None):
+    """A primary tracking outcome, as a system hands it to ``moderate``."""
+    return TrackedFrame(
+        pose=Pose.identity() if pose is None else pose,
+        workload=_workload(iters), loss=loss, iterations=iters,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +108,7 @@ def test_moderate_passes_healthy_frames_through_untouched():
     pose = Pose.identity()
     calls = []
     moderated = monitor.moderate(
-        1, pose=pose, loss=0.05, iterations=7, workload=_workload(7),
+        1, _tracked(0.05, 7, pose=pose),
         prev_pose=Pose.identity(),
         retrack=lambda seed: calls.append("retrack"),
         feature_pose=lambda: calls.append("feature"),
@@ -117,10 +123,10 @@ def test_moderate_passes_healthy_frames_through_untouched():
 def test_moderate_disabled_skips_everything():
     monitor = TrackingHealthMonitor(HealthConfig(enabled=False))
     moderated = monitor.moderate(
-        1, pose=Pose.identity(), loss=99.0, iterations=1, workload=_workload(),
+        1, _tracked(99.0, 1),
         prev_pose=Pose.identity(),
     )
-    assert not moderated.degraded and moderated.events == []
+    assert not moderated.degraded and moderated.health_events == []
     assert monitor.state_dict()["losses"] == []  # not even recorded
 
 
@@ -140,21 +146,21 @@ def test_reseed_retry_needs_a_decisive_improvement():
 
     # A near-tie (loss within retry_margin of the primary) is rejected.
     tied = monitor.moderate(
-        2, pose=Pose.identity(), loss=0.30, iterations=5, workload=_workload(5),
+        2, _tracked(0.30, 5),
         prev_pose=prev,
         retrack=lambda seed: (better, 0.29, 5, _workload(5)),
     )
     assert tied.degraded and tied.fallbacks_used >= 1
-    assert "reseed:improved" not in tied.events
+    assert "reseed:improved" not in tied.health_events
     assert np.array_equal(tied.pose.trans, Pose.identity().trans)
 
     monitor = _degraded_monitor()
     decisive = monitor.moderate(
-        2, pose=Pose.identity(), loss=0.30, iterations=5, workload=_workload(5),
+        2, _tracked(0.30, 5),
         prev_pose=prev,
         retrack=lambda seed: (better, 0.10, 5, _workload(5)),
     )
-    assert "reseed:improved" in decisive.events
+    assert "reseed:improved" in decisive.health_events
     assert np.array_equal(decisive.pose.trans, better.trans)
     # The retry's work is accounted on top of the primary pass.
     assert decisive.iterations == 10
@@ -175,12 +181,12 @@ def test_feature_fallback_is_polished_and_loss_arbitrated():
         return seed, 0.12, 5, _workload(5)
 
     moderated = monitor.moderate(
-        2, pose=Pose.identity(), loss=0.30, iterations=5, workload=_workload(5),
+        2, _tracked(0.30, 5),
         prev_pose=prev, retrack=retrack, feature_pose=lambda: feature,
         perf=PerfRecorder(),
     )
     assert moderated.relocalized
-    assert "fallback:feature" in moderated.events
+    assert "fallback:feature" in moderated.health_events
     assert np.array_equal(moderated.pose.trans, feature.trans)
     assert moderated.fallbacks_used == 2
 
@@ -191,12 +197,12 @@ def test_implausible_feature_pose_is_never_substituted():
     wild = Pose.identity()
     wild.trans = np.array([5.0, 0.0, 0.0])  # far beyond translation_jump
     moderated = monitor.moderate(
-        2, pose=Pose.identity(), loss=0.30, iterations=5, workload=_workload(5),
+        2, _tracked(0.30, 5),
         prev_pose=prev,
         retrack=lambda seed: (seed, 0.31, 5, _workload(5)),
         feature_pose=lambda: wild,
     )
-    assert "feature:unavailable" in moderated.events
+    assert "feature:unavailable" in moderated.health_events
     assert not moderated.relocalized
     assert np.array_equal(moderated.pose.trans, prev.trans)
 
@@ -205,7 +211,7 @@ def test_degraded_losses_never_enter_the_baseline():
     monitor = _degraded_monitor()
     before = list(monitor.state_dict()["losses"])
     monitor.moderate(
-        2, pose=Pose.identity(), loss=0.30, iterations=5, workload=_workload(5),
+        2, _tracked(0.30, 5),
         prev_pose=Pose.identity(),
     )
     assert monitor.state_dict()["losses"] == before
@@ -215,7 +221,7 @@ def test_moderate_counts_into_perf():
     monitor = _degraded_monitor()
     perf = PerfRecorder()
     monitor.moderate(
-        2, pose=Pose.identity(), loss=0.30, iterations=5, workload=_workload(5),
+        2, _tracked(0.30, 5),
         prev_pose=Pose.identity(),
         retrack=lambda seed: (seed, 0.31, 5, _workload(5)),
         perf=perf,
@@ -274,34 +280,34 @@ def test_clean_stream_with_monitor_is_bit_identical(name, tiny_sequence):
     assert armed.total_relocalizations == 0
 
 
-def test_fallback_ladder_recovers_ags_on_stress():
-    """On the stress scenario the armed ladder measurably reduces ATE.
+def test_robustness_smoke_grid_fires_the_ladder():
+    """The CI-sized robustness grid and ablation: stress, SplaTAM and AGS.
 
-    AGS's coarse tracker diverges at the fault onset; the monitor's
-    pose-jump detection catches it and the re-seed retry recovers.  The
-    budgets match the robustness grid, where the slow lane asserts the
-    same property for both AGS and SplaTAM on two scenarios each.
+    At 10 frames the stress scenario's faults land inside the stream (at
+    6 they do not), so the ladder fires for both systems and the armed
+    arm of the ablation beats the disarmed one.  AGS's coarse tracker
+    diverges at the fault onset; pose-jump detection catches it and the
+    re-seed retry recovers decisively.  The slow lane asserts the
+    ablation wins over every degraded scenario.
     """
-    sequence = load_sequence("desk", num_frames=10)
-    degraded = apply_scenario(sequence, "stress")
-    gt = [sequence[i].gt_pose for i in range(10)]
+    from repro.eval.robustness import (
+        fallback_ablation,
+        format_robustness_report,
+        robustness_grid,
+    )
 
-    def run(enabled):
-        system = AgsSlam(
-            sequence.intrinsics,
-            AGSConfig(baseline_tracking_iterations=10),
-            mapping_iterations=3,
-            health_config=HealthConfig(enabled=enabled),
-        )
-        return system.run(degraded, num_frames=10)
-
-    armed = run(True)
-    disarmed = run(False)
-    armed_ate = ate_rmse(armed.estimated_trajectory, gt)
-    disarmed_ate = ate_rmse(disarmed.estimated_trajectory, gt)
-    assert armed.frames_degraded > 0
-    assert armed.total_fallbacks > 0
-    assert armed_ate < disarmed_ate - 1.0  # centimeters, decisively better
+    grid = robustness_grid(
+        num_frames=10, scenarios=("stress",), systems=("splatam", "ags"), workers=2
+    )
+    ablation = fallback_ablation(num_frames=10, scenarios=("stress",), workers=2)
+    for system in ("splatam", "ags"):
+        entry = ablation["rows"]["stress"][system]
+        assert entry["frames_degraded"] > 0 and entry["fallbacks"] > 0
+        assert entry["ate_improvement_cm"] > 0
+    assert ablation["rows"]["stress"]["ags"]["ate_improvement_cm"] > 1.0  # centimeters
+    report = format_robustness_report(grid, ablation)
+    assert "Robustness grid (desk, 10 frames)" in report
+    assert "Fallback ablation" in report
 
 
 # ---------------------------------------------------------------------------

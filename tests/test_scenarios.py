@@ -209,41 +209,61 @@ def _poses_identical(a, b) -> bool:
     )
 
 
-@pytest.fixture(scope="module")
-def scenario_sequence(tiny_sequence):
-    return apply_scenario(tiny_sequence, SCENARIO)
+# Case -> (system, scenario, checkpoint index).  On the ``stress``
+# prefix no ladder fires; the ``-ladder`` cases run ``burst``, where the
+# fallback ladder fires on frame 3 for all three monitored systems and
+# again on frame 4 for SplaTAM and Gaussian-SLAM, so the checkpoint at
+# frame 4 lands right after a firing.
+CHECKPOINT_CASES = {name: (name, SCENARIO, 3) for name in FACTORIES}
+CHECKPOINT_CASES.update(
+    {f"{name}-ladder": (name, "burst", 4) for name in ("splatam", "gaussian-slam", "ags")}
+)
+
+
+def _feed(system, source, start, stop):
+    for index, frame in source.stream(start=start, stop=stop):
+        system.feed(frame, index=index)
+    return system
 
 
 @pytest.fixture(scope="module")
-def scenario_reference_runs(scenario_sequence):
-    return {
-        name: factory(scenario_sequence).run(scenario_sequence, num_frames=NUM_FRAMES)
-        for name, factory in FACTORIES.items()
-    }
+def scenario_reference_runs(tiny_sequence):
+    runs = {}
+    for case, (name, scenario, _) in CHECKPOINT_CASES.items():
+        source = apply_scenario(tiny_sequence, scenario)
+        runs[case] = FACTORIES[name](source).run(source, num_frames=NUM_FRAMES)
+    return runs
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
 def test_checkpoint_resume_under_scenario_is_bit_identical(
-    name, scenario_sequence, scenario_reference_runs, tmp_path
+    case, tiny_sequence, scenario_reference_runs, tmp_path
 ):
     """Mid-stream checkpoint/resume with an active scenario == uninterrupted.
 
     The resumed session re-wraps the source in a *fresh* ScenarioSource
     (a fresh process would), so this also property-tests that scenario
     frames do not depend on the wrapper instance that produced the
-    earlier frames.
+    earlier frames.  The ``-ladder`` cases hold the tracking-health
+    ladder's state (rolling baseline, previous observation, AGS's
+    corrected velocity prior) to the same bar.
     """
+    name, scenario, checkpoint_at = CHECKPOINT_CASES[case]
     factory = FACTORIES[name]
-    checkpoint_at = 3
-    interrupted = factory(scenario_sequence)
-    interrupted.begin(scenario_sequence.name)
-    for index, frame in scenario_sequence.stream(stop=checkpoint_at):
-        interrupted.feed(frame, index=index)
+    reference = scenario_reference_runs[case]
+    if case.endswith("-ladder"):
+        assert reference.total_fallbacks > 0
+    source = apply_scenario(tiny_sequence, scenario)
+    interrupted = factory(source)
+    interrupted.begin(source.name)
+    _feed(interrupted, source, 0, checkpoint_at)
     save_session_state(interrupted.state(), tmp_path / "checkpoint")
 
-    fresh_wrap = ScenarioSource(scenario_sequence.source, scenario_sequence.spec)
+    fresh_wrap = ScenarioSource(source.source, source.spec)
     resumed = factory(fresh_wrap)
     resumed.restore(load_session_state(tmp_path / "checkpoint"))
-    for index, frame in fresh_wrap.stream(start=checkpoint_at, stop=NUM_FRAMES):
-        resumed.feed(frame, index=index)
-    assert _poses_identical(scenario_reference_runs[name], resumed.finalize())
+    result = _feed(resumed, fresh_wrap, checkpoint_at, NUM_FRAMES).finalize()
+    assert _poses_identical(reference, result)
+    assert [
+        (f.degraded, f.fallbacks_used, f.relocalized) for f in result.frames
+    ] == [(f.degraded, f.fallbacks_used, f.relocalized) for f in reference.frames]

@@ -34,6 +34,7 @@ from repro.eval.service import RetryPolicy, build_session
 from repro.faults import FaultInjector, get_fault_plan
 from repro.perf import PerfRecorder, build_report
 from repro.serve import (
+    AdmissionController,
     AsyncSessionHandle,
     IngestPool,
     LruMap,
@@ -528,6 +529,41 @@ def test_http_errors_map_to_status_codes(tiny_sequence):
     # In-process, ORB-lite no longer silently "tracks" the poison frame.
     with pytest.raises(ValueError, match="shape mismatch"):
         OrbLiteSlam(intr).feed(poison)
+
+
+def test_http_non_finite_frame_is_refused_without_wedging(tiny_sequence):
+    """One NaN colour pixel gets 400 and never reaches the drain loop.
+
+    AGS's vectorized motion search assumes finite input, so an admitted
+    NaN frame used to fail every later drain and leave the queue stuck.
+    Refused at the boundary, it releases its admission slot, later
+    frames take the next indices, and the stream finishes bit-identical
+    to a synchronous feed of the valid frames.
+    """
+    intr = tiny_sequence.intrinsics
+    color = np.array(tiny_sequence[2].color, dtype=np.float64)
+    color[5, 7, 0] = np.nan
+    poison = dataclasses.replace(tiny_sequence[2], color=color)
+    admission = AdmissionController(max_in_flight=8)
+    with SlamServer(num_shards=1, max_live=2, admission=admission) as server:
+        client = SlamClient(server.address)
+        client.create_session("cam", "ags", intr.width, intr.height, **CHEAP)
+        for index in range(2):
+            assert client.post_frame("cam", tiny_sequence[index])["index"] == index
+        with pytest.raises(RuntimeError, match="400.*non-finite"):
+            client.post_frame("cam", poison)
+        for index in range(2, 4):
+            assert client.post_frame("cam", tiny_sequence[index])["index"] == index
+        payload = client.result("cam")
+        health = client.healthz()
+    assert health["queue_depths"] == {"cam": 0}
+    assert health["admission"]["in_flight"] == 0
+    reference = _factory("ags", intr)().run(tiny_sequence, num_frames=4)
+    assert payload["num_frames"] == 4
+    for index, frame in enumerate(payload["frames"]):
+        assert frame["estimated_pose"] == (
+            reference.frames[index].estimated_pose.as_vector().tolist()
+        )
 
 
 # ---------------------------------------------------------------------------
