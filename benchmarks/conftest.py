@@ -28,9 +28,6 @@ from repro.eval.runner import EvalSettings
 # sequential execution — frame rendering is order-deterministic).
 BENCH_SETTINGS = EvalSettings(
     num_frames=6,
-    baseline_tracking_iterations=12,
-    mapping_iterations=4,
-    ags_iter_t=3,
     sequences=("desk", "house"),
     workers=2,
 )

@@ -4,10 +4,21 @@ Feeds the desk sequence through every ``build_session`` system, clean and
 under a scenario, and prints one SHA-256 per (system, scenario) for each
 of: the ``FrameResult`` history, the workload traces, the final map and
 the perf counters (plus the timer paths and call counts, which carry no
-wall-clock time).  Run it on two checkouts; a refactor that must not
-change behaviour leaves every line identical::
+wall-clock time).  A refactor that must not change behaviour leaves
+every line identical::
 
     PYTHONPATH=src python scripts/session_digest.py [--frames 12]
+
+``--against REV`` exports the git revision ``REV`` with ``git archive``
+into a temporary directory, runs this same script over its ``src/`` as
+well as over the working tree, prints only the lines that differ (``-``
+for ``REV``, ``+`` for the working tree) and exits 1 if any does::
+
+    PYTHONPATH=src python scripts/session_digest.py --against HEAD~
+
+The digests hash floats bit for bit, so they are tied to the host's
+NumPy and BLAS: compare two trees on one machine, never against hashes
+recorded elsewhere.
 """
 
 from __future__ import annotations
@@ -15,6 +26,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import tarfile
+import tempfile
 
 import numpy as np
 
@@ -53,24 +72,24 @@ def digest(value) -> str:
     return hashlib.sha256(repr(canonical(value)).encode()).hexdigest()[:16]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--frames", type=int, default=12)
-    args = parser.parse_args(argv)
-    clean = load_sequence("desk", num_frames=args.frames)
-    print("system scenario frames traces map counters timer_calls")
+HEADER = "system scenario frames traces map counters timer_calls"
+
+
+def digest_lines(num_frames: int):
+    """One line per (system, scenario) of the digest table."""
+    clean = load_sequence("desk", num_frames=num_frames)
     for scenario in SCENARIOS:
         source = apply_scenario(clean, None if scenario == "clean" else scenario)
         for algorithm in SYSTEMS:
             perf = PerfRecorder()
             session = build_session(algorithm, clean.intrinsics, perf=perf)
             session.begin(f"desk-{scenario}")
-            for index in range(args.frames):
+            for index in range(num_frames):
                 session.feed(source[index], index)
             result = session.finalize()
             model = result.final_model
             timer_calls = {path: stats["calls"] for path, stats in perf.timers.as_dict().items()}
-            print(
+            yield " ".join((
                 algorithm,
                 scenario,
                 digest(result.frames),
@@ -81,8 +100,54 @@ def main(argv=None) -> int:
                 digest(perf.counters.as_dict()),
                 digest(timer_calls),
                 f"fb={result.total_fallbacks}",
-            )
-    return 0
+            ))
+
+
+def start_at_revision(revision: str, num_frames: int, directory: str) -> subprocess.Popen:
+    """Export ``revision`` into ``directory`` with ``git archive`` and start
+    this script over its ``src/`` (the digest table arrives on stdout)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    archive = subprocess.run(
+        ["git", "-C", str(root), "archive", "--format=tar", revision],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(directory, filter="data")
+    return subprocess.Popen(
+        [sys.executable, str(pathlib.Path(__file__).resolve()), "--frames", str(num_frames)],
+        stdout=subprocess.PIPE, text=True, cwd=directory,
+        env={**os.environ, "PYTHONPATH": os.path.join(directory, "src")},
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--frames", type=int, default=12)
+    parser.add_argument(
+        "--against", metavar="REV",
+        help="print only the lines that differ from git revision REV; exit 1 if any does",
+    )
+    args = parser.parse_args(argv)
+    if args.against is None:
+        print(HEADER)
+        for line in digest_lines(args.frames):
+            print(line, flush=True)
+        return 0
+    with tempfile.TemporaryDirectory(prefix="session-digest-") as directory:
+        # The revision's table is computed alongside the working tree's.
+        process = start_at_revision(args.against, args.frames, directory)
+        ours = [HEADER, *digest_lines(args.frames)]
+        output, _ = process.communicate()
+    if process.returncode:
+        raise SystemExit(f"the digest of {args.against} failed")
+    theirs = output.splitlines()
+    differing = [(a, b) for a, b in itertools.zip_longest(theirs, ours) if a != b]
+    for a, b in differing:
+        print(f"- {a}\n+ {b}")
+    print(
+        f"{len(differing)} of {len(ours)} lines differ from {args.against}", file=sys.stderr
+    )
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -35,10 +35,6 @@ class MacroBlockGrid:
         """Total number of macro-blocks in the frame."""
         return self.blocks_x * self.blocks_y
 
-    def block_at(self, bx: int, by: int) -> np.ndarray:
-        """Return the pixel data of block ``(bx, by)``."""
-        return self.blocks[by, bx]
-
 
 def split_into_macroblocks(frame: np.ndarray, block_size: int = MACROBLOCK_SIZE) -> MacroBlockGrid:
     """Partition a grayscale frame into non-overlapping macro-blocks.

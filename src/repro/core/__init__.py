@@ -12,9 +12,9 @@ the video CODEC's motion-estimation metadata:
   contribution-aware mapping: full mapping + contribution recording on key
   frames, selective mapping that skips predicted non-contributory
   Gaussians on non-key frames.
-* :mod:`repro.core.pipeline` — the complete AGS SLAM pipeline with
-  per-frame track/map sub-stages and trace export for the hardware
-  simulator.
+* :mod:`repro.core.pipeline` — :class:`AgsSlam`, SplaTAM with the
+  covisibility detection and the two switches above overriding its
+  tracking and mapping hooks.
 """
 
 from repro.core.config import AGSConfig

@@ -37,16 +37,20 @@ class AGSConfig:
         thresh_m: mapping covisibility threshold against the previous key
             frame (paper: 0.5).  Above it the frame is a non-key frame.
         thresh_alpha: per-pixel alpha below which a Gaussian is counted as
-            non-contributory (paper: 1/255).
+            non-contributory (paper: 1/255); the backbone mapper's
+            ``contribution_threshold``.
         thresh_n: non-contributory pixel count above which a Gaussian is
             skipped on non-key frames (paper: 450 at 640x480; None means
             "derive from the resolution", see
             :meth:`thresh_n_for_resolution`).
-        baseline_tracking_iterations: the baseline N_T this configuration
-            is scaled against (only used for reporting ratios).
-        enable_movement_adaptive_tracking: disable to ablate MAT (GPU-AGS /
-            AGS-MAT rows of Fig. 18).
-        enable_contribution_mapping: disable to ablate GCM.
+        baseline_tracking_iterations: the backbone's N_T: the tracker budget
+            of MAT-off runs and of every tracking-health ladder retry (a
+            retry pass runs it plus ``retry_iterations``).
+        enable_movement_adaptive_tracking: disable to ablate MAT: the
+            primary tracking pass is then SplaTAM's.
+        enable_contribution_mapping: disable to ablate GCM (the AGS-MAT
+            column of Fig. 18): mapping and the keyframe policy are then
+            SplaTAM's.
         covisibility_sad_scale: per-pixel SAD (0-255 scale) that maps to
             covisibility zero; see
             :class:`repro.core.covisibility.CovisibilityConfig`.

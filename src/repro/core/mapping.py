@@ -8,6 +8,10 @@ previous key frame (threshold ``ThreshM``):
 * **Non-key frames** run selective mapping: Gaussians predicted as
   non-contributory by the table (non-contributory pixel count above
   ``ThreshN``) are skipped entirely.
+
+Both run the backbone's :class:`~repro.slam.mapper.GaussianMapper`,
+passed to :meth:`ContributionAwareMapper.map_frame`; this module owns
+only the contribution table and the key / non-key decision.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ import numpy as np
 
 from repro.core.config import AGSConfig
 from repro.core.contribution import GaussianContributionTable
-from repro.gaussians.camera import Intrinsics, Pose
+from repro.gaussians.camera import Pose
 from repro.gaussians.model import GaussianModel
-from repro.perf import PerfRecorder
-from repro.slam.mapper import GaussianMapper, MapperConfig, MappingOutcome
+from repro.slam.mapper import GaussianMapper, MappingOutcome
 
 __all__ = ["AdaptiveMappingOutcome", "ContributionAwareMapper"]
 
@@ -30,59 +33,37 @@ __all__ = ["AdaptiveMappingOutcome", "ContributionAwareMapper"]
 class AdaptiveMappingOutcome:
     """Result of contribution-aware mapping for one frame."""
 
-    model: GaussianModel
     is_keyframe: bool
-    covisibility_with_keyframe: float | None
     gaussians_skipped: int
     mapping: MappingOutcome
 
 
 class ContributionAwareMapper:
-    """Key / non-key frame mapping with Gaussian skipping."""
+    """Key / non-key frame designation with Gaussian skipping."""
 
-    def __init__(
-        self,
-        intrinsics: Intrinsics,
-        config: AGSConfig | None = None,
-        mapper_config: MapperConfig | None = None,
-        perf: PerfRecorder | None = None,
-    ) -> None:
-        self.intrinsics = intrinsics
+    def __init__(self, config: AGSConfig | None = None) -> None:
         self.config = config or AGSConfig()
-        mapper_config = mapper_config or MapperConfig()
-        mapper_config = dataclasses.replace(
-            mapper_config, contribution_threshold=self.config.thresh_alpha
-        )
-        self.mapper = GaussianMapper(intrinsics, mapper_config, perf=perf)
         self.contribution_table = GaussianContributionTable()
 
     def reset(self) -> None:
-        """Reset mapper state for a new sequence."""
-        self.mapper.reset()
+        """Forget the contribution table (new sequence)."""
         self.contribution_table.clear()
 
     def state_dict(self) -> dict:
-        """Snapshot the mapper (optimizer + RNG) and contribution table."""
-        return {
-            "mapper": self.mapper.state_dict(),
-            "contribution_table": self.contribution_table.state_dict(),
-        }
+        """Snapshot the contribution table (the only sequence state)."""
+        return self.contribution_table.state_dict()
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
-        self.mapper.load_state_dict(state["mapper"])
-        self.contribution_table.load_state_dict(state["contribution_table"])
+        self.contribution_table.load_state_dict(state)
 
     # ------------------------------------------------------------------
     def designate_keyframe(self, covisibility_with_keyframe: float | None) -> bool:
         """Decide whether the frame must be a key frame (full mapping).
 
-        A frame is a key frame when no previous key frame exists, when
-        contribution-aware mapping is disabled, or when its covisibility
-        with the previous key frame is below ``ThreshM``.
+        A frame is a key frame when no previous key frame exists or when
+        its covisibility with the previous key frame is below ``ThreshM``.
         """
-        if not self.config.enable_contribution_mapping:
-            return True
         if covisibility_with_keyframe is None:
             return True
         return covisibility_with_keyframe < self.config.thresh_m
@@ -96,21 +77,18 @@ class ContributionAwareMapper:
         frame_depth: np.ndarray,
         pose: Pose,
         covisibility_with_keyframe: float | None,
+        mapper: GaussianMapper,
         keyframes: list[tuple[np.ndarray, np.ndarray, Pose]] | None = None,
         collect_workload: bool = True,
     ) -> AdaptiveMappingOutcome:
-        """Map one frame with full or selective mapping.
+        """Map one frame with ``mapper``, fully or selectively.
 
-        Returns the updated model together with the key-frame designation
-        and skipping statistics.
+        Returns the mapper's outcome (``outcome.mapping.model`` is the
+        updated map) together with the key-frame designation and the
+        number of Gaussians skipped.
         """
-        is_keyframe = self.designate_keyframe(covisibility_with_keyframe)
-        thresh_n = self.config.thresh_n_for_resolution(
-            self.intrinsics.width, self.intrinsics.height
-        )
-
-        if is_keyframe:
-            outcome = self.mapper.map_frame(
+        if self.designate_keyframe(covisibility_with_keyframe):
+            outcome = mapper.map_frame(
                 model,
                 frame_color,
                 frame_depth,
@@ -118,33 +96,28 @@ class ContributionAwareMapper:
                 keyframes=keyframes,
                 record_contributions=True,
                 collect_workload=collect_workload,
-                allow_prune=True,
             )
             self.contribution_table.record(
                 frame_index, outcome.noncontrib_counts, outcome.contrib_counts
             )
-            skipped = 0
-        else:
-            prediction = self.contribution_table.predict_active_mask(len(model), thresh_n)
-            outcome = self.mapper.map_frame(
-                model,
-                frame_color,
-                frame_depth,
-                pose,
-                keyframes=keyframes,
-                active_mask=prediction.active_mask,
-                record_contributions=False,
-                collect_workload=collect_workload,
-                # Pruning would invalidate the Gaussian indices recorded in
-                # the contribution table, so it only runs on key frames.
-                allow_prune=False,
-            )
-            skipped = prediction.num_skipped
+            return AdaptiveMappingOutcome(is_keyframe=True, gaussians_skipped=0, mapping=outcome)
 
+        thresh_n = self.config.thresh_n_for_resolution(
+            mapper.intrinsics.width, mapper.intrinsics.height
+        )
+        prediction = self.contribution_table.predict_active_mask(len(model), thresh_n)
+        outcome = mapper.map_frame(
+            model,
+            frame_color,
+            frame_depth,
+            pose,
+            keyframes=keyframes,
+            active_mask=prediction.active_mask,
+            collect_workload=collect_workload,
+            # Pruning would invalidate the Gaussian indices recorded in
+            # the contribution table, so it only runs on key frames.
+            allow_prune=False,
+        )
         return AdaptiveMappingOutcome(
-            model=outcome.model,
-            is_keyframe=is_keyframe,
-            covisibility_with_keyframe=covisibility_with_keyframe,
-            gaussians_skipped=skipped,
-            mapping=outcome,
+            is_keyframe=False, gaussians_skipped=prediction.num_skipped, mapping=outcome
         )

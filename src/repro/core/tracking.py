@@ -4,8 +4,8 @@ Every frame first receives a coarse pose estimate from the lightweight
 neural-style tracker (:class:`repro.slam.droid.DroidLiteTracker`).  The
 frame's covisibility with the previous frame then decides whether that
 estimate is good enough (high covisibility, small motion) or whether a
-fine-grained refinement — ``IterT`` 3DGS training iterations, far fewer
-than the baseline's ``N_T`` — is required.
+fine-grained refinement — ``IterT`` 3DGS training iterations of the
+backbone's tracker, far fewer than the baseline's ``N_T`` — is required.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.config import AGSConfig
 from repro.gaussians.camera import Intrinsics, Pose
 from repro.gaussians.model import GaussianModel
-from repro.perf import PerfRecorder
 from repro.slam.droid import DroidLiteTracker
 from repro.slam.tracker import GaussianPoseTracker
 from repro.workloads import TrackingWorkload
@@ -31,26 +30,23 @@ class AdaptiveTrackingOutcome:
 
     pose: Pose
     used_coarse_only: bool
-    coarse_pose: Pose
     refine_iterations: int
     tracking_loss: float
     workload: TrackingWorkload
-    covisibility: float | None
 
 
 class MovementAdaptiveTracker:
-    """Coarse-then-fine pose tracking driven by frame covisibility."""
+    """Coarse-then-fine pose tracking driven by frame covisibility.
 
-    def __init__(
-        self,
-        intrinsics: Intrinsics,
-        config: AGSConfig | None = None,
-        perf: PerfRecorder | None = None,
-    ) -> None:
-        self.intrinsics = intrinsics
+    The fine-grained refinement runs the backbone's
+    :class:`~repro.slam.tracker.GaussianPoseTracker`, passed to
+    :meth:`track`; this class owns only the coarse tracker, the
+    refinement decision and the velocity prior.
+    """
+
+    def __init__(self, intrinsics: Intrinsics, config: AGSConfig | None = None) -> None:
         self.config = config or AGSConfig()
         self.coarse_tracker = DroidLiteTracker(intrinsics)
-        self.fine_tracker = GaussianPoseTracker(intrinsics, perf=perf)
         self._last_relative: Pose | None = None
 
     def reset(self) -> None:
@@ -90,6 +86,7 @@ class MovementAdaptiveTracker:
         cur_depth: np.ndarray,
         cur_gray: np.ndarray,
         covisibility: float | None,
+        tracker: GaussianPoseTracker,
         collect_workload: bool = True,
     ) -> AdaptiveTrackingOutcome:
         """Track one frame.
@@ -102,6 +99,8 @@ class MovementAdaptiveTracker:
             covisibility: covisibility with the previous frame (None means
                 unknown and forces a refinement, e.g. for the very first
                 tracked frame).
+            tracker: the backbone's photometric tracker, which runs the
+                ``IterT``-iteration refinement.
             collect_workload: record per-iteration render workloads.
 
         Returns:
@@ -113,29 +112,19 @@ class MovementAdaptiveTracker:
         coarse = self.coarse_tracker.track(
             prev_gray, prev_depth, prev_pose, cur_gray, velocity_prior=self._last_relative
         )
-        coarse_pose = coarse.pose
+        pose = coarse.pose
         workload = TrackingWorkload(coarse_flops=coarse.flops, refine_iterations=0)
 
-        needs_refinement = (
-            not config.enable_movement_adaptive_tracking
-            or covisibility is None
-            or covisibility < config.thresh_t
-        )
-        if not config.enable_movement_adaptive_tracking:
-            refine_iterations = config.baseline_tracking_iterations
-        else:
-            refine_iterations = config.iter_t
-
-        pose = coarse_pose
+        needs_refinement = covisibility is None or covisibility < config.thresh_t
         tracking_loss = 0.0
         iterations_run = 0
-        if needs_refinement and refine_iterations > 0 and len(model) > 0:
-            outcome = self.fine_tracker.track(
+        if needs_refinement and config.iter_t > 0 and len(model) > 0:
+            outcome = tracker.track(
                 model,
                 cur_color,
                 cur_depth,
-                coarse_pose,
-                num_iterations=refine_iterations,
+                coarse.pose,
+                num_iterations=config.iter_t,
                 collect_workload=collect_workload,
             )
             pose = outcome.pose
@@ -151,9 +140,7 @@ class MovementAdaptiveTracker:
         return AdaptiveTrackingOutcome(
             pose=pose,
             used_coarse_only=not needs_refinement,
-            coarse_pose=coarse_pose,
             refine_iterations=iterations_run,
             tracking_loss=tracking_loss,
             workload=workload,
-            covisibility=covisibility,
         )

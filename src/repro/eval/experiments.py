@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AGSConfig, AgsSlam, FrameCovisibilityDetector
+from repro.core import FrameCovisibilityDetector
 from repro.core.covisibility import CovisibilityConfig
 from repro.datasets import load_sequence
 from repro.gaussians.camera import Camera

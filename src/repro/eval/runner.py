@@ -53,13 +53,7 @@ class EvalSettings:
     """
 
     num_frames: int = 10
-    baseline_tracking_iterations: int = 20
-    mapping_iterations: int = 5
-    ags_iter_t: int = 4
     sequences: tuple[str, ...] = ("desk", "desk2", "room", "xyz", "house")
-    all_sequences: tuple[str, ...] = (
-        "desk", "desk2", "room", "xyz", "house", "room0", "office0", "s1", "s2",
-    )
     # Worker threads the experiment functions hand to SlamService.run_many;
     # 1 keeps everything on the caller's thread.
     workers: int = 1
@@ -72,9 +66,9 @@ def run_slam(
     algorithm: str,
     sequence_name: str,
     num_frames: int = DEFAULT_SETTINGS.num_frames,
-    tracking_iterations: int = DEFAULT_SETTINGS.baseline_tracking_iterations,
-    mapping_iterations: int = DEFAULT_SETTINGS.mapping_iterations,
-    iter_t: int = DEFAULT_SETTINGS.ags_iter_t,
+    tracking_iterations: int = 20,
+    mapping_iterations: int = 5,
+    iter_t: int = 4,
     thresh_m: float = 0.5,
     thresh_n: int | None = None,
     enable_mat: bool = True,
@@ -91,8 +85,7 @@ def run_slam(
 
     Args:
         algorithm: ``"splatam"``, ``"ags"``, ``"gaussian-slam"``,
-            ``"ags-gaussian-slam"``, ``"orb"``, ``"droid"`` or
-            ``"droid-splatam"``.
+            ``"orb"``, ``"droid"`` or ``"droid-splatam"``.
         sequence_name: registered sequence name.
         num_frames: frames to process.
         tracking_iterations: baseline N_T.

@@ -55,7 +55,6 @@ KNOWN_ALGORITHMS = (
     "orb",
     "droid",
     "ags",
-    "ags-gaussian-slam",
     "droid-splatam",
 )
 
@@ -69,8 +68,8 @@ class RunKey:
     tests — builds this one dataclass instead of re-deriving ad-hoc key
     tuples per call site.
 
-    The defaults mirror the historical ``run_slam`` defaults
-    (:data:`repro.eval.runner.DEFAULT_SETTINGS`).
+    The defaults are also :func:`repro.eval.runner.run_slam`'s and
+    :func:`build_session`'s.
     """
 
     algorithm: str
@@ -227,7 +226,7 @@ def build_session(
         return OrbLiteSlam(intrinsics, perf=perf)
     if algorithm == "droid":
         return DroidLiteSlam(intrinsics, perf=perf)
-    if algorithm in ("ags", "ags-gaussian-slam"):
+    if algorithm == "ags":
         config = AGSConfig(
             iter_t=iter_t,
             thresh_m=thresh_m,
@@ -236,32 +235,25 @@ def build_session(
             enable_movement_adaptive_tracking=enable_mat,
             enable_contribution_mapping=enable_gcm,
         )
-        return AgsSlam(
-            intrinsics,
-            config,
-            mapping_iterations=mapping_iterations,
-            health_config=health,
-            perf=perf,
-        )
-    if algorithm == "droid-splatam":
-        # Direct integration of the coarse tracker with SplaTAM mapping:
-        # every frame keeps the coarse pose (thresh_t below any possible
-        # covisibility disables refinement) and runs full mapping.
+    elif algorithm == "droid-splatam":
+        # Direct integration of the coarse tracker with SplaTAM: MAT that
+        # never refines (thresh_t below any possible covisibility) and GCM
+        # off, so every frame keeps the coarse pose and maps with
+        # SplaTAM's mapper and keyframe policy.
         config = AGSConfig(
             thresh_t=-1.0,
             iter_t=0,
             baseline_tracking_iterations=tracking_iterations,
             enable_contribution_mapping=False,
         )
-        return AgsSlam(
-            intrinsics,
-            config,
-            mapping_iterations=mapping_iterations,
-            health_config=health,
-            perf=perf,
-        )
-    raise AssertionError(  # pragma: no cover - validated above
-        f"unhandled algorithm '{algorithm}'"
+    else:  # pragma: no cover - validated above
+        raise AssertionError(f"unhandled algorithm '{algorithm}'")
+    return AgsSlam(
+        intrinsics,
+        config,
+        mapping_iterations=mapping_iterations,
+        health_config=health,
+        perf=perf,
     )
 
 
@@ -391,11 +383,6 @@ class SlamService:
     def __contains__(self, key: RunKey) -> bool:
         with self._lock:
             return key in self._store
-
-    def cached_keys(self) -> list[RunKey]:
-        """Retained keys, least- to most-recently used."""
-        with self._lock:
-            return self._store.keys()
 
     def clear(self) -> None:
         """Drop every retained run."""

@@ -196,12 +196,6 @@ class Pose:
         """Return the identity pose."""
         return cls(quat=np.array([1.0, 0.0, 0.0, 0.0]), trans=np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Pose":
-        """Build a pose from a 4x4 world-to-camera matrix."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        return cls(quat=rotmat_to_quat(matrix[:3, :3]), trans=matrix[:3, 3])
-
     def as_vector(self) -> np.ndarray:
         """Pack the pose as a flat ``[quat(4), trans(3)]`` vector (checkpoints)."""
         return np.concatenate([self.quat, self.trans])

@@ -54,10 +54,6 @@ class Adam:
         """Return the learning rate used for parameter ``name``."""
         return self.learning_rates.get(name, self.default_lr)
 
-    def set_learning_rate(self, name: str, value: float) -> None:
-        """Override the learning rate of one parameter."""
-        self.learning_rates[name] = value
-
     def reset(self) -> None:
         """Clear all optimizer state (moments and step counts)."""
         self._first_moments.clear()

@@ -152,11 +152,6 @@ class ProjectionResult:
     radii_sigma: np.ndarray
     tau: np.ndarray
 
-    @property
-    def num_visible(self) -> int:
-        """Number of Gaussians that survived culling."""
-        return int(np.count_nonzero(self.visible))
-
 
 def project_gaussians(model: GaussianModel, camera: Camera) -> ProjectionResult:
     """Project all Gaussians of ``model`` into ``camera``.

@@ -172,10 +172,6 @@ class TileGrid:
         x0, x1, y0, y1 = self.pixel_bounds(table)
         return x1 - x0, y1 - y0
 
-    def table_at(self, tile_x: int, tile_y: int) -> GaussianTable:
-        """Return the Gaussian table of tile ``(tile_x, tile_y)``."""
-        return self.tables[tile_y * self.tiles_x + tile_x]
-
     def pixel_bounds(self, table: GaussianTable) -> tuple[int, int, int, int]:
         """Return ``(x0, x1, y0, y1)`` pixel bounds of a tile (x1/y1 exclusive)."""
         x0 = table.tile_x * self.tile_size

@@ -100,19 +100,9 @@ class AgsHardwareConfig:
         return self.frequency_mhz * 1e6
 
     @property
-    def num_light_gpes(self) -> int:
-        """Total GPEs in the lightweight (tracking) GS array."""
-        return self.num_light_gpe_groups * self.gpe_group_dim**2
-
-    @property
     def num_gpes(self) -> int:
         """Total GPEs in the mapping GS array."""
         return self.num_gpe_groups * self.gpe_group_dim**2
-
-    @property
-    def systolic_macs_per_cycle(self) -> int:
-        """MACs per cycle across all systolic arrays."""
-        return self.num_systolic_arrays * self.systolic_dim**2
 
 
 AGS_EDGE = AgsHardwareConfig(

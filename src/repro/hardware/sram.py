@@ -17,8 +17,6 @@ __all__ = ["SramBuffer", "SRAM_AREA_MM2_PER_KB", "SRAM_ENERGY_PJ_PER_BYTE"]
 SRAM_AREA_MM2_PER_KB = 0.0072
 # Read/write energy per byte for small single-ported macros at 28 nm.
 SRAM_ENERGY_PJ_PER_BYTE = 0.18
-# Leakage per KB (mW) used by the power report.
-SRAM_LEAKAGE_MW_PER_KB = 0.012
 
 
 @dataclasses.dataclass
@@ -80,7 +78,3 @@ class SramBuffer:
     def access_energy_joules(self) -> float:
         """Energy of all recorded accesses."""
         return (self.read_bytes + self.write_bytes) * SRAM_ENERGY_PJ_PER_BYTE * 1e-12
-
-    def leakage_watts(self) -> float:
-        """Static power of the macro."""
-        return self.capacity_kb * SRAM_LEAKAGE_MW_PER_KB * 1e-3

@@ -72,10 +72,6 @@ class StormReport:
     def total_sheds(self) -> int:
         return sum(c.sheds for c in self.clients)
 
-    @property
-    def total_disconnects(self) -> int:
-        return sum(c.disconnects for c in self.clients)
-
     def admitted_latencies(self) -> list:
         """Every admitted-POST latency across clients (seconds)."""
         return [latency for c in self.clients for latency in c.latencies]

@@ -264,10 +264,10 @@ class TrackingHealthMonitor:
         pose, with the tracker's configured budget plus
         ``retry_iterations``: a flagged frame is worth extra convergence
         effort, and a retry that merely ties the primary pass is rejected
-        by the ladder anyway.  On AGS that budget is the fine tracker's
-        full one, not the covisibility-scaled ``IterT`` — a flagged frame
-        is exactly the kind the movement-adaptive schedule
-        under-provisioned.  Each pass is timed under ``section``, as the
+        by the ladder anyway.  On AGS the tracker is the backbone's, so
+        the budget is ``baseline_tracking_iterations``, not the
+        covisibility-scaled ``IterT`` — a flagged frame is exactly the
+        kind the movement-adaptive schedule under-provisioned.  Each pass is timed under ``section``, as the
         system's primary pass is.
         """
         iterations = tracker.config.num_iterations + self.config.retry_iterations

@@ -74,11 +74,6 @@ class SlamResult:
         return int(sum(frame.tracking_iterations for frame in self.frames))
 
     @property
-    def total_mapping_iterations(self) -> int:
-        """Total mapping iterations across the run."""
-        return int(sum(frame.mapping_iterations for frame in self.frames))
-
-    @property
     def keyframe_fraction(self) -> float:
         """Fraction of frames that ran full mapping."""
         if not self.frames:

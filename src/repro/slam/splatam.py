@@ -19,7 +19,8 @@ requested — a full workload trace for the hardware simulator.
 The tracking stage (step 1, moderated by the tracking-health ladder) is
 shared: :class:`repro.slam.gaussian_slam.GaussianSlam` subclasses
 :class:`SplaTam` and overrides only the map it tracks against and maps
-into.
+into, and :class:`repro.core.pipeline.AgsSlam` subclasses it and
+overrides only the primary tracking pass and the mapper call.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import dataclasses
 
 import numpy as np
 
-from repro.gaussians.camera import Intrinsics
+from repro.gaussians.camera import Intrinsics, Pose
 from repro.gaussians.model import GaussianModel
 from repro.perf import PerfRecorder
 from repro.slam.health import HealthConfig, TrackedFrame, TrackingHealthMonitor
 from repro.slam.keyframes import KeyframeManager
-from repro.slam.mapper import GaussianMapper, MapperConfig
+from repro.slam.mapper import GaussianMapper, MapperConfig, MappingOutcome
 from repro.slam.results import FrameResult
 from repro.slam.session import (
     SessionRunner,
@@ -78,8 +79,10 @@ class SplaTam(SessionRunner):
 
     Subclasses swap the map through four hooks (``_reset_map``,
     ``_tracking_model``, ``_map_payload``, ``_restore_map_payload``),
-    ``_final_model`` and ``_map``; the photometric tracking stage stays
-    this one.
+    ``_final_model`` and ``_map``.  AGS swaps the primary tracking pass
+    (``_primary_track``), the mapper call (``_map_frame``) and the
+    keyframe policy (``_register_keyframe``).  The health ladder, the
+    checkpoint payload and the result assembly stay this one.
     """
 
     algorithm = "splatam"
@@ -119,6 +122,8 @@ class SplaTam(SessionRunner):
         self.mapper.reset()
         self.keyframes.reset()
         self.health.reset()
+        # The last two accepted poses: all the constant-velocity warm
+        # start reads, so the checkpoint does not grow with the stream.
         self._pose_history: list = []
         self._prev_gray: np.ndarray | None = None
         self._prev_depth: np.ndarray | None = None
@@ -165,11 +170,11 @@ class SplaTam(SessionRunner):
     def _track(self, index: int, frame) -> TrackedFrame:
         """Tracking sub-stage: optimize the pose against the current map.
 
-        Frame 0 is anchored at its ground-truth pose.  Later frames warm
-        start with constant velocity, run photometric tracking and pass
-        through the tracking-health ladder.  The tracker renders the
-        map, so past frame 0 this stage depends on the previous frame's
-        mapping.
+        Frame 0 is anchored at its ground-truth pose.  Later frames run
+        the primary pass (:meth:`_primary_track`) and then the
+        tracking-health ladder, whose retries use the same tracker and
+        budget.  The tracker renders the map, so past frame 0 this stage
+        depends on the previous frame's mapping.
         """
         if index == 0:
             tracked = TrackedFrame(
@@ -178,22 +183,13 @@ class SplaTam(SessionRunner):
             )
         else:
             prev_pose = self._pose_history[-1]
-            initial = self.tracker.initial_guess(self._pose_history)
             model = self._tracking_model()
             section = f"{self._timer_prefix}/tracking"
             with self.perf.section(section):
-                outcome = self.tracker.track(
-                    model, frame.color, frame.depth, initial,
-                    collect_workload=self.collect_trace,
-                )
+                tracked = self._primary_track(frame, model)
             tracked = self.health.moderate(
                 index,
-                TrackedFrame(
-                    pose=outcome.pose,
-                    workload=outcome.workload,
-                    loss=outcome.final_loss,
-                    iterations=outcome.iterations_run,
-                ),
+                tracked,
                 prev_pose,
                 retrack=self.health.photometric_retry(
                     self.tracker, model, frame, self.collect_trace, self.perf, section
@@ -209,41 +205,47 @@ class SplaTam(SessionRunner):
                 ),
                 perf=self.perf,
             )
-        self._pose_history.append(tracked.pose.copy())
-        if self.health.config.enabled:
-            self._prev_gray = np.asarray(frame.gray)
-            self._prev_depth = np.asarray(frame.depth)
+        self._pose_history = [*self._pose_history[-1:], tracked.pose.copy()]
+        self._prev_gray = np.asarray(frame.gray)
+        self._prev_depth = np.asarray(frame.depth)
         self.perf.count("tracking.refine_iterations", tracked.iterations)
         return tracked
+
+    def _primary_track(self, frame, model: GaussianModel) -> TrackedFrame:
+        """The primary pass: constant-velocity warm start plus ``N_T`` iterations."""
+        initial = self.tracker.initial_guess(self._pose_history)
+        outcome = self.tracker.track(
+            model, frame.color, frame.depth, initial, collect_workload=self.collect_trace
+        )
+        return TrackedFrame(
+            pose=outcome.pose,
+            workload=outcome.workload,
+            loss=outcome.final_loss,
+            iterations=outcome.iterations_run,
+        )
 
     def _map(self, index: int, frame, tracked: TrackedFrame) -> tuple[FrameResult, FrameTrace]:
         """Mapping sub-stage: densify, optimize the map, manage keyframes."""
         pose = tracked.pose
         with self.perf.section(f"{self._timer_prefix}/mapping"):
-            mapping_outcome = self.mapper.map_frame(
-                self.model,
-                frame.color,
-                frame.depth,
-                pose,
-                keyframes=self.keyframes.mapping_views(),
-                collect_workload=self.collect_trace,
-            )
-        self.model = mapping_outcome.model
+            mapped = self._map_frame(index, frame, pose)
+        self.model = mapped.model
         self.perf.count("frames.processed")
-        self.perf.count("mapping.iterations", mapping_outcome.iterations_run)
-
-        if self.keyframes.should_add(index, pose):
-            self.keyframes.add(index, frame.color, frame.depth, pose)
+        self.perf.count("mapping.iterations", mapped.iterations_run)
+        self._register_keyframe(index, frame, pose, mapped)
 
         frame_result = FrameResult(
             frame_index=index,
             estimated_pose=pose.copy(),
             tracking_iterations=tracked.iterations,
-            mapping_iterations=mapping_outcome.iterations_run,
+            mapping_iterations=mapped.iterations_run,
             tracking_loss=tracked.loss,
-            mapping_loss=mapping_outcome.final_loss,
-            is_keyframe=True,
+            mapping_loss=mapped.final_loss,
+            used_coarse_only=tracked.used_coarse_only,
+            is_keyframe=mapped.workload.is_keyframe,
+            covisibility=tracked.covisibility,
             num_gaussians=len(self.model),
+            gaussians_skipped=mapped.workload.gaussians_skipped,
             degraded=tracked.degraded,
             fallbacks_used=tracked.fallbacks_used,
             relocalized=tracked.relocalized,
@@ -251,8 +253,26 @@ class SplaTam(SessionRunner):
         frame_trace = FrameTrace(
             frame_index=index,
             tracking=tracked.workload,
-            mapping=mapping_outcome.workload,
+            mapping=mapped.workload,
+            covisibility=tracked.covisibility,
+            codec_sad_evaluations=tracked.sad_evaluations,
             num_gaussians=len(self.model),
             health_events=list(tracked.health_events),
         )
         return frame_result, frame_trace
+
+    def _map_frame(self, index: int, frame, pose: Pose) -> MappingOutcome:
+        """The mapper call: full mapping of every frame against the keyframe window."""
+        return self.mapper.map_frame(
+            self.model,
+            frame.color,
+            frame.depth,
+            pose,
+            keyframes=self.keyframes.mapping_views(),
+            collect_workload=self.collect_trace,
+        )
+
+    def _register_keyframe(self, index: int, frame, pose: Pose, mapped: MappingOutcome) -> None:
+        """Keyframe policy: every ``keyframe_every``-th frame or a large motion."""
+        if self.keyframes.should_add(index, pose):
+            self.keyframes.add(index, frame.color, frame.depth, pose)

@@ -5,109 +5,88 @@ import pytest
 
 from repro.core import AGSConfig, AgsSlam, ContributionAwareMapper, MovementAdaptiveTracker
 from repro.slam import ate_rmse, evaluate_mapping_quality
+from repro.slam.mapper import GaussianMapper
+from repro.slam.tracker import GaussianPoseTracker
 
 
 # ----------------------------- movement-adaptive tracking --------------------
-def test_high_covisibility_skips_refinement(tiny_sequence, baseline_run):
-    tracker = MovementAdaptiveTracker(tiny_sequence.intrinsics, AGSConfig(iter_t=3))
-    prev, cur = tiny_sequence[1], tiny_sequence[2]
-    outcome = tracker.track(
-        baseline_run.final_model,
+def _track(sequence, model, prev_index, covisibility, iter_t):
+    """One MAT step between two frames, refining with a fresh backbone tracker."""
+    tracker = MovementAdaptiveTracker(sequence.intrinsics, AGSConfig(iter_t=iter_t))
+    prev, cur = sequence[prev_index], sequence[prev_index + 1]
+    return tracker.track(
+        model,
         prev.gray, prev.depth, prev.gt_pose,
         cur.color, cur.depth, cur.gray,
-        covisibility=0.98,
+        covisibility=covisibility,
+        tracker=GaussianPoseTracker(sequence.intrinsics),
     )
+
+
+def test_high_covisibility_skips_refinement(tiny_sequence, baseline_run):
+    outcome = _track(tiny_sequence, baseline_run.final_model, 1, covisibility=0.98, iter_t=3)
     assert outcome.used_coarse_only
     assert outcome.refine_iterations == 0
     assert outcome.workload.coarse_flops > 0
 
 
 def test_low_covisibility_triggers_refinement(tiny_sequence, baseline_run):
-    tracker = MovementAdaptiveTracker(tiny_sequence.intrinsics, AGSConfig(iter_t=3))
-    prev, cur = tiny_sequence[1], tiny_sequence[2]
-    outcome = tracker.track(
-        baseline_run.final_model,
-        prev.gray, prev.depth, prev.gt_pose,
-        cur.color, cur.depth, cur.gray,
-        covisibility=0.2,
-    )
+    outcome = _track(tiny_sequence, baseline_run.final_model, 1, covisibility=0.2, iter_t=3)
     assert not outcome.used_coarse_only
     assert outcome.refine_iterations > 0
     assert len(outcome.workload.refine_renders) == outcome.refine_iterations
 
 
 def test_unknown_covisibility_forces_refinement(tiny_sequence, baseline_run):
-    tracker = MovementAdaptiveTracker(tiny_sequence.intrinsics, AGSConfig(iter_t=2))
-    prev, cur = tiny_sequence[0], tiny_sequence[1]
-    outcome = tracker.track(
-        baseline_run.final_model,
-        prev.gray, prev.depth, prev.gt_pose,
-        cur.color, cur.depth, cur.gray,
-        covisibility=None,
-    )
+    outcome = _track(tiny_sequence, baseline_run.final_model, 0, covisibility=None, iter_t=2)
     assert not outcome.used_coarse_only
-
-
-def test_disabled_mat_always_runs_baseline_iterations(tiny_sequence, baseline_run):
-    config = AGSConfig(
-        iter_t=2, baseline_tracking_iterations=4, enable_movement_adaptive_tracking=False
-    )
-    tracker = MovementAdaptiveTracker(tiny_sequence.intrinsics, config)
-    prev, cur = tiny_sequence[1], tiny_sequence[2]
-    outcome = tracker.track(
-        baseline_run.final_model,
-        prev.gray, prev.depth, prev.gt_pose,
-        cur.color, cur.depth, cur.gray,
-        covisibility=0.99,
-    )
-    assert outcome.refine_iterations == 4
 
 
 # ----------------------------- contribution-aware mapping --------------------
 def test_keyframe_designation_rules():
-    mapper_config = AGSConfig(thresh_m=0.5)
-    from repro.gaussians import Intrinsics
-
-    mapper = ContributionAwareMapper(Intrinsics.from_fov(32, 24, 60.0), mapper_config)
+    mapper = ContributionAwareMapper(AGSConfig(thresh_m=0.5))
     assert mapper.designate_keyframe(None)
     assert mapper.designate_keyframe(0.3)
     assert not mapper.designate_keyframe(0.8)
-    disabled = ContributionAwareMapper(
-        Intrinsics.from_fov(32, 24, 60.0), AGSConfig(enable_contribution_mapping=False)
-    )
-    assert disabled.designate_keyframe(0.99)
 
 
 def test_keyframe_records_contribution_table(tiny_sequence, baseline_run):
-    mapper = ContributionAwareMapper(tiny_sequence.intrinsics, AGSConfig())
+    mapper = ContributionAwareMapper(AGSConfig())
     frame = tiny_sequence[2]
     outcome = mapper.map_frame(
         baseline_run.final_model, 2, frame.color, frame.depth, frame.gt_pose,
         covisibility_with_keyframe=None,
+        mapper=GaussianMapper(tiny_sequence.intrinsics),
     )
     assert outcome.is_keyframe
-    assert len(mapper.contribution_table) == len(outcome.model)
+    assert len(mapper.contribution_table) == len(outcome.mapping.model)
     assert mapper.contribution_table.keyframe_index == 2
 
 
 def test_nonkeyframe_uses_selective_mapping(tiny_sequence, baseline_run):
-    mapper = ContributionAwareMapper(tiny_sequence.intrinsics, AGSConfig())
+    mapper = ContributionAwareMapper(AGSConfig())
+    backbone = GaussianMapper(tiny_sequence.intrinsics)
     key = tiny_sequence[2]
     mapper.map_frame(
         baseline_run.final_model, 2, key.color, key.depth, key.gt_pose,
-        covisibility_with_keyframe=None,
+        covisibility_with_keyframe=None, mapper=backbone,
     )
     nonkey = tiny_sequence[3]
     outcome = mapper.map_frame(
         baseline_run.final_model, 3, nonkey.color, nonkey.depth, nonkey.gt_pose,
-        covisibility_with_keyframe=0.95,
+        covisibility_with_keyframe=0.95, mapper=backbone,
     )
     assert not outcome.is_keyframe
     assert not outcome.mapping.workload.is_keyframe
-    assert outcome.gaussians_skipped >= 0
+    assert outcome.gaussians_skipped == outcome.mapping.workload.gaussians_skipped >= 0
 
 
 # ----------------------------- full pipeline ----------------------------------
+def test_thresh_alpha_reaches_the_backbone_mapper(tiny_sequence):
+    system = AgsSlam(tiny_sequence.intrinsics, AGSConfig(thresh_alpha=0.05))
+    assert system.mapper.config.contribution_threshold == 0.05
+
+
 def test_ags_pipeline_produces_full_trajectory(ags_run, tiny_sequence):
     assert len(ags_run) == 6
     gt = [tiny_sequence[i].gt_pose for i in range(6)]

@@ -33,6 +33,8 @@ from repro.errors import (
     StageTimeoutError,
     TransientError,
 )
+from repro.datasets import load_sequence
+from repro.eval.service import build_session
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.gaussians.camera import Pose
 from repro.slam import SplaTam, SplaTamConfig, load_session_state, save_session_state
@@ -402,6 +404,23 @@ def test_history_is_stored_column_by_column(session_state, tmp_path):
         "traces/per_tile_offsets",
     ]
     assert manifest["arrays"]["frames/estimated_pose"][2] == [NUM_FRAMES, 7]
+
+
+@pytest.mark.parametrize("algorithm", ["splatam", "gaussian-slam", "ags"])
+def test_array_count_does_not_grow_with_the_stream(algorithm, tmp_path):
+    """The payload keeps no per-frame arrays either (e.g. one pose per frame)."""
+    sequence = load_sequence("desk", num_frames=12)
+    session = build_session(
+        algorithm, sequence.intrinsics, tracking_iterations=2, mapping_iterations=1
+    )
+    session.begin(sequence.name)
+    counts = []
+    for index, frame in sequence.stream():
+        session.feed(frame, index=index)
+        if index + 1 in (6, 12):
+            path = save_session_state(session.state(), tmp_path / f"at-{index + 1}")
+            counts.append(len(json.loads((path / CHECKPOINT_MANIFEST).read_text())["arrays"]))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,68 @@ def test_robustness_smoke_grid_fires_the_ladder():
     assert "Fallback ablation" in report
 
 
+def _grid_run(algorithm, scenario, **overrides):
+    """A run of the robustness grid's configuration, through the shared store
+    (the smoke grid above leaves its runs there)."""
+    from repro.eval.robustness import (
+        GRID_FRAMES,
+        GRID_MAPPING_ITERATIONS,
+        GRID_SEQUENCE,
+        GRID_TRACKING_ITERATIONS,
+    )
+    from repro.eval.service import RunKey, default_service
+
+    key = RunKey(
+        algorithm=algorithm,
+        sequence=GRID_SEQUENCE,
+        num_frames=GRID_FRAMES,
+        tracking_iterations=GRID_TRACKING_ITERATIONS,
+        mapping_iterations=GRID_MAPPING_ITERATIONS,
+        scenario=scenario,
+        **overrides,
+    )
+    return key, default_service().run(key)
+
+
+@pytest.mark.parametrize("scenario", [None, "stress"], ids=["clean", "stress"])
+def test_ags_with_both_switches_off_is_splatam(scenario):
+    """MAT and GCM only override SplaTAM's hooks, so with both off AGS is
+    SplaTAM: the same poses, losses, iteration counts and final map.  On
+    ``stress`` the ladder fires, so its retries match too."""
+    _, splatam = _grid_run("splatam", scenario)
+    _, ags = _grid_run("ags", scenario, enable_mat=False, enable_gcm=False)
+    if scenario is not None:
+        assert splatam.total_fallbacks > 0
+
+    def observed(result):
+        return [
+            (
+                frame.estimated_pose.as_vector().tobytes(),
+                frame.tracking_loss,
+                frame.mapping_loss,
+                frame.tracking_iterations,
+                frame.mapping_iterations,
+                frame.fallbacks_used,
+            )
+            for frame in result.frames
+        ]
+
+    assert observed(ags) == observed(splatam)
+    for name in splatam.final_model.PARAM_NAMES:
+        assert np.array_equal(getattr(ags.final_model, name), getattr(splatam.final_model, name))
+
+
+def test_ags_ladder_retry_runs_the_run_tracking_budget():
+    """Each ladder pass of AGS runs the run's ``tracking_iterations`` plus
+    ``retry_iterations``, not a fixed tracker default of its own."""
+    key, result = _grid_run("ags", "stress")
+    retried = [frame for frame in result.frames if frame.fallbacks_used]
+    assert retried
+    per_pass = key.tracking_iterations + HealthConfig().retry_iterations
+    for frame in retried:
+        assert frame.tracking_iterations <= key.iter_t + frame.fallbacks_used * per_pass
+
+
 # ---------------------------------------------------------------------------
 # Full robustness matrix (slow lane)
 # ---------------------------------------------------------------------------
