@@ -1,9 +1,9 @@
 """Bit-identity digests of the streaming SLAM systems.
 
 Feeds the desk sequence through every ``build_session`` system, clean and
-under a scenario, and prints one SHA-256 per (system, scenario) for each
-of: the ``FrameResult`` history, the workload traces, the final map and
-the perf counters (plus the timer paths and call counts, which carry no
+under a scenario, plus Gaussian-SLAM with a tight sub-map threshold, and
+prints one SHA-256 per (system, scenario) for each of: the ``FrameResult``
+history, the workload traces, the final map and the perf counters (plus the timer paths and call counts, which carry no
 wall-clock time).  A refactor that must not change behaviour leaves
 every line identical::
 
@@ -41,6 +41,7 @@ from repro.datasets import load_sequence
 from repro.datasets.scenarios import apply_scenario
 from repro.eval.service import build_session
 from repro.perf import PerfRecorder
+from repro.slam import GaussianSlam, GaussianSlamConfig
 
 SYSTEMS = ("splatam", "gaussian-slam", "ags", "droid-splatam", "orb", "droid")
 SCENARIOS = ("clean", "stress")
@@ -75,32 +76,49 @@ def digest(value) -> str:
 HEADER = "system scenario frames traces map counters timer_calls"
 
 
+def digest_line(name: str, scenario: str, session, source, perf, num_frames: int) -> str:
+    """Feed ``num_frames`` of ``source`` through ``session`` and digest the run."""
+    session.begin(f"desk-{scenario}")
+    for index in range(num_frames):
+        session.feed(source[index], index)
+    result = session.finalize()
+    model = result.final_model
+    timer_calls = {path: stats["calls"] for path, stats in perf.timers.as_dict().items()}
+    return " ".join((
+        name,
+        scenario,
+        digest(result.frames),
+        digest(result.trace.frames if result.trace is not None else None),
+        digest(None if model is None else {
+            name: getattr(model, name) for name in model.PARAM_NAMES
+        }),
+        digest(perf.counters.as_dict()),
+        digest(timer_calls),
+        f"fb={result.total_fallbacks}",
+    ))
+
+
 def digest_lines(num_frames: int):
-    """One line per (system, scenario) of the digest table."""
+    """One line per (system, scenario) of the digest table, then the sub-map row."""
     clean = load_sequence("desk", num_frames=num_frames)
     for scenario in SCENARIOS:
         source = apply_scenario(clean, None if scenario == "clean" else scenario)
         for algorithm in SYSTEMS:
             perf = PerfRecorder()
             session = build_session(algorithm, clean.intrinsics, perf=perf)
-            session.begin(f"desk-{scenario}")
-            for index in range(num_frames):
-                session.feed(source[index], index)
-            result = session.finalize()
-            model = result.final_model
-            timer_calls = {path: stats["calls"] for path, stats in perf.timers.as_dict().items()}
-            yield " ".join((
-                algorithm,
-                scenario,
-                digest(result.frames),
-                digest(result.trace.frames if result.trace is not None else None),
-                digest(None if model is None else {
-                    name: getattr(model, name) for name in model.PARAM_NAMES
-                }),
-                digest(perf.counters.as_dict()),
-                digest(timer_calls),
-                f"fb={result.total_fallbacks}",
-            ))
+            yield digest_line(algorithm, scenario, session, source, perf, num_frames)
+    # At the default thresholds Gaussian-SLAM opens one sub-map in 12 desk
+    # frames; a tight translation threshold opens five, so sub-map opening
+    # and the multi-sub-map final map are digested too.
+    perf = PerfRecorder()
+    session = GaussianSlam(
+        clean.intrinsics,
+        GaussianSlamConfig(
+            tracking_iterations=20, mapping_iterations=5, submap_translation_threshold=0.1
+        ),
+        perf=perf,
+    )
+    yield digest_line("gaussian-slam-submaps", "clean", session, clean, perf, num_frames)
 
 
 def start_at_revision(revision: str, num_frames: int, directory: str) -> subprocess.Popen:
