@@ -20,7 +20,7 @@ def _compare(num_frames=6):
     codec_values, direct_values = [], []
     for index in range(1, num_frames):
         prev, cur = sequence[index - 1], sequence[index]
-        codec = detector._measure(cur.gray, prev.gray, index - 1)
+        codec = detector._measure(cur.gray, prev.gray)
         codec_values.append(codec.value)
         direct = 1.0 - np.abs(cur.gray - prev.gray).mean() * 255.0 / detector.config.sad_scale
         direct_values.append(max(min(direct, 1.0), 0.0))

@@ -14,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import AGSConfig, FrameCovisibilityDetector
-from repro.core.covisibility import CovisibilityConfig
+from repro.core.covisibility import (
+    NUM_COVISIBILITY_LEVELS,
+    CovisibilityConfig,
+    covisibility_level,
+)
 from repro.datasets import available_sequences, load_sequence
 from repro.eval.report import format_table
 
@@ -33,8 +37,10 @@ def main() -> None:
             measurement = detector.observe(index, sequence[index].gray)
             if measurement is not None:
                 values.append(measurement.value)
+        histogram = np.zeros(NUM_COVISIBILITY_LEVELS, dtype=np.int64)
+        for value in values:
+            histogram[covisibility_level(value) - 1] += 1
         values = np.array(values)
-        histogram = detector.level_histogram()
         rows.append(
             [
                 name,

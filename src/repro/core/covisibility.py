@@ -55,10 +55,7 @@ class CovisibilityMeasurement:
     """One covisibility measurement between two frames."""
 
     value: float
-    total_min_sad: float
-    mean_sad_per_pixel: float
     sad_evaluations: int
-    reference_index: int | None = None
 
     @property
     def level(self) -> int:
@@ -90,59 +87,49 @@ class FrameCovisibilityDetector:
             method=self.config.method,
         )
         self._previous_gray: np.ndarray | None = None
-        self._previous_index: int | None = None
         self._keyframe_gray: np.ndarray | None = None
         self._keyframe_index: int | None = None
-        self.history: list[CovisibilityMeasurement] = []
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget all reference frames (new sequence)."""
         self._encoder.reset()
         self._previous_gray = None
-        self._previous_index = None
         self._keyframe_gray = None
         self._keyframe_index = None
-        self.history.clear()
 
     def _sad_to_covisibility(self, mean_sad_per_pixel: float) -> float:
         value = 1.0 - mean_sad_per_pixel / self.config.sad_scale
         return float(min(max(value, 0.0), 1.0))
 
-    def _measure(
-        self, gray: np.ndarray, reference: np.ndarray, reference_index: int | None
-    ) -> CovisibilityMeasurement:
+    def _measure(self, gray: np.ndarray, reference: np.ndarray) -> CovisibilityMeasurement:
         metadata = self._encoder.encode_pair(gray, reference)
-        measurement = CovisibilityMeasurement(
+        return CovisibilityMeasurement(
             value=self._sad_to_covisibility(metadata.mean_sad_per_pixel),
-            total_min_sad=metadata.total_min_sad,
-            mean_sad_per_pixel=metadata.mean_sad_per_pixel,
             sad_evaluations=metadata.motion.sad_evaluations if metadata.motion else 0,
-            reference_index=reference_index,
         )
-        return measurement
 
     # ------------------------------------------------------------------
     def observe(self, frame_index: int, gray: np.ndarray) -> CovisibilityMeasurement | None:
         """Measure covisibility of the new frame against the previous frame.
 
         Returns None for the first frame of a sequence (no reference yet).
-        The frame becomes the new "previous frame" afterwards.
+        The frame becomes the new "previous frame" afterwards.  The
+        detector keeps no per-frame record: the caller owns the returned
+        measurement, so ``frame_index`` is not stored.
         """
         gray = np.asarray(gray, dtype=np.float64)
         measurement: CovisibilityMeasurement | None = None
         if self._previous_gray is not None:
-            measurement = self._measure(gray, self._previous_gray, self._previous_index)
-            self.history.append(measurement)
+            measurement = self._measure(gray, self._previous_gray)
         self._previous_gray = gray.copy()
-        self._previous_index = frame_index
         return measurement
 
     def compare_with_keyframe(self, gray: np.ndarray) -> CovisibilityMeasurement | None:
         """Measure covisibility against the registered key frame (if any)."""
         if self._keyframe_gray is None:
             return None
-        return self._measure(np.asarray(gray, dtype=np.float64), self._keyframe_gray, self._keyframe_index)
+        return self._measure(np.asarray(gray, dtype=np.float64), self._keyframe_gray)
 
     def register_keyframe(self, frame_index: int, gray: np.ndarray) -> None:
         """Register the reference key frame used for mapping covisibility."""
@@ -156,7 +143,7 @@ class FrameCovisibilityDetector:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Snapshot the reference frames and measurement history.
+        """Snapshot the reference frames.
 
         The CODEC encoder itself is stateless for the pair-wise
         measurements the detector performs, so the detector's own fields
@@ -164,46 +151,18 @@ class FrameCovisibilityDetector:
         """
         return {
             "previous_gray": None if self._previous_gray is None else self._previous_gray.copy(),
-            "previous_index": self._previous_index,
             "keyframe_gray": None if self._keyframe_gray is None else self._keyframe_gray.copy(),
             "keyframe_index": self._keyframe_index,
-            "history": [
-                {
-                    "value": m.value,
-                    "total_min_sad": m.total_min_sad,
-                    "mean_sad_per_pixel": m.mean_sad_per_pixel,
-                    "sad_evaluations": m.sad_evaluations,
-                    "reference_index": m.reference_index,
-                }
-                for m in self.history
-            ],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
+        """Restore a snapshot produced by :meth:`state_dict`.
+
+        Other keys (older snapshots carry ``history`` and
+        ``previous_index``) are ignored.
+        """
         previous = state["previous_gray"]
         keyframe = state["keyframe_gray"]
         self._previous_gray = None if previous is None else np.asarray(previous).copy()
-        self._previous_index = None if state["previous_index"] is None else int(state["previous_index"])
         self._keyframe_gray = None if keyframe is None else np.asarray(keyframe).copy()
         self._keyframe_index = None if state["keyframe_index"] is None else int(state["keyframe_index"])
-        self.history = [
-            CovisibilityMeasurement(
-                value=float(entry["value"]),
-                total_min_sad=float(entry["total_min_sad"]),
-                mean_sad_per_pixel=float(entry["mean_sad_per_pixel"]),
-                sad_evaluations=int(entry["sad_evaluations"]),
-                reference_index=None
-                if entry["reference_index"] is None
-                else int(entry["reference_index"]),
-            )
-            for entry in state["history"]
-        ]
-
-    # ------------------------------------------------------------------
-    def level_histogram(self) -> np.ndarray:
-        """Histogram of observed covisibility levels (index 0 = level 1)."""
-        counts = np.zeros(NUM_COVISIBILITY_LEVELS, dtype=np.int64)
-        for measurement in self.history:
-            counts[measurement.level - 1] += 1
-        return counts

@@ -287,7 +287,7 @@ def fig6_contribution_similarity(
         reference_sets = {i: noncontrib_set(i) for i in range(num_frames)}
         for i in range(num_frames):
             for j in range(i + 1, num_frames):
-                measurement = detector._measure(sequence[j].gray, sequence[i].gray, i)
+                measurement = detector._measure(sequence[j].gray, sequence[i].gray)
                 level = measurement.level
                 set_i, set_j = reference_sets[i], reference_sets[j]
                 if set_i.sum() == 0:

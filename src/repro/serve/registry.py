@@ -476,13 +476,11 @@ class SessionRegistry:
         gaussians = 0
         resident_bytes = 0
         for sid in self._live:
-            model = getattr(self._entries[sid].session, "model", None)
-            if model is None:
-                continue
-            gaussians += len(model)
-            resident_bytes += sum(
-                array.nbytes for array in model.parameters().values()
-            )
+            for model in self._entries[sid].session.map_models():
+                gaussians += len(model)
+                resident_bytes += sum(
+                    array.nbytes for array in model.parameters().values()
+                )
         return gaussians, resident_bytes
 
     def _over_budget(self) -> bool:

@@ -1,14 +1,20 @@
 """Gaussian-SLAM-like backbone (used for the generality study, Fig. 23).
 
 Gaussian-SLAM differs from SplaTAM mainly in how it organizes the map:
-the scene is split into *sub-maps* that are frozen once the camera leaves
-them (preventing catastrophic forgetting), and the mapping loss adds a
-scale regularization term that keeps Gaussians from growing into elongated
-ellipsoids.  Tracking still optimizes the camera pose against the active
-sub-map with 3DGS gradients, so AGS's covisibility-driven optimizations
-apply unchanged — which is exactly the point of the paper's generality
-experiment.  The tracking stage is SplaTAM's, inherited: this module
-only swaps the map (sub-maps) and the mapping step.
+the scene is split into *sub-maps*.  A new one opens whenever the camera
+moves far enough from the active one's anchor, and only the active one
+is tracked against and optimized, so the sub-maps the camera left stay
+as they were (preventing catastrophic forgetting).  The mapping loss adds
+a scale regularization term that keeps Gaussians from growing into
+elongated ellipsoids.  Tracking still optimizes the camera pose with 3DGS
+gradients, so AGS's covisibility-driven optimizations apply unchanged —
+which is exactly the point of the paper's generality experiment.
+
+Everything but the map is SplaTAM's, inherited: ``model`` is the active
+sub-map's model, ``map_models()`` lists one model per sub-map, and the
+mapper call (``_map_frame``) opens sub-maps and regularizes scales
+around SplaTAM's.  Tracking, the health ladder, keyframes and the result
+assembly are :class:`~repro.slam.splatam.SplaTam`'s.
 """
 
 from __future__ import annotations
@@ -20,11 +26,9 @@ import numpy as np
 from repro.gaussians.camera import Intrinsics, Pose
 from repro.gaussians.model import GaussianModel
 from repro.perf import PerfRecorder
-from repro.slam.health import TrackedFrame
-from repro.slam.results import FrameResult
+from repro.slam.mapper import MappingOutcome
 from repro.slam.session import pack_model, pack_pose, unpack_model, unpack_pose
 from repro.slam.splatam import SplaTam, SplaTamConfig
-from repro.workloads import FrameTrace
 
 __all__ = ["GaussianSlamConfig", "GaussianSlam", "SubMap"]
 
@@ -35,8 +39,6 @@ class SubMap:
 
     anchor_pose: Pose
     model: GaussianModel
-    frozen: bool = False
-    frame_indices: list[int] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,15 +75,6 @@ class GaussianSlam(SplaTam):
         """The sub-map currently being extended."""
         return self.submaps[-1] if self.submaps else None
 
-    def global_model(self) -> GaussianModel:
-        """Concatenate all sub-maps into one model (for evaluation)."""
-        if not self.submaps:
-            return GaussianModel.empty()
-        model = self.submaps[0].model
-        for submap in self.submaps[1:]:
-            model = model.extend(submap.model)
-        return model
-
     def _needs_new_submap(self, pose: Pose) -> bool:
         active = self.active_submap
         if active is None:
@@ -107,88 +100,44 @@ class GaussianSlam(SplaTam):
     def _reset_map(self) -> None:
         self.submaps: list[SubMap] = []
 
-    def _tracking_model(self) -> GaussianModel:
-        """Tracking renders the active sub-map only."""
+    @property
+    def model(self) -> GaussianModel:
+        """The active sub-map's model: the map tracking and mapping work on."""
         active = self.active_submap
         return active.model if active else GaussianModel.empty()
 
-    def _final_model(self) -> GaussianModel:
-        return self.global_model()
+    @model.setter
+    def model(self, model: GaussianModel) -> None:
+        self.active_submap.model = model
+
+    def map_models(self) -> list[GaussianModel]:
+        return [submap.model for submap in self.submaps]
 
     def _map_payload(self) -> dict:
         return {
             "submaps": [
-                {
-                    "anchor_pose": pack_pose(submap.anchor_pose),
-                    "model": pack_model(submap.model),
-                    "frozen": submap.frozen,
-                    "frame_indices": list(submap.frame_indices),
-                }
+                {"anchor_pose": pack_pose(submap.anchor_pose), "model": pack_model(submap.model)}
                 for submap in self.submaps
             ]
         }
 
     def _restore_map_payload(self, payload: dict) -> None:
+        # Other sub-map keys (older checkpoints carry ``frozen`` and
+        # ``frame_indices``) are ignored.
         self.submaps = [
             SubMap(
                 anchor_pose=unpack_pose(entry["anchor_pose"]),
                 model=unpack_model(entry["model"]),
-                frozen=bool(entry["frozen"]),
-                frame_indices=[int(i) for i in entry["frame_indices"]],
             )
             for entry in payload["submaps"]
         ]
 
-    # ------------------------------------------------------------------
-    def _map(self, index: int, frame, tracked: TrackedFrame) -> tuple[FrameResult, FrameTrace]:
-        """Mapping sub-stage: sub-map management, mapping, keyframes."""
-        pose = tracked.pose
+    def _map_frame(self, index: int, frame, pose: Pose) -> MappingOutcome:
+        """Open a sub-map if the camera left the active one, map, regularize scales."""
         if self._needs_new_submap(pose):
-            if self.active_submap is not None:
-                self.active_submap.frozen = True
-            self.submaps.append(
-                SubMap(anchor_pose=pose.copy(), model=GaussianModel.empty())
-            )
+            self.submaps.append(SubMap(anchor_pose=pose.copy(), model=GaussianModel.empty()))
             self.keyframes.reset()
             self.perf.count("gaussian_slam.submaps_created")
-
-        submap = self.active_submap
-        with self.perf.section(f"{self._timer_prefix}/mapping"):
-            mapping_outcome = self.mapper.map_frame(
-                submap.model,
-                frame.color,
-                frame.depth,
-                pose,
-                keyframes=self.keyframes.mapping_views(),
-                collect_workload=self.collect_trace,
-            )
-        self.perf.count("frames.processed")
-        self.perf.count("mapping.iterations", mapping_outcome.iterations_run)
-        submap.model = mapping_outcome.model
-        self._apply_scale_regularization(submap.model)
-        submap.frame_indices.append(index)
-
-        if self.keyframes.should_add(index, pose):
-            self.keyframes.add(index, frame.color, frame.depth, pose)
-
-        num_gaussians = sum(len(entry.model) for entry in self.submaps)
-        frame_result = FrameResult(
-            frame_index=index,
-            estimated_pose=pose.copy(),
-            tracking_iterations=tracked.iterations,
-            mapping_iterations=mapping_outcome.iterations_run,
-            tracking_loss=tracked.loss,
-            mapping_loss=mapping_outcome.final_loss,
-            num_gaussians=num_gaussians,
-            degraded=tracked.degraded,
-            fallbacks_used=tracked.fallbacks_used,
-            relocalized=tracked.relocalized,
-        )
-        frame_trace = FrameTrace(
-            frame_index=index,
-            tracking=tracked.workload,
-            mapping=mapping_outcome.workload,
-            num_gaussians=num_gaussians,
-            health_events=list(tracked.health_events),
-        )
-        return frame_result, frame_trace
+        mapped = super()._map_frame(index, frame, pose)
+        self._apply_scale_regularization(mapped.model)
+        return mapped

@@ -10,15 +10,16 @@ only a batch ``run(sequence)``:
   ``finalize()`` assembles the :class:`~repro.slam.results.SlamResult`
   accumulated so far; ``state()`` / ``restore(state)`` checkpoint and
   resume a session bit-exactly; ``run(sequence)`` is the batch
-  compatibility shim implemented via ``feed``.
+  compatibility shim implemented via ``feed``; ``map_models()`` lists
+  the Gaussian models that make up the map.
 * :class:`SessionRunner` — the shared engine the systems build on.  It
   owns the frame loop, result/trace accumulation, the frame counter and
   the repo's one transient-recovery mechanism (``retry_frame``: roll a
   failed frame back and retry it);
   systems (``SplaTam``, ``AgsSlam``, ``GaussianSlam``, ``OrbLiteSlam``,
   ``DroidLiteSlam``) only provide the per-frame sub-stages (``_track`` /
-  ``_map``), the final map (``_final_model``) and their checkpoint
-  payload (``_state_payload`` / ``_restore_payload``).
+  ``_map``), the models that make up their map (``map_models``) and
+  their checkpoint payload (``_state_payload`` / ``_restore_payload``).
 * :class:`SessionState` — an in-memory checkpoint;
   :func:`save_session_state` / :func:`load_session_state` persist it as
   a directory with one raw array blob plus a JSON manifest.
@@ -167,6 +168,8 @@ class SlamSession(Protocol):
 
     def run(self, sequence, num_frames: int | None = None) -> SlamResult: ...
 
+    def map_models(self) -> list[GaussianModel]: ...
+
 
 class SessionRunner:
     """Shared streaming engine: frame loop, accumulation, checkpoints.
@@ -182,7 +185,8 @@ class SessionRunner:
     * ``_map(index, frame, tracked)`` — the mapping/keyframe sub-stage,
       returning ``(FrameResult, FrameTrace | None)``.  It owns the
       mapping-side state and assembles the frame's results.
-    * ``_final_model()`` — the map attached to the finalized result.
+    * ``map_models()`` — the Gaussian models that make up the map (none
+      for the systems that keep no map).
     * ``_state_payload()`` / ``_restore_payload(payload)`` — the
       system-specific checkpoint payload.
 
@@ -239,8 +243,20 @@ class SessionRunner:
         """Process one frame sequentially: track, then map."""
         return self._map(index, frame, self._track(index, frame))
 
+    def map_models(self) -> list[GaussianModel]:
+        """The Gaussian models that make up the map (overridden by map-based systems)."""
+        return []
+
     def _final_model(self) -> GaussianModel | None:
-        return getattr(self, "model", None)
+        """The map attached to the finalized result: the ``map_models()``
+        concatenated, or None for a system that keeps no map."""
+        models = self.map_models()
+        if not models:
+            return None
+        model = models[0]
+        for extra in models[1:]:
+            model = model.extend(extra)
+        return model
 
     def _state_payload(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} does not support checkpointing")

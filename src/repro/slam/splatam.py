@@ -16,11 +16,12 @@ The run produces a :class:`repro.slam.results.SlamResult` with the
 estimated trajectory, the final map, per-frame statistics and — when
 requested — a full workload trace for the hardware simulator.
 
-The tracking stage (step 1, moderated by the tracking-health ladder) is
-shared: :class:`repro.slam.gaussian_slam.GaussianSlam` subclasses
-:class:`SplaTam` and overrides only the map it tracks against and maps
-into, and :class:`repro.core.pipeline.AgsSlam` subclasses it and
-overrides only the primary tracking pass and the mapper call.
+The tracking stage (step 1, moderated by the tracking-health ladder) and
+the result assembly are shared: :class:`repro.slam.gaussian_slam.GaussianSlam`
+subclasses :class:`SplaTam` and overrides only the map (sub-maps) and the
+mapper call, and :class:`repro.core.pipeline.AgsSlam` subclasses it and
+overrides only the primary tracking pass, the mapper call and the
+keyframe policy.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ class SplaTamConfig:
 class SplaTam(SessionRunner):
     """The baseline 3DGS-SLAM pipeline (a streaming :class:`SlamSession`).
 
-    Subclasses swap the map through four hooks (``_reset_map``,
-    ``_tracking_model``, ``_map_payload``, ``_restore_map_payload``),
-    ``_final_model`` and ``_map``.  AGS swaps the primary tracking pass
+    Subclasses swap the map through ``model`` (the model tracking renders
+    and mapping updates) and four hooks: ``_reset_map``, ``map_models``,
+    ``_map_payload`` and ``_restore_map_payload``.  They swap the frame's
+    work through three more: the primary tracking pass
     (``_primary_track``), the mapper call (``_map_frame``) and the
     keyframe policy (``_register_keyframe``).  The health ladder, the
     checkpoint payload and the result assembly stay this one.
@@ -134,9 +136,8 @@ class SplaTam(SessionRunner):
     def _reset_map(self) -> None:
         self.model = GaussianModel.empty()
 
-    def _tracking_model(self) -> GaussianModel:
-        """The map the tracking stage renders against."""
-        return self.model
+    def map_models(self) -> list[GaussianModel]:
+        return [self.model]
 
     def _map_payload(self) -> dict:
         return {"model": pack_model(self.model)}
@@ -183,7 +184,7 @@ class SplaTam(SessionRunner):
             )
         else:
             prev_pose = self._pose_history[-1]
-            model = self._tracking_model()
+            model = self.model
             section = f"{self._timer_prefix}/tracking"
             with self.perf.section(section):
                 tracked = self._primary_track(frame, model)
@@ -234,6 +235,7 @@ class SplaTam(SessionRunner):
         self.perf.count("mapping.iterations", mapped.iterations_run)
         self._register_keyframe(index, frame, pose, mapped)
 
+        num_gaussians = sum(len(model) for model in self.map_models())
         frame_result = FrameResult(
             frame_index=index,
             estimated_pose=pose.copy(),
@@ -244,7 +246,7 @@ class SplaTam(SessionRunner):
             used_coarse_only=tracked.used_coarse_only,
             is_keyframe=mapped.workload.is_keyframe,
             covisibility=tracked.covisibility,
-            num_gaussians=len(self.model),
+            num_gaussians=num_gaussians,
             gaussians_skipped=mapped.workload.gaussians_skipped,
             degraded=tracked.degraded,
             fallbacks_used=tracked.fallbacks_used,
@@ -256,7 +258,7 @@ class SplaTam(SessionRunner):
             mapping=mapped.workload,
             covisibility=tracked.covisibility,
             codec_sad_evaluations=tracked.sad_evaluations,
-            num_gaussians=len(self.model),
+            num_gaussians=num_gaussians,
             health_events=list(tracked.health_events),
         )
         return frame_result, frame_trace

@@ -406,21 +406,39 @@ def test_history_is_stored_column_by_column(session_state, tmp_path):
     assert manifest["arrays"]["frames/estimated_pose"][2] == [NUM_FRAMES, 7]
 
 
+def _list_lengths(value, path="payload") -> dict:
+    """The length of every list in a nested payload, keyed by its path."""
+    lengths = {}
+    if isinstance(value, dict):
+        for key, item in value.items():
+            lengths.update(_list_lengths(item, f"{path}/{key}"))
+    elif isinstance(value, list):
+        lengths[path] = len(value)
+        for position, item in enumerate(value):
+            lengths.update(_list_lengths(item, f"{path}/{position}"))
+    return lengths
+
+
 @pytest.mark.parametrize("algorithm", ["splatam", "gaussian-slam", "ags"])
 def test_array_count_does_not_grow_with_the_stream(algorithm, tmp_path):
-    """The payload keeps no per-frame arrays either (e.g. one pose per frame)."""
+    """The payload keeps no per-frame arrays or list entries either (e.g.
+    one pose per frame).  Both snapshots come after the health monitor's
+    loss window has filled (it holds 5 losses at frame 6)."""
     sequence = load_sequence("desk", num_frames=12)
     session = build_session(
         algorithm, sequence.intrinsics, tracking_iterations=2, mapping_iterations=1
     )
     session.begin(sequence.name)
-    counts = []
+    counts, lengths = [], []
     for index, frame in sequence.stream():
         session.feed(frame, index=index)
-        if index + 1 in (6, 12):
-            path = save_session_state(session.state(), tmp_path / f"at-{index + 1}")
+        if index + 1 in (7, 12):
+            state = session.state()
+            path = save_session_state(state, tmp_path / f"at-{index + 1}")
             counts.append(len(json.loads((path / CHECKPOINT_MANIFEST).read_text())["arrays"]))
+            lengths.append(_list_lengths(state.payload))
     assert counts[0] == counts[1]
+    assert lengths[0] == lengths[1]
 
 
 # ---------------------------------------------------------------------------

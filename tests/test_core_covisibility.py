@@ -64,8 +64,8 @@ def test_detector_identical_frames_have_full_covisibility(tiny_sequence):
 
 def test_detector_covisibility_decreases_with_frame_distance(tiny_sequence):
     detector = FrameCovisibilityDetector()
-    near = detector._measure(tiny_sequence[1].gray, tiny_sequence[0].gray, 0)
-    far = detector._measure(tiny_sequence[6].gray, tiny_sequence[0].gray, 0)
+    near = detector._measure(tiny_sequence[1].gray, tiny_sequence[0].gray)
+    far = detector._measure(tiny_sequence[6].gray, tiny_sequence[0].gray)
     assert far.value <= near.value
 
 
@@ -78,12 +78,16 @@ def test_detector_keyframe_comparison(tiny_sequence):
     assert detector.keyframe_index == 0
 
 
-def test_detector_history_and_level_histogram(tiny_sequence):
+def test_detector_measures_every_frame_after_the_first(tiny_sequence):
     detector = FrameCovisibilityDetector()
-    for index in range(4):
-        detector.observe(index, tiny_sequence[index].gray)
-    assert len(detector.history) == 3
-    assert detector.level_histogram().sum() == 3
+    measurements = [detector.observe(index, tiny_sequence[index].gray) for index in range(4)]
+    assert measurements[0] is None
+    for measurement in measurements[1:]:
+        assert 0.0 <= measurement.value <= 1.0
+        assert measurement.level == covisibility_level(measurement.value)
+        assert measurement.sad_evaluations > 0
+    # Nothing per frame is kept: the checkpoint is the reference frames.
+    assert sorted(detector.state_dict()) == ["keyframe_gray", "keyframe_index", "previous_gray"]
 
 
 def test_detector_reset(tiny_sequence):
@@ -98,8 +102,8 @@ def test_detector_reset(tiny_sequence):
 def test_sad_scale_controls_sensitivity(tiny_sequence):
     strict = FrameCovisibilityDetector(CovisibilityConfig(sad_scale=10.0))
     loose = FrameCovisibilityDetector(CovisibilityConfig(sad_scale=200.0))
-    strict_value = strict._measure(tiny_sequence[3].gray, tiny_sequence[0].gray, 0).value
-    loose_value = loose._measure(tiny_sequence[3].gray, tiny_sequence[0].gray, 0).value
+    strict_value = strict._measure(tiny_sequence[3].gray, tiny_sequence[0].gray).value
+    loose_value = loose._measure(tiny_sequence[3].gray, tiny_sequence[0].gray).value
     assert strict_value <= loose_value
 
 

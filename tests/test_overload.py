@@ -376,10 +376,11 @@ def test_serving_fault_plans_are_deterministic_and_budgeted():
 # ---------------------------------------------------------------------------
 # Memory-pressure parking
 # ---------------------------------------------------------------------------
-def test_registry_parks_coldest_under_gaussian_budget(tiny_sequence):
+@pytest.mark.parametrize("algorithm", ["splatam", "gaussian-slam", "ags"])
+def test_registry_parks_coldest_under_gaussian_budget(algorithm, tiny_sequence):
     perf = PerfRecorder()
     registry = SessionRegistry(max_live=8, max_live_gaussians=1, perf=perf)
-    factory = _factory("splatam", tiny_sequence.intrinsics)
+    factory = _factory(algorithm, tiny_sequence.intrinsics)
     registry.open("cold", factory)
     with registry.checkout("cold") as session:
         session.feed(tiny_sequence[0], index=0)  # now owns a real map

@@ -62,6 +62,8 @@ def test_gaussian_slam_runs_and_builds_submaps(tiny_sequence):
     assert len(result.frames) == 5
     assert len(system.submaps) >= 1
     assert len(result.final_model) > 0
+    assert len(result.final_model) == sum(len(model) for model in system.map_models())
+    assert result.frames[-1].num_gaussians == len(result.final_model)
     gt = [tiny_sequence[i].gt_pose for i in range(5)]
     assert ate_rmse(result.estimated_trajectory, gt) < 20.0
 
@@ -69,8 +71,7 @@ def test_gaussian_slam_runs_and_builds_submaps(tiny_sequence):
 def test_gaussian_slam_scale_regularization_shrinks_anisotropy(tiny_sequence):
     config = GaussianSlamConfig(tracking_iterations=2, mapping_iterations=2, scale_regularization=0.5)
     system = GaussianSlam(tiny_sequence.intrinsics, config)
-    system.run(tiny_sequence, num_frames=2)
-    model = system.global_model()
+    model = system.run(tiny_sequence, num_frames=2).final_model
     anisotropy = model.log_scales.max(axis=1) - model.log_scales.min(axis=1)
     assert anisotropy.mean() < 1.0
 
