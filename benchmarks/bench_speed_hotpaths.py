@@ -12,7 +12,11 @@ Times the hottest paths of the reproduction —
   ``desk`` frame (``wire.64x48.encode`` / ``.decode``) and the v3 disk
   checkpoint of ORB-lite and AGS sessions after 30 frames
   (``ckpt.{orb,ags}.f30.save`` / ``.load``), each round trip checked
-  bit for bit before it is timed —
+  bit for bit before it is timed;
+* ORB-lite odometry: 30 ``desk`` frames fed through one session
+  (``orb.64x48.feed``), its poses first checked bit for bit against
+  ``tests/test_orb_lite.py``'s oracle, which recomputes every frame pair
+  with the per-row matcher and the per-hypothesis RANSAC —
 
 and writes the results (with backend/fast-path speedups) to the
 ``BENCH_hotpaths.json`` perf-trajectory file at the repo root through the
@@ -26,11 +30,12 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
 
-from perf_gate import best_of, main  # also puts src/ on sys.path
+from perf_gate import REPO_ROOT, best_of, main  # also puts src/ on sys.path
 
 from repro.codec import motion_estimate
 from repro.datasets import load_sequence
@@ -39,12 +44,16 @@ from repro.gaussians import Camera, GaussianModel, Intrinsics, Pose, render
 from repro.serve.api import decode_frame, encode_frame
 from repro.slam.session import load_session_state, save_session_state
 
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from test_orb_lite import oracle_poses  # noqa: E402
+
 MOTION_FRAME_SIZES = [(120, 160), (240, 320), (480, 640)]
 MOTION_SEARCH_RANGE = 4
 RENDER_MODEL_SIZES = [50, 200, 800]
 RENDER_IMAGE = (120, 160)  # (height, width)
 CKPT_SYSTEMS = ("orb", "ags")
 CKPT_FRAMES = 30
+ORB_FRAMES = 30
 
 # Timings gated by --gate: the vectorized/fast hot paths (the quantities
 # this repo promises to keep fast).  Reference timings are informational.
@@ -60,6 +69,7 @@ GATED_KEYS = [
     "ckpt.orb.f30.load",
     "ckpt.ags.f30.save",
     "ckpt.ags.f30.load",
+    "orb.64x48.feed",
 ]
 
 
@@ -170,11 +180,30 @@ def bench_serving_bytes(repeats: int) -> dict[str, float]:
     return timings
 
 
+def bench_orb_feed(repeats: int) -> dict[str, float]:
+    sequence = load_sequence("desk", num_frames=ORB_FRAMES)
+    frames = [sequence[index] for index in range(ORB_FRAMES)]
+
+    def feed():
+        session = build_session("orb", sequence.intrinsics)
+        session.begin(sequence.name)
+        for index, frame in enumerate(frames):
+            session.feed(frame, index)
+        return session.finalize()
+
+    poses = [frame.estimated_pose.as_vector().tobytes() for frame in feed().frames]
+    if poses != oracle_poses(frames, sequence.intrinsics):
+        raise AssertionError("ORB-lite feed differs from the per-hypothesis oracle")
+    label = f"{sequence.intrinsics.width}x{sequence.intrinsics.height}"
+    return {f"orb.{label}.feed": best_of(feed, repeats)}
+
+
 def measure(repeats: int) -> dict:
     timings = {}
     timings.update(bench_motion(repeats))
     timings.update(bench_render(repeats))
     timings.update(bench_serving_bytes(repeats))
+    timings.update(bench_orb_feed(repeats))
 
     speedups = {}
     for height, width in MOTION_FRAME_SIZES:
@@ -208,6 +237,7 @@ def measure(repeats: int) -> dict:
             "render_image": list(RENDER_IMAGE),
             "checkpoint_systems": list(CKPT_SYSTEMS),
             "checkpoint_frames": CKPT_FRAMES,
+            "orb_frames": ORB_FRAMES,
         },
         "timings_seconds": timings,
         "speedups": speedups,

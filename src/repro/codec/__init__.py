@@ -7,11 +7,11 @@ previous frame.  AGS repurposes the per-block *minimum* SAD values as a
 free covisibility signal.  This package implements the ME pipeline in
 software so those intermediate values exist in the reproduction: macro
 block partitioning, full / diamond search, SAD computation, motion
-vectors, and a streaming encoder front-end that emits per-frame metadata.
+vectors, and an encoder front-end that emits per-frame metadata.
 
-Two search backends are available everywhere a ``backend=`` knob appears
-(:func:`motion_estimate`, :class:`StreamingEncoder`,
-:class:`repro.core.covisibility.CovisibilityConfig`):
+:func:`motion_estimate` offers two search backends through ``backend=``
+(:class:`StreamingEncoder` and the covisibility detector always use the
+vectorized one):
 
 * ``backend="vectorized"`` (default) — batched NumPy search in
   :mod:`repro.codec.motion_search`; all macro-blocks are matched against

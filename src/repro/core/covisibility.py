@@ -88,15 +88,12 @@ class FrameCovisibilityDetector:
         )
         self._previous_gray: np.ndarray | None = None
         self._keyframe_gray: np.ndarray | None = None
-        self._keyframe_index: int | None = None
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget all reference frames (new sequence)."""
-        self._encoder.reset()
         self._previous_gray = None
         self._keyframe_gray = None
-        self._keyframe_index = None
 
     def _sad_to_covisibility(self, mean_sad_per_pixel: float) -> float:
         value = 1.0 - mean_sad_per_pixel / self.config.sad_scale
@@ -106,7 +103,7 @@ class FrameCovisibilityDetector:
         metadata = self._encoder.encode_pair(gray, reference)
         return CovisibilityMeasurement(
             value=self._sad_to_covisibility(metadata.mean_sad_per_pixel),
-            sad_evaluations=metadata.motion.sad_evaluations if metadata.motion else 0,
+            sad_evaluations=metadata.motion.sad_evaluations,
         )
 
     # ------------------------------------------------------------------
@@ -132,37 +129,32 @@ class FrameCovisibilityDetector:
         return self._measure(np.asarray(gray, dtype=np.float64), self._keyframe_gray)
 
     def register_keyframe(self, frame_index: int, gray: np.ndarray) -> None:
-        """Register the reference key frame used for mapping covisibility."""
-        self._keyframe_gray = np.asarray(gray, dtype=np.float64).copy()
-        self._keyframe_index = frame_index
+        """Register the reference key frame used for mapping covisibility.
 
-    @property
-    def keyframe_index(self) -> int | None:
-        """Index of the registered reference key frame."""
-        return self._keyframe_index
+        Only the frame is kept; as in :meth:`observe`, ``frame_index`` is
+        not stored.
+        """
+        self._keyframe_gray = np.asarray(gray, dtype=np.float64).copy()
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Snapshot the reference frames.
 
-        The CODEC encoder itself is stateless for the pair-wise
-        measurements the detector performs, so the detector's own fields
-        are the complete checkpoint.
+        The CODEC encoder is stateless, so the detector's own fields are
+        the complete checkpoint.
         """
         return {
             "previous_gray": None if self._previous_gray is None else self._previous_gray.copy(),
             "keyframe_gray": None if self._keyframe_gray is None else self._keyframe_gray.copy(),
-            "keyframe_index": self._keyframe_index,
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`state_dict`.
 
-        Other keys (older snapshots carry ``history`` and
-        ``previous_index``) are ignored.
+        Other keys (older snapshots carry ``history``, ``previous_index``
+        and ``keyframe_index``) are ignored.
         """
         previous = state["previous_gray"]
         keyframe = state["keyframe_gray"]
         self._previous_gray = None if previous is None else np.asarray(previous).copy()
         self._keyframe_gray = None if keyframe is None else np.asarray(keyframe).copy()
-        self._keyframe_index = None if state["keyframe_index"] is None else int(state["keyframe_index"])

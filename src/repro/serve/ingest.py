@@ -7,6 +7,9 @@ returns immediately; a worker from the shared :class:`IngestPool` drains
 the queue in arrival order through the ordinary ``feed`` path, which is
 what makes asynchronous ingestion *bit-identical* to synchronous feeding
 by construction (property-tested per system in ``tests/test_serve.py``).
+A frame for a parked session waits in the handle instead, and the drain
+worker resumes the session and queues it there first, so no producer
+waits for parking I/O.
 
 The handle's contract:
 
@@ -41,6 +44,7 @@ import time
 from repro.errors import RetryPolicy, StageTimeoutError
 from repro.perf import PerfRecorder, global_recorder
 from repro.serve.registry import SessionRegistry
+from repro.slam.session import check_frame
 
 __all__ = ["AsyncSessionHandle", "IngestPool"]
 
@@ -132,6 +136,13 @@ class AsyncSessionHandle:
         self._drain_scheduled = False
         self._error: BaseException | None = None
         self._closed = False
+        # Frames submitted while the session was parked, oldest first, and
+        # what submit needs to queue one without the session: its
+        # intrinsics and the index the next frame takes.  Both are learnt
+        # from the last submit that reached the session.
+        self._backlog: list = []
+        self._intrinsics = None
+        self._next_index: int | None = None
 
     # ------------------------------------------------------------------
     # Producer side
@@ -156,6 +167,13 @@ class AsyncSessionHandle:
         counted as ``serve.deadline_rejections`` and reported through
         ``on_reject``.  The returned index is provisional when deadlines
         are in play (an earlier rejection shifts later frames down).
+
+        A frame for a parked session waits in the handle's backlog (after
+        the same validation ``feed_nowait`` runs), and the drain worker
+        resumes the session: the producer never waits for a resume, nor
+        for the park of another session that the resume evicts.  A failed
+        resume then surfaces from the next ``submit`` or ``flush``, like
+        any other drain failure.
         """
         with self._cond:
             self._raise_error()
@@ -167,8 +185,17 @@ class AsyncSessionHandle:
                     lambda: self._enqueued - self._processed < self.queue_depth,
                     "the ingestion queue full",
                 )
-            with self.registry.checkout(self.session_id) as session:
-                index = session.feed_nowait(frame, deadline=deadline)
+            if self._next_index is not None and (
+                self._backlog or self.registry.is_parked(self.session_id)
+            ):
+                check_frame(frame, self._intrinsics)
+                index = self._next_index
+                self._backlog.append((frame, deadline))
+            else:
+                with self.registry.checkout(self.session_id) as session:
+                    index = session.feed_nowait(frame, deadline=deadline)
+                    self._intrinsics = session.intrinsics
+            self._next_index = index + 1
             self._enqueued += 1
             depth = self._enqueued - self._processed
             if depth > self._depth_high_water:
@@ -234,7 +261,8 @@ class AsyncSessionHandle:
         with self._cond:
             with self.registry.checkout(self.session_id) as session:
                 dropped = session.clear_pending()
-            shed = len(dropped)
+            shed = len(dropped) + len(self._backlog)
+            self._backlog.clear()
             if shed:
                 self._processed += shed
                 self.perf.count("serve.shed_frames", shed)
@@ -342,6 +370,10 @@ class AsyncSessionHandle:
         policy = RetryPolicy()
         try:
             with self.registry.checkout(self.session_id) as session:
+                with self._cond:  # submit appends under it: order is kept
+                    for frame, deadline in self._backlog:
+                        session.feed_nowait(frame, deadline=deadline)
+                    self._backlog.clear()
                 while session.pending_count > 0:
                     results.extend(
                         session.retry_frame(

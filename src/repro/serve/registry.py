@@ -321,6 +321,12 @@ class SessionRegistry:
         with self._lock:
             return [sid for sid, entry in self._entries.items() if entry.session is None]
 
+    def is_parked(self, session_id: str) -> bool:
+        """Whether ``session_id`` is registered here and currently parked."""
+        with self._lock:
+            entry = self._entries.get(session_id)
+            return entry is not None and entry.session is None
+
     def stats(self) -> dict:
         """Registry telemetry snapshot for reports and benchmarks."""
         with self._lock:

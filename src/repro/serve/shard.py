@@ -113,6 +113,9 @@ class ShardedRegistry:
         """Parked session ids across every shard (shard-major order)."""
         return [sid for shard in self.shards for sid in shard.parked_ids()]
 
+    def is_parked(self, session_id: str) -> bool:
+        return self.shard_for(session_id).is_parked(session_id)
+
     def stats(self) -> dict:
         """Aggregated telemetry plus the per-shard breakdown."""
         per_shard = [shard.stats() for shard in self.shards]

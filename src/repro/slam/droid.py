@@ -128,9 +128,13 @@ class DroidLiteTracker:
             mixed = convolve(base[..., channel % base.shape[-1]], self._mixing_kernels[channel], mode="nearest")
             channels.append(np.maximum(mixed, 0.0))
         features = np.stack(channels, axis=-1)
-        # 4 fixed convs + C mixing convs, 9 MACs per output pixel each.
-        self._flops += gray.size * 9 * 2 * (4 + self.config.num_feature_channels)
+        self._flops += self.extractor_flops(gray)
         return features
+
+    def extractor_flops(self, gray: np.ndarray) -> int:
+        """FLOPs :meth:`extract_features` bills for one ``gray`` frame."""
+        # 4 fixed convs + C mixing convs, 9 MACs per output pixel each.
+        return np.size(gray) * 9 * 2 * (4 + self.config.num_feature_channels)
 
     # ------------------------------------------------------------------
     # Pose refinement
@@ -149,17 +153,16 @@ class DroidLiteTracker:
         """
         config = self.config
         self._flops = 0.0
-        # The feature extractor is still exercised (and billed) because the
-        # hardware model maps it onto the systolic array, but the alignment
-        # itself uses the smoothed-intensity channel, which is the best
-        # conditioned signal at the small working resolution.
-        self.extract_features(prev_gray)
-        self.extract_features(cur_gray)
+        # The feature extractor is billed for both frames because the
+        # hardware model maps it onto the systolic array, but its maps are
+        # not computed: the alignment uses the smoothed-intensity channel,
+        # which is the best conditioned signal at the small working
+        # resolution.
+        self._flops += self.extractor_flops(prev_gray)
+        self._flops += self.extractor_flops(cur_gray)
         smooth_kernel = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float64) / 16.0
         prev_image = convolve(np.asarray(prev_gray, dtype=np.float64), smooth_kernel, mode="nearest")
         cur_image = convolve(np.asarray(cur_gray, dtype=np.float64), smooth_kernel, mode="nearest")
-        # np.gradient returns d/dy, d/dx with the correct sign convention.
-        grad_y, grad_x = np.gradient(cur_image)
 
         intr = self.intrinsics
         stride = max(config.pixel_stride, 1)

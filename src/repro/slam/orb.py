@@ -24,12 +24,15 @@ from repro.slam.results import FrameResult
 from repro.slam.session import SessionRunner, pack_pose, pack_rng, restore_rng, unpack_pose
 
 __all__ = [
+    "OrbFeatures",
     "OrbLiteConfig",
     "OrbLiteSlam",
     "detect_corners",
     "estimate_relative_rigid",
     "extract_descriptors",
+    "frame_features",
     "match_descriptors",
+    "relative_rigid_from_features",
 ]
 
 
@@ -104,32 +107,97 @@ def match_descriptors(desc_a: np.ndarray, desc_b: np.ndarray, ratio: float) -> n
     # Distance matrix of normalized descriptors: smaller = more similar.
     similarity = desc_a @ desc_b.T
     distances = 2.0 - 2.0 * similarity
-    matches = []
     best_b = distances.argmin(axis=1)
-    for index_a, index_b in enumerate(best_b):
-        row = distances[index_a]
-        sorted_row = np.sort(row)
-        if len(sorted_row) > 1 and sorted_row[0] > ratio * sorted_row[1]:
-            continue
-        # Mutual check.
-        if distances[:, index_b].argmin() != index_a:
-            continue
-        matches.append((index_a, index_b))
-    return np.asarray(matches, dtype=np.int64).reshape(-1, 2)
+    keep = distances.argmin(axis=0)[best_b] == np.arange(len(desc_a))  # mutual check
+    if distances.shape[1] > 1:
+        nearest = np.partition(distances, 1, axis=1)
+        keep &= ~(nearest[:, 0] > ratio * nearest[:, 1])
+    return np.stack([np.flatnonzero(keep), best_b[keep]], axis=1).astype(np.int64)
 
 
-def _horn_alignment(points_a: np.ndarray, points_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form rigid transform mapping points_a onto points_b."""
-    mu_a = points_a.mean(axis=0)
-    mu_b = points_b.mean(axis=0)
-    covariance = (points_b - mu_b).T @ (points_a - mu_a)
+def _horn_alignments(points_a: np.ndarray, points_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form rigid transforms mapping ``points_a[k]`` onto ``points_b[k]``.
+
+    Takes (K, M, 3) stacks and returns (K, 3, 3) rotations and (K, 3)
+    translations.  Every operation is per-stack-entry, so entry ``k`` is
+    bit for bit what a (1, M, 3) call on it returns.  Raises
+    ``LinAlgError`` when any entry's SVD does not converge.
+    """
+    mu_a = points_a.mean(axis=1)
+    mu_b = points_b.mean(axis=1)
+    covariance = np.matmul(
+        (points_b - mu_b[:, None]).transpose(0, 2, 1), points_a - mu_a[:, None]
+    )
     u, _, vt = np.linalg.svd(covariance)
-    sign_fix = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign_fix[2, 2] = -1.0
+    sign_fix = np.tile(np.eye(3), (len(points_a), 1, 1))
+    sign_fix[np.linalg.det(u) * np.linalg.det(vt) < 0, 2, 2] = -1.0
     rotation = u @ sign_fix @ vt
-    translation = mu_b - rotation @ mu_a
+    # matmul, not einsum: einsum's reduction order is not the 2-D product's.
+    translation = mu_b - np.matmul(rotation, mu_a[..., None])[..., 0]
     return rotation, translation
+
+
+def _ransac_inliers(
+    points_prev: np.ndarray,
+    points_cur: np.ndarray,
+    config: OrbLiteConfig,
+    rng: np.random.Generator,
+) -> np.ndarray | None:
+    """Inlier mask of the best of ``config.ransac_iterations`` minimal hypotheses.
+
+    Draws every 3-point sample first (one ``rng.choice`` per hypothesis,
+    in order), then aligns, predicts and scores all hypotheses in one
+    batched pass.  The winner is the first hypothesis with the most
+    inliers; a hypothesis whose SVD fails is skipped.  Returns None when
+    every hypothesis failed.
+    """
+    count = len(points_prev)
+    draws = [rng.choice(count, size=3, replace=False) for _ in range(config.ransac_iterations)]
+    samples = np.array(draws, dtype=np.int64).reshape(-1, 3)
+    sample_prev, sample_cur = points_prev[samples], points_cur[samples]
+    solved = np.ones(len(samples), dtype=bool)
+    try:
+        rotations, translations = _horn_alignments(sample_prev, sample_cur)
+    except np.linalg.LinAlgError:
+        # Rare (non-finite points): find which hypotheses fail on their own.
+        rotations = np.tile(np.eye(3), (len(samples), 1, 1))
+        translations = np.zeros((len(samples), 3))
+        for k in range(len(samples)):
+            try:
+                rotations[k : k + 1], translations[k : k + 1] = _horn_alignments(
+                    sample_prev[k : k + 1], sample_cur[k : k + 1]
+                )
+            except np.linalg.LinAlgError:
+                solved[k] = False
+    if not solved.any():
+        return None
+    predicted = np.matmul(points_prev, rotations.transpose(0, 2, 1)) + translations[:, None, :]
+    inliers = np.linalg.norm(predicted - points_cur, axis=2) < config.ransac_threshold
+    # argmax takes the first maximum: the loop's strict ``>`` over hypotheses.
+    return inliers[np.where(solved, inliers.sum(axis=1), -1).argmax()]
+
+
+def _ransac_rigid(
+    points_prev: np.ndarray,
+    points_cur: np.ndarray,
+    config: OrbLiteConfig,
+    rng: np.random.Generator,
+    perf: PerfRecorder = NULL_RECORDER,
+) -> tuple[Pose | None, int]:
+    """RANSAC, then a Horn fit on the winner's inliers: ``(pose, inliers)``.
+
+    ``(None, 0)`` when fewer than ``config.min_matches`` inliers survive.
+    """
+    with perf.section("orb/pose"):
+        best_inliers = _ransac_inliers(points_prev, points_cur, config, rng)
+        if best_inliers is None or best_inliers.sum() < config.min_matches:
+            return None, 0
+        rotation, translation = _horn_alignments(
+            points_prev[best_inliers][None], points_cur[best_inliers][None]
+        )
+    inliers = int(best_inliers.sum())
+    perf.count("orb.inliers", inliers)
+    return Pose(quat=rotmat_to_quat(rotation[0]), trans=translation[0]), inliers
 
 
 def _backproject_corners(
@@ -150,6 +218,52 @@ def _backproject_corners(
     return points, valid
 
 
+@dataclasses.dataclass(frozen=True)
+class OrbFeatures:
+    """One frame's corners (N, 2) integer (x, y) and their (N, D) descriptors."""
+
+    corners: np.ndarray
+    descriptors: np.ndarray
+
+
+def frame_features(gray: np.ndarray, config: OrbLiteConfig) -> OrbFeatures:
+    """The features step: detect one frame's corners and describe them."""
+    corners = detect_corners(gray, config)
+    return OrbFeatures(corners, extract_descriptors(gray, corners, config.patch_size))
+
+
+def relative_rigid_from_features(
+    prev: OrbFeatures,
+    prev_depth: np.ndarray,
+    cur: OrbFeatures,
+    cur_depth: np.ndarray,
+    intrinsics: Intrinsics,
+    config: OrbLiteConfig,
+    rng: np.random.Generator,
+    perf: PerfRecorder | None = None,
+) -> tuple[Pose | None, int]:
+    """The pose step: match, back-project, RANSAC, then a final Horn fit.
+
+    Returns what :func:`estimate_relative_rigid` returns for the frames
+    ``prev`` and ``cur`` were computed from.
+    """
+    perf = perf or NULL_RECORDER
+    matches = match_descriptors(prev.descriptors, cur.descriptors, config.match_ratio)
+    perf.count("orb.matches", len(matches))
+    if len(matches) < config.min_matches:
+        return None, 0
+
+    points_prev, valid_prev = _backproject_corners(
+        prev.corners[matches[:, 0]], prev_depth, intrinsics
+    )
+    points_cur, valid_cur = _backproject_corners(cur.corners[matches[:, 1]], cur_depth, intrinsics)
+    valid = valid_prev & valid_cur
+    points_prev, points_cur = points_prev[valid], points_cur[valid]
+    if len(points_prev) < config.min_matches:
+        return None, 0
+    return _ransac_rigid(points_prev, points_cur, config, rng, perf)
+
+
 def estimate_relative_rigid(
     prev_gray: np.ndarray,
     prev_depth: np.ndarray,
@@ -168,7 +282,8 @@ def estimate_relative_rigid(
     under exposure drift), back-project through the depth channel and
     RANSAC a Horn alignment.  Returns the relative pose (previous-camera
     to current-camera) and the inlier count, or ``(None, 0)`` when not
-    enough geometry survives.
+    enough geometry survives.  It is :func:`frame_features` on both
+    frames followed by :func:`relative_rigid_from_features`.
 
     ``rng`` drives RANSAC sampling; callers that need statelessness (the
     tracking-health fallback ladder) pass a generator freshly seeded per
@@ -176,48 +291,11 @@ def estimate_relative_rigid(
     """
     perf = perf or NULL_RECORDER
     with perf.section("orb/features"):
-        corners_prev = detect_corners(prev_gray, config)
-        corners_cur = detect_corners(cur_gray, config)
-        desc_prev = extract_descriptors(prev_gray, corners_prev, config.patch_size)
-        desc_cur = extract_descriptors(cur_gray, corners_cur, config.patch_size)
-        matches = match_descriptors(desc_prev, desc_cur, config.match_ratio)
-    perf.count("orb.matches", len(matches))
-    if len(matches) < config.min_matches:
-        return None, 0
-
-    points_prev, valid_prev = _backproject_corners(
-        corners_prev[matches[:, 0]], prev_depth, intrinsics
+        prev = frame_features(prev_gray, config)
+        cur = frame_features(cur_gray, config)
+    return relative_rigid_from_features(
+        prev, prev_depth, cur, cur_depth, intrinsics, config, rng, perf=perf
     )
-    points_cur, valid_cur = _backproject_corners(
-        corners_cur[matches[:, 1]], cur_depth, intrinsics
-    )
-    valid = valid_prev & valid_cur
-    points_prev, points_cur = points_prev[valid], points_cur[valid]
-    if len(points_prev) < config.min_matches:
-        return None, 0
-
-    best_inliers: np.ndarray | None = None
-    with perf.section("orb/pose"):
-        for _ in range(config.ransac_iterations):
-            sample = rng.choice(len(points_prev), size=3, replace=False)
-            try:
-                rotation, translation = _horn_alignment(points_prev[sample], points_cur[sample])
-            except np.linalg.LinAlgError:
-                continue
-            predicted = points_prev @ rotation.T + translation
-            errors = np.linalg.norm(predicted - points_cur, axis=1)
-            inliers = errors < config.ransac_threshold
-            if best_inliers is None or inliers.sum() > best_inliers.sum():
-                best_inliers = inliers
-        if best_inliers is None or best_inliers.sum() < config.min_matches:
-            return None, 0
-
-        rotation, translation = _horn_alignment(
-            points_prev[best_inliers], points_cur[best_inliers]
-        )
-    perf.count("orb.inliers", int(best_inliers.sum()))
-    relative = Pose(quat=rotmat_to_quat(rotation), trans=translation)
-    return relative, int(best_inliers.sum())
 
 
 class OrbLiteSlam(SessionRunner):
@@ -225,6 +303,13 @@ class OrbLiteSlam(SessionRunner):
 
     A streaming :class:`SlamSession`: ``feed`` consumes one RGB-D frame
     and estimates its pose against the previously fed frame.
+
+    Each frame's features (:func:`frame_features`) are computed once:
+    the session keeps the last frame's in memory for the next frame's
+    pose step.  They are a cache of ``_prev_gray``, not state: never
+    checkpointed, dropped by ``reset`` (which ``restore`` and a
+    ``retry_frame`` rollback run first), and recomputed from
+    ``_prev_gray`` when absent.
     """
 
     algorithm = "orb-lite"
@@ -246,6 +331,7 @@ class OrbLiteSlam(SessionRunner):
         self._prev_depth: np.ndarray | None = None
         self._prev_pose: Pose | None = None
         self._prev_relative = Pose.identity()
+        self._prev_features: OrbFeatures | None = None
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -255,6 +341,7 @@ class OrbLiteSlam(SessionRunner):
         self._prev_depth = None
         self._prev_pose = None
         self._prev_relative = Pose.identity()
+        self._prev_features = None
 
     # ------------------------------------------------------------------
     def estimate_relative_pose(
@@ -270,7 +357,8 @@ class OrbLiteSlam(SessionRunner):
         current-camera coordinates) and the number of inlier matches, or
         ``(None, 0)`` when not enough geometry is available.  Thin wrapper
         over :func:`estimate_relative_rigid` bound to this session's
-        intrinsics, RANSAC RNG stream and perf recorder.
+        intrinsics, RANSAC RNG stream and perf recorder; it neither reads
+        nor replaces the features ``feed`` hands from frame to frame.
         """
         return estimate_relative_rigid(
             prev_gray,
@@ -293,12 +381,26 @@ class OrbLiteSlam(SessionRunner):
         degenerate: everything happens here and :meth:`_map` passes the
         result through.
         """
+        gray = np.asarray(frame.gray)  # a property: computed on every read
+        features = None
         if index == 0 or self._prev_gray is None:
             estimated = frame.gt_pose.copy()
             frame_result = FrameResult(frame_index=index, estimated_pose=estimated.copy())
         else:
-            relative, _ = self.estimate_relative_pose(
-                self._prev_gray, self._prev_depth, frame.gray, frame.depth
+            with self.perf.section("orb/features"):
+                prev_features = self._prev_features
+                if prev_features is None:
+                    prev_features = frame_features(self._prev_gray, self.config)
+                features = frame_features(gray, self.config)
+            relative, _ = relative_rigid_from_features(
+                prev_features,
+                self._prev_depth,
+                features,
+                frame.depth,
+                self.intrinsics,
+                self.config,
+                self._rng,
+                perf=self.perf,
             )
             self.perf.count("frames.processed")
             if relative is None:
@@ -312,9 +414,10 @@ class OrbLiteSlam(SessionRunner):
                 mapping_iterations=0,
             )
             self._prev_relative = relative
-        self._prev_gray = np.asarray(frame.gray)
+        self._prev_gray = gray
         self._prev_depth = np.asarray(frame.depth)
         self._prev_pose = estimated
+        self._prev_features = features
         return frame_result
 
     def _map(self, index: int, frame, tracked: FrameResult) -> tuple[FrameResult, None]:

@@ -65,6 +65,7 @@ __all__ = [
     "SessionRunner",
     "SessionState",
     "SlamSession",
+    "check_frame",
     "load_session_state",
     "pack_model",
     "pack_pose",
@@ -122,6 +123,28 @@ def restore_rng(state: dict) -> np.random.Generator:
     bit_generator = getattr(np.random, str(state["bit_generator"]))()
     bit_generator.state = copy.deepcopy(state)
     return np.random.Generator(bit_generator)
+
+
+def check_frame(frame, intrinsics: Intrinsics) -> None:
+    """Raise ``ValueError`` unless the frame fits ``intrinsics`` and its
+    colour and depth are finite.
+
+    Runs before a frame is queued or tracked, so a wrong-shaped or
+    non-finite frame is refused at the boundary instead of failing
+    inside the drain loop on every retry and wedging the queue behind
+    it (the vectorized motion search assumes finite input).
+    """
+    height, width = intrinsics.height, intrinsics.width
+    color_shape = np.shape(frame.color)
+    depth_shape = np.shape(frame.depth)
+    if color_shape != (height, width, 3) or depth_shape != (height, width):
+        raise ValueError(
+            f"frame shape mismatch: got color {color_shape} and depth "
+            f"{depth_shape}, session expects {(height, width, 3)} and "
+            f"{(height, width)}"
+        )
+    if not (np.isfinite(frame.color).all() and np.isfinite(frame.depth).all()):
+        raise ValueError("frame colour or depth holds a non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +314,6 @@ class SessionRunner:
             height=self.intrinsics.height,
         )
 
-    def _check_frame(self, frame) -> None:
-        """Raise ``ValueError`` unless the frame fits ``self.intrinsics``
-        and its colour and depth are finite.
-
-        Runs before a frame is queued or tracked, so a wrong-shaped or
-        non-finite frame is refused at the boundary instead of failing
-        inside the drain loop on every retry and wedging the queue behind
-        it (the vectorized motion search assumes finite input).
-        """
-        height, width = self.intrinsics.height, self.intrinsics.width
-        color_shape = np.shape(frame.color)
-        depth_shape = np.shape(frame.depth)
-        if color_shape != (height, width, 3) or depth_shape != (height, width):
-            raise ValueError(
-                f"frame shape mismatch: got color {color_shape} and depth "
-                f"{depth_shape}, session expects {(height, width, 3)} and "
-                f"{(height, width)}"
-            )
-        if not (np.isfinite(frame.color).all() and np.isfinite(frame.depth).all()):
-            raise ValueError("frame colour or depth holds a non-finite value")
-
     def feed(self, frame, index: int | None = None) -> FrameResult:
         """Ingest one RGB-D frame and return its :class:`FrameResult`.
 
@@ -322,7 +324,7 @@ class SessionRunner:
         or depth is not finite, raises ``ValueError`` before any work
         runs.
         """
-        self._check_frame(frame)
+        check_frame(frame, self.intrinsics)
         if self._session_result is None:
             self.begin()
         if index is not None and index != self._next_index:
@@ -382,7 +384,7 @@ class SessionRunner:
         Thread-safe against one concurrent drainer; multiple producers
         must serialize among themselves to keep arrival order defined.
         """
-        self._check_frame(frame)
+        check_frame(frame, self.intrinsics)
         if self._session_result is None:
             self.begin()
         with self._pending_lock:

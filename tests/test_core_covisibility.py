@@ -75,7 +75,7 @@ def test_detector_keyframe_comparison(tiny_sequence):
     detector.register_keyframe(0, tiny_sequence[0].gray)
     measurement = detector.compare_with_keyframe(tiny_sequence[1].gray)
     assert measurement is not None
-    assert detector.keyframe_index == 0
+    assert measurement == detector._measure(tiny_sequence[1].gray, tiny_sequence[0].gray)
 
 
 def test_detector_measures_every_frame_after_the_first(tiny_sequence):
@@ -87,7 +87,13 @@ def test_detector_measures_every_frame_after_the_first(tiny_sequence):
         assert measurement.level == covisibility_level(measurement.value)
         assert measurement.sad_evaluations > 0
     # Nothing per frame is kept: the checkpoint is the reference frames.
-    assert sorted(detector.state_dict()) == ["keyframe_gray", "keyframe_index", "previous_gray"]
+    assert sorted(detector.state_dict()) == ["keyframe_gray", "previous_gray"]
+    # A snapshot from before the per-frame fields were dropped still loads.
+    older = FrameCovisibilityDetector()
+    older.load_state_dict(
+        {**detector.state_dict(), "keyframe_index": 0, "history": [], "previous_index": 3}
+    )
+    assert older.observe(4, tiny_sequence[4].gray) == detector.observe(4, tiny_sequence[4].gray)
 
 
 def test_detector_reset(tiny_sequence):

@@ -378,6 +378,54 @@ def test_async_results_stream_in_order(tiny_sequence):
     handle.flush()
     assert seen == list(range(NUM_FRAMES))
     handle.close()
+
+
+class _HeldPool:
+    """An ingest pool that runs drain jobs only when told to."""
+
+    def __init__(self) -> None:
+        self.jobs = []
+
+    def submit(self, fn, *args) -> None:
+        self.jobs.append((fn, args))
+
+    def run(self) -> None:
+        while self.jobs:
+            fn, args = self.jobs.pop(0)
+            fn(*args)
+
+    def shutdown(self, wait: bool = True) -> None:
+        self.run()
+
+
+def test_submit_to_a_parked_session_leaves_the_resume_to_the_drain(tmp_path, tiny_sequence):
+    registry = SessionRegistry(max_live=1, park_root=tmp_path / "lot")
+    factory = _factory("orb", tiny_sequence.intrinsics)
+    registry.open("cam", factory)
+    pool = _HeldPool()
+    handle = AsyncSessionHandle(registry, "cam", pool=pool)
+    assert handle.submit(tiny_sequence[0]) == 0  # live: queued on the session
+    pool.run()
+    registry.open("other", factory)  # one live slot: parks "cam"
+    assert registry.parked_ids() == ["cam"]
+
+    resumes = registry.resumes
+    assert [handle.submit(tiny_sequence[i]) for i in (1, 2)] == [1, 2]
+    nan_depth = np.full_like(tiny_sequence[3].depth, np.nan)
+    nan_frame = dataclasses.replace(tiny_sequence[3], depth=nan_depth)
+    with pytest.raises(ValueError):
+        handle.submit(nan_frame)  # refused at submit, as for a live session
+    assert registry.parked_ids() == ["cam"] and registry.resumes == resumes
+    assert handle.in_flight == 2
+
+    pool.run()  # the drain worker resumes "cam" and feeds the backlog in order
+    assert registry.resumes == resumes + 1 and handle.in_flight == 0
+    for index in range(3, NUM_FRAMES):
+        assert handle.submit(tiny_sequence[index]) == index
+    pool.run()
+    reference = factory().run(tiny_sequence, num_frames=NUM_FRAMES)
+    assert_results_identical(reference, handle.result())
+    registry.shutdown()
     registry.shutdown()
 
 

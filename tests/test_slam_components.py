@@ -232,6 +232,13 @@ def test_droid_feature_extractor_shape(tiny_sequence):
     features = tracker.extract_features(tiny_sequence[0].gray)
     assert features.shape == (tiny_sequence.spec.height, tiny_sequence.spec.width, 4)
     assert (features >= 0).all()  # ReLU output
+    # With no depth the coarse tracker stops before aligning, so it bills
+    # exactly both frames' extraction (without computing the maps).
+    billed = tracker._flops
+    frame = tiny_sequence[0]
+    outcome = tracker.track(frame.gray, np.zeros_like(frame.depth), frame.gt_pose, frame.gray)
+    assert outcome.fell_back_to_prior
+    assert outcome.flops == 2 * billed > 0
 
 
 def test_droid_sanity_gate_rejects_huge_motion(tiny_sequence):
