@@ -16,7 +16,12 @@ Times the hottest paths of the reproduction —
 * ORB-lite odometry: 30 ``desk`` frames fed through one session
   (``orb.64x48.feed``), its poses first checked bit for bit against
   ``tests/test_orb_lite.py``'s oracle, which recomputes every frame pair
-  with the per-row matcher and the per-hypothesis RANSAC —
+  with the per-row matcher and the per-hypothesis RANSAC;
+* one SLAM optimizer iteration at SLAM resolution, on the map a SplaTAM
+  session builds from 10 ``desk`` frames: a tracking iteration (render +
+  ``pose_backward``, ``slam.64x48.track_iteration``) and a mapping
+  iteration (render + ``render_backward``, ``slam.64x48.map_iteration``),
+  each first checked against ``backend="reference"`` —
 
 and writes the results (with backend/fast-path speedups) to the
 ``BENCH_hotpaths.json`` perf-trajectory file at the repo root through the
@@ -40,7 +45,16 @@ from perf_gate import REPO_ROOT, best_of, main  # also puts src/ on sys.path
 from repro.codec import motion_estimate
 from repro.datasets import load_sequence
 from repro.eval.service import build_session
-from repro.gaussians import Camera, GaussianModel, Intrinsics, Pose, render
+from repro.gaussians import (
+    Camera,
+    ForwardCache,
+    GaussianModel,
+    Intrinsics,
+    Pose,
+    pose_backward,
+    render,
+    render_backward,
+)
 from repro.serve.api import decode_frame, encode_frame
 from repro.slam.session import load_session_state, save_session_state
 
@@ -54,6 +68,7 @@ RENDER_IMAGE = (120, 160)  # (height, width)
 CKPT_SYSTEMS = ("orb", "ags")
 CKPT_FRAMES = 30
 ORB_FRAMES = 30
+SLAM_MAP_FRAMES = 10
 
 # Timings gated by --gate: the vectorized/fast hot paths (the quantities
 # this repo promises to keep fast).  Reference timings are informational.
@@ -70,6 +85,8 @@ GATED_KEYS = [
     "ckpt.ags.f30.save",
     "ckpt.ags.f30.load",
     "orb.64x48.feed",
+    "slam.64x48.track_iteration",
+    "slam.64x48.map_iteration",
 ]
 
 
@@ -198,12 +215,59 @@ def bench_orb_feed(repeats: int) -> dict[str, float]:
     return {f"orb.{label}.feed": best_of(feed, repeats)}
 
 
+def bench_slam_iterations(repeats: int) -> dict[str, float]:
+    """One tracking and one mapping iteration, rendered the way the SLAM loop does."""
+    sequence = load_sequence("desk", num_frames=SLAM_MAP_FRAMES + 1)
+    session = build_session("splatam", sequence.intrinsics)
+    session.begin(sequence.name)
+    for index in range(SLAM_MAP_FRAMES):
+        session.feed(sequence[index], index)
+    model = session.model
+    frame = sequence[SLAM_MAP_FRAMES]
+    camera = Camera(sequence.intrinsics, frame.gt_pose)
+    rng = np.random.default_rng(0)
+    grad_color = rng.normal(size=frame.color.shape)
+    grad_depth = rng.normal(size=frame.depth.shape)
+    cache = ForwardCache()
+
+    def forward(backend="bucketed"):
+        return render(
+            model, camera, record_workloads=False, record_contributions=False,
+            backend=backend, cache=cache if backend == "bucketed" else None,
+        )
+
+    def track(backend="bucketed"):
+        return pose_backward(model, camera, forward(backend), grad_color, grad_depth, backend=backend)
+
+    def map_iteration(backend="bucketed"):
+        return render_backward(
+            model, camera, forward(backend), grad_color, grad_depth, backend=backend
+        )[0]
+
+    result, reference = forward(), forward("reference")
+    for name in ("color", "depth", "silhouette"):
+        if not np.allclose(getattr(result, name), getattr(reference, name), rtol=0, atol=1e-9):
+            raise AssertionError(f"bucketed != reference on {name}")
+    if not np.allclose(track().vector, track("reference").vector, rtol=1e-9, atol=1e-12):
+        raise AssertionError("bucketed != reference on the pose gradient")
+    reference_grads = map_iteration("reference").as_dict()
+    for name, value in map_iteration().as_dict().items():
+        if not np.allclose(value, reference_grads[name], rtol=1e-9, atol=1e-9):
+            raise AssertionError(f"bucketed != reference on gradient {name}")
+    label = f"{sequence.intrinsics.width}x{sequence.intrinsics.height}"
+    return {
+        f"slam.{label}.track_iteration": best_of(track, repeats),
+        f"slam.{label}.map_iteration": best_of(map_iteration, repeats),
+    }
+
+
 def measure(repeats: int) -> dict:
     timings = {}
     timings.update(bench_motion(repeats))
     timings.update(bench_render(repeats))
     timings.update(bench_serving_bytes(repeats))
     timings.update(bench_orb_feed(repeats))
+    timings.update(bench_slam_iterations(repeats))
 
     speedups = {}
     for height, width in MOTION_FRAME_SIZES:
@@ -238,6 +302,7 @@ def measure(repeats: int) -> dict:
             "checkpoint_systems": list(CKPT_SYSTEMS),
             "checkpoint_frames": CKPT_FRAMES,
             "orb_frames": ORB_FRAMES,
+            "slam_map_frames": SLAM_MAP_FRAMES,
         },
         "timings_seconds": timings,
         "speedups": speedups,

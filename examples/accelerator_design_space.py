@@ -27,6 +27,7 @@ def main() -> None:
         sequence.intrinsics,
         AGSConfig(iter_t=4, baseline_tracking_iterations=16),
         mapping_iterations=4,
+        collect_trace=True,
     )
     print("Collecting an AGS workload trace on 'desk' ...")
     result = system.run(sequence, num_frames=8)

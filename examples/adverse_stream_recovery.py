@@ -34,6 +34,7 @@ def run(sequence, degraded, *, fallbacks: bool):
         tracking_iterations=10,
         mapping_iterations=3,
         health=HealthConfig(enabled=fallbacks),
+        collect_trace=True,
     )
     system = SplaTam(sequence.intrinsics, config)
     return system.run(degraded, num_frames=NUM_FRAMES)

@@ -49,7 +49,7 @@ def main() -> None:
     # ---------------- Baseline: SplaTAM-like 3DGS-SLAM -------------------
     baseline = SplaTam(
         sequence.intrinsics,
-        SplaTamConfig(tracking_iterations=20, mapping_iterations=5),
+        SplaTamConfig(tracking_iterations=20, mapping_iterations=5, collect_trace=True),
     )
     print("Streaming the SplaTAM baseline (one feed() per frame) ...")
     baseline.begin("desk")
@@ -65,6 +65,7 @@ def main() -> None:
             sequence.intrinsics,
             AGSConfig(iter_t=4, baseline_tracking_iterations=20),
             mapping_iterations=5,
+            collect_trace=True,
         )
 
     halfway = num_frames // 2

@@ -41,7 +41,7 @@ from repro.datasets import load_sequence
 from repro.datasets.scenarios import apply_scenario
 from repro.eval.service import build_session
 from repro.perf import PerfRecorder
-from repro.slam import GaussianSlam, GaussianSlamConfig
+from repro.slam import GaussianSlam, GaussianSlamConfig, SplaTam
 
 SYSTEMS = ("splatam", "gaussian-slam", "ags", "droid-splatam", "orb", "droid")
 SCENARIOS = ("clean", "stress")
@@ -106,6 +106,10 @@ def digest_lines(num_frames: int):
         for algorithm in SYSTEMS:
             perf = PerfRecorder()
             session = build_session(algorithm, clean.intrinsics, perf=perf)
+            if isinstance(session, SplaTam):
+                # Traces are off by default; the trace and counter columns
+                # digest the traced run, as the figure path runs it.
+                session.collect_trace = True
             yield digest_line(algorithm, scenario, session, source, perf, num_frames)
     # At the default thresholds Gaussian-SLAM opens one sub-map in 12 desk
     # frames; a tight translation threshold opens five, so sub-map opening
@@ -114,7 +118,8 @@ def digest_lines(num_frames: int):
     session = GaussianSlam(
         clean.intrinsics,
         GaussianSlamConfig(
-            tracking_iterations=20, mapping_iterations=5, submap_translation_threshold=0.1
+            tracking_iterations=20, mapping_iterations=5, submap_translation_threshold=0.1,
+            collect_trace=True,
         ),
         perf=perf,
     )

@@ -75,9 +75,3 @@ class AGSConfig:
         if self.thresh_n is not None:
             return int(self.thresh_n)
         return max(int(round(_THRESH_N_FRACTION * width * height)), 1)
-
-    def iteration_reduction_factor(self) -> float:
-        """Return the tracking iteration reduction on refined frames."""
-        if self.iter_t <= 0:
-            return float(self.baseline_tracking_iterations)
-        return self.baseline_tracking_iterations / self.iter_t

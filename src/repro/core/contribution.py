@@ -131,22 +131,3 @@ class GaussianContributionTable:
             num_considered=num_gaussians,
             keyframe_index=self._keyframe_index,
         )
-
-    # ------------------------------------------------------------------
-    def false_positive_rate(
-        self, actual_contrib_counts: np.ndarray, thresh_n: int
-    ) -> float:
-        """Fraction of skipped Gaussians that actually contributed (FP rate).
-
-        Mirrors the paper's robustness metric (Section 6.2): a false
-        positive is a Gaussian predicted non-contributory that contributes
-        to at least one pixel of the frame it was skipped on.
-        """
-        actual_contrib_counts = np.asarray(actual_contrib_counts)
-        prediction = self.predict_active_mask(len(actual_contrib_counts), thresh_n)
-        skipped = ~prediction.active_mask
-        num_skipped = int(skipped.sum())
-        if num_skipped == 0:
-            return 0.0
-        false_positives = int((skipped & (actual_contrib_counts > 0)).sum())
-        return false_positives / num_skipped

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.core.config import AGSConfig
 from repro.core.covisibility import CovisibilityConfig, FrameCovisibilityDetector
 from repro.core.mapping import ContributionAwareMapper
@@ -63,7 +65,7 @@ class AgsSlam(SplaTam):
         intrinsics: Intrinsics,
         config: AGSConfig | None = None,
         mapping_iterations: int = 6,
-        collect_trace: bool = True,
+        collect_trace: bool = False,
         perf: PerfRecorder | None = None,
         health_config: HealthConfig | None = None,
     ) -> None:
@@ -116,11 +118,12 @@ class AgsSlam(SplaTam):
         aligns against the previous observation — except the fine-grained
         refinement of low-covisibility frames, which renders the map.
         """
+        gray = np.asarray(frame.gray)
         with self.perf.section("ags/covisibility"):
-            measurement = self.covisibility.observe(index, frame.gray)
+            measurement = self.covisibility.observe(index, gray)
         self._frame_covisibility = measurement.value if measurement else None
         prev_pose = self._pose_history[-1] if self._pose_history else None
-        tracked = super()._track(index, frame)
+        tracked = super()._track(index, frame, gray)
         tracked.covisibility = self._frame_covisibility
         tracked.sad_evaluations = measurement.sad_evaluations if measurement else 0
         if tracked.fallbacks_used:
@@ -131,10 +134,10 @@ class AgsSlam(SplaTam):
             self.tracking.update_velocity_prior(tracked.pose, prev_pose)
         return tracked
 
-    def _primary_track(self, frame, model: GaussianModel) -> TrackedFrame:
+    def _primary_track(self, frame, model: GaussianModel, gray: np.ndarray) -> TrackedFrame:
         """MAT: a coarse pose, refined only on low-covisibility frames."""
         if not self.ags_config.enable_movement_adaptive_tracking:
-            return super()._primary_track(frame, model)
+            return super()._primary_track(frame, model, gray)
         outcome = self.tracking.track(
             model,
             self._prev_gray,
@@ -142,7 +145,7 @@ class AgsSlam(SplaTam):
             self._pose_history[-1],
             frame.color,
             frame.depth,
-            frame.gray,
+            gray,
             covisibility=self._frame_covisibility,
             tracker=self.tracker,
             collect_workload=self.collect_trace,
@@ -162,8 +165,9 @@ class AgsSlam(SplaTam):
         its reference is registered by the mapping stage itself, making
         it mapping-owned state.
         """
+        gray = np.asarray(frame.gray)
         with self.perf.section("ags/covisibility"):
-            measurement = self.covisibility.compare_with_keyframe(frame.gray)
+            measurement = self.covisibility.compare_with_keyframe(gray)
         self._keyframe_covisibility = measurement.value if measurement else None
         if measurement:
             tracked = dataclasses.replace(
@@ -173,7 +177,7 @@ class AgsSlam(SplaTam):
         frame_result, frame_trace = super()._map(index, frame, tracked)
         self.perf.count("mapping.gaussians_skipped", frame_result.gaussians_skipped)
         if frame_result.is_keyframe:
-            self.covisibility.register_keyframe(index, frame.gray)
+            self.covisibility.register_keyframe(index, gray)
         return frame_result, frame_trace
 
     def _map_frame(self, index: int, frame, pose: Pose) -> MappingOutcome:

@@ -283,6 +283,11 @@ def _build_system(key: RunKey, perf: PerfRecorder):
         fallbacks=key.fallbacks,
         perf=perf,
     )
+    # The hardware simulators read the 3DGS systems' workload traces.
+    from repro.slam import SplaTam
+
+    if isinstance(system, SplaTam):
+        system.collect_trace = True
 
     if key.algorithm == "droid-splatam":
 

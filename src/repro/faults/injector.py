@@ -213,10 +213,6 @@ class FaultInjector:
         """Fires consumed so far, keyed by domain name (telemetry/tests)."""
         return {_DOMAIN_NAMES[domain]: count for domain, count in sorted(self._fired.items())}
 
-    @property
-    def total_fired(self) -> int:
-        return sum(self._fired.values())
-
     def reset(self) -> None:
         """Forget all consumed fires (a brand-new logical run)."""
         self._fired.clear()

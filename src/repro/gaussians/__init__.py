@@ -41,20 +41,22 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
 * Tile assignment is one exact sparse engine (no mode knobs).
   Opacity-aware splat radii plus a conic-vs-tile test drop every
   (tile, Gaussian) pair whose alpha is provably below ``ALPHA_MIN``
-  across the tile, and every retained pair carries a conservative active
+  across the tile, and every retained pair has a conservative active
   row/column interval (closed-form conic strip minima with a
-  spectral-bound full-tile fast path).  Images, integer contribution
+  spectral-bound full-tile fast path), computed by the ``TileGrid`` only
+  when read: by renders that record workloads and by masked chunks.  Images, integer contribution
   statistics and gradients are bit-identical to brute-force classic
   3-sigma tables (``tests/test_pair_culling.py``); only the workload
   shrinks.  ``TileGrid.pairs_total`` / ``pairs_culled`` measure the pair
   reduction against that baseline and ``pixels_total`` /
   ``pixels_culled`` the sub-tile reduction within the retained pairs
-  (also emitted as ``raster.pairs_*`` / ``raster.pixels_*`` counters via
-  ``render(..., perf=)``); the hardware simulators consume the latter
-  (``hw.pixels_total`` / ``hw.pixels_culled``, GSCore's measured sub-tile
-  skipping).  Per chunk, the bucketed forward and fused backward pick a
-  masked row-segment schedule or the dense kernels from the measured
-  interval density — a schedule, never semantics.
+  (also emitted as ``raster.pairs_*`` counters via ``render(..., perf=)``,
+  and ``raster.pixels_*`` for renders that record workloads); the
+  hardware simulators consume the latter (``hw.pixels_total`` /
+  ``hw.pixels_culled``, GSCore's measured sub-tile skipping).  Per chunk,
+  the bucketed forward and fused backward pick a masked row-segment
+  schedule or the dense kernels from a radius-box bound on the active
+  lattice — a schedule, never semantics.
 
 ``GaussianModel.alphas`` memoizes the sigmoid of the opacity logits,
 :class:`repro.gaussians.scratch.ScratchPool` provides the reusable

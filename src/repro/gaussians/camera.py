@@ -253,14 +253,6 @@ class Pose:
         matrix[:3, 3] = self.trans
         return matrix
 
-    def inverse_matrix(self) -> np.ndarray:
-        """Return the 4x4 camera-to-world matrix."""
-        rot = self.rotation
-        matrix = np.eye(4)
-        matrix[:3, :3] = rot.T
-        matrix[:3, 3] = -rot.T @ self.trans
-        return matrix
-
     @property
     def camera_center(self) -> np.ndarray:
         """Return the camera origin in world coordinates."""

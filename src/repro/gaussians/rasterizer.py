@@ -69,6 +69,7 @@ _RENDER_BACKENDS = ("bucketed", "reference")
 # gradient reductions cost roughly 2-3x the dense per-element stream, so
 # masked execution only pays off once >~70 % of the padded lattice is
 # culled (measured crossover on the bench scenes; near-dense chunks lose).
+# The active fraction is bounded from the radius boxes, not the intervals.
 _SPARSE_DENSITY_FALLBACK = 0.30
 
 
@@ -422,6 +423,7 @@ def _render_bucketed(
     g_colors_all = np.ascontiguousarray(colors, dtype=np.float64)
     g_depths_all = np.ascontiguousarray(projection.depths, dtype=np.float64)
     g_opac_all = np.ascontiguousarray(opacities_sigmoid, dtype=np.float64)
+    radii_all = np.ascontiguousarray(projection.radii, dtype=np.float64)
 
     # Contribution statistics stay zero-filled unless requested.
     max_alpha = np.zeros(count)
@@ -460,10 +462,6 @@ def _render_bucketed(
             tile_indices = np.empty(num_tiles, dtype=np.int64)
             origin_x = np.empty(num_tiles, dtype=np.int64)
             origin_y = np.empty(num_tiles, dtype=np.int64)
-            # Active-pixel intervals (r0, r1, c0, c1) of every pair;
-            # zero-filled padding entries contribute empty intervals.
-            iv = pool.take("iv", (num_tiles, padded, 4), np.int64)
-            iv[...] = 0
             for slot, table in enumerate(chunk):
                 table_ids = table.gaussian_ids
                 ids[slot, : len(table_ids)] = table_ids
@@ -472,7 +470,7 @@ def _render_bucketed(
                 tile_indices[slot] = table.tile_y * tile_grid.tiles_x + table.tile_x
                 origin_x[slot] = table.tile_x * tile_grid.tile_size
                 origin_y[slot] = table.tile_y * tile_grid.tile_size
-                iv[slot, : len(table_ids)] = table.intervals
+            real = np.arange(padded)[None, :] < lengths[:, None]
 
             # Pixel centers (tiles, pixels) and flat image indices.
             px = origin_x[:, None] + col_off[None, :] + 0.5
@@ -482,12 +480,31 @@ def _render_bucketed(
 
             shape = (num_tiles, num_pixels, padded)
             active = active_tg = e_dx = e_dy = None
-            row_counts = (iv[:, :, 1] - iv[:, :, 0]).reshape(-1)
-            num_segments = int(row_counts.sum())
-            total_active = num_segments * tile_w
-            use_masked = total_active <= _SPARSE_DENSITY_FALLBACK * (num_tiles * num_pixels * padded)
+            # Schedule from a bound that needs no interval: the tile rows
+            # each pair's radius box reaches.
+            center_row = means_y[ids] - (origin_y[:, None] + 0.5)
+            rows_lo = np.clip(np.ceil(center_row - radii_all[ids]), 0, tile_h)
+            rows_hi = np.clip(np.floor(center_row + radii_all[ids]) + 1, 0, tile_h)
+            bound_rows = np.maximum(rows_hi - rows_lo, 0)[real].sum()
+            use_masked = bound_rows * tile_w <= _SPARSE_DENSITY_FALLBACK * (num_tiles * num_pixels * padded)
+            if use_masked or record_workloads:
+                # Active-pixel intervals (r0, r1, c0, c1) of every pair;
+                # zero-filled padding entries contribute empty intervals.
+                iv = pool.take("iv", (num_tiles, padded, 4), np.int64)
+                iv[...] = 0
+                if record_workloads or tile_grid.pair_intervals is not None:
+                    iv[real] = tile_grid.intervals_of(chunk)
+                else:
+                    iv[real] = tile_grid.intervals_at(
+                        ids[real],
+                        np.repeat(origin_x // tile_grid.tile_size, lengths),
+                        np.repeat(origin_y // tile_grid.tile_size, lengths),
+                        rows_only=True,
+                    )
+                row_counts = (iv[:, :, 1] - iv[:, :, 0]).reshape(-1)
 
             if use_masked:
+                num_segments = int(row_counts.sum())
                 # Masked pixel-sparse path: enumerate the *active rows* of
                 # every pair's interval as (segment, column) blocks — the
                 # excluded rows provably never reach ALPHA_MIN — evaluate
@@ -552,7 +569,9 @@ def _render_bucketed(
                     e_clamped = pool.take("entry.clamped", sshape, np.bool_)
                     np.greater(e_alpha, np.float64(ALPHA_MAX), out=e_clamped)
                 np.minimum(e_alpha, np.float64(ALPHA_MAX), out=e_alpha)
-                e_alpha[e_alpha < np.float64(ALPHA_MIN)] = 0.0
+                e_keep = pool.take("entry.keep", sshape, np.bool_)
+                np.greater_equal(e_alpha, np.float64(ALPHA_MIN), out=e_keep)
+                np.multiply(e_alpha, e_keep, out=e_alpha)
 
                 # Scatter into the dense lattice; inactive entries are an
                 # exact zero in the dense path too, since the intervals are
@@ -617,17 +636,24 @@ def _render_bucketed(
                 if clamped is not None:
                     np.greater(alpha, np.float64(ALPHA_MAX), out=clamped)
                 np.minimum(alpha, np.float64(ALPHA_MAX), out=alpha)
-                alpha[alpha < np.float64(ALPHA_MIN)] = 0.0
+                # The alpha cut-off as a multiply by the keep mask: for
+                # alpha >= 0, x * 1.0 = x and x * 0.0 = +0.0 (NaN stays NaN).
+                keep = pool.take("keep", shape, np.bool_)
+                np.greater_equal(alpha, np.float64(ALPHA_MIN), out=keep)
+                np.multiply(alpha, keep, out=alpha)
                 one_minus_out = (
                     pool.take("one_minus", shape) if cache is not None else dx
                 )
 
+            # Exclusive transmittance never increases along a pixel's list,
+            # so its last column shows whether any entry terminated.
             one_minus = np.subtract(np.float64(1.0), alpha, out=one_minus_out)
-            np.cumprod(one_minus, axis=2, out=t_before)
-            t_before[:, :, 1:] = t_before[:, :, :-1]
             t_before[:, :, 0] = 1.0
-            terminated = t_before < eps
-            alpha[terminated] = 0.0
+            np.cumprod(one_minus[:, :, :-1], axis=2, out=t_before[:, :, 1:])
+            terminated = None
+            if not (t_before[:, :, -1] >= eps).all():
+                terminated = t_before < eps
+                alpha[terminated] = 0.0
             weights = np.multiply(t_before, alpha, out=weights_out)
 
             if write_images:
@@ -647,14 +673,19 @@ def _render_bucketed(
                 color_flat[flat_index] = composite[:, :, :3].reshape(-1, 3)
                 depth_flat[flat_index] = composite[:, :, 3].reshape(-1)
                 silhouette_flat[flat_index] = composite[:, :, 4].reshape(-1)
-                np.subtract(np.float64(1.0), alpha, out=one_minus)
-                final_t_flat[flat_index] = np.prod(one_minus, axis=2).reshape(-1)
+                # Transmittance left after blending: one factor past the
+                # last column, or, where a pixel terminated, the largest
+                # (first) terminated entry.
+                final = t_before[:, :, -1] * one_minus[:, :, -1]
+                if terminated is not None:
+                    stopped = terminated[:, :, -1]
+                    final[stopped] = np.where(terminated, t_before, 0.0).max(axis=2)[stopped]
+                final_t_flat[flat_index] = final.reshape(-1)
 
             if record_contributions:
                 # Padding columns carry zero alpha/weights but their ids
                 # alias Gaussian 0, so every per-Gaussian scatter is
                 # restricted to the real (unpadded) table entries.
-                real = np.arange(padded)[None, :] < lengths[:, None]
                 real_ids = ids[real]
                 np.maximum.at(max_alpha, real_ids, alpha.max(axis=1)[real])
                 noncontrib_tile = (weights < thresh).sum(axis=1)
@@ -672,7 +703,7 @@ def _render_bucketed(
                 # schedules over the same logical sparse workload) — and
                 # none past a pixel's early termination.  Padding entries
                 # carry empty intervals.
-                if terminated.any():
+                if terminated is not None:
                     computed = ~terminated
                     act = pool.take("act_mask", shape, np.bool_)
                     act_tmp = pool.take("act_tmp", shape, np.bool_)
@@ -831,8 +862,9 @@ def render(
             then reuses them instead of re-running the forward.
         perf: optional :class:`repro.perf.PerfRecorder`; tile assignment
             feeds it the ``raster.pairs_total`` / ``raster.pairs_culled``
-            and ``raster.pixels_total`` / ``raster.pixels_culled``
-            counters.
+            counters, and a render that records workloads the
+            ``raster.pixels_total`` / ``raster.pixels_culled`` counters
+            (only these renders read every pair's interval).
 
     Returns:
         A :class:`RasterizationResult`.
@@ -853,6 +885,9 @@ def render(
         )
     if tile_grid is None:
         tile_grid = assign_tiles(projection, width, height, tile_size, perf=perf)
+        if record_workloads and perf is not None:
+            perf.count("raster.pixels_total", tile_grid.pixels_total)
+            perf.count("raster.pixels_culled", tile_grid.pixels_culled)
 
     count = len(model)
     opac = model.alphas
@@ -943,7 +978,7 @@ def render(
             # are row-major in the tile).
             rows = np.arange(alpha.shape[0]) // tile_w
             cols = np.arange(alpha.shape[0]) % tile_w
-            table_iv = table.intervals
+            table_iv = tile_grid.intervals_of([table])
             computed_mask = (
                 ~data["terminated"]
                 & (rows[:, None] >= table_iv[None, :, 0])

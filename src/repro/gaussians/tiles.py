@@ -39,12 +39,15 @@ centers.  Rows/columns whose strip minimum keeps alpha below
 partial minimum of a convex function is convex in the remaining
 variable, the surviving rows (columns) form one contiguous interval —
 each pair's active pixels are the ``[r0, r1) x [c0, c1)`` sub-rectangle
-stored in ``GaussianTable.intervals``.  The rasterizer evaluates only
-those (pair, pixel) entries (every excluded pixel would have been zeroed
-by the alpha cut-off anyway, so images, statistics and gradients are
-bit-identical); the removed per-pixel workload is reported via
-``TileGrid.pixels_total`` / ``TileGrid.pixels_culled`` and the
-``raster.pixels_total`` / ``raster.pixels_culled`` perf counters.
+of ``TileGrid.intervals``, computed when first read: only renders that
+record workloads and chunks that take the masked pixel-sparse schedule
+read them.  A masked chunk evaluates only those (pair, pixel) entries
+(every excluded pixel would have been zeroed by the alpha cut-off
+anyway, so images, statistics and gradients are bit-identical); the
+removed per-pixel workload is reported via
+``TileGrid.pixels_total`` / ``TileGrid.pixels_culled`` and, for renders
+that record workloads, the ``raster.pixels_total`` /
+``raster.pixels_culled`` perf counters.
 """
 
 from __future__ import annotations
@@ -80,18 +83,12 @@ class GaussianTable:
         tile_x, tile_y: tile coordinates in the tile grid.
         gaussian_ids: indices into the Gaussian model, sorted by depth.
         depths: camera-space depths matching ``gaussian_ids``.
-        intervals: (len, 4) int64 per-pair active-pixel intervals
-            ``(r0, r1, c0, c1)`` (half-open, tile-local rows and columns,
-            within the tile), aligned with ``gaussian_ids``.  Outside the
-            ``[r0, r1) x [c0, c1)`` sub-rectangle the pair's alpha is
-            provably below ``ALPHA_MIN``.
     """
 
     tile_x: int
     tile_y: int
     gaussian_ids: np.ndarray
     depths: np.ndarray
-    intervals: np.ndarray
 
     def __len__(self) -> int:
         return len(self.gaussian_ids)
@@ -114,6 +111,11 @@ class TileGrid:
     *retained* pairs (the per-pixel workload the tables imply after pair
     culling) and ``pixels_culled`` how many of them the sub-tile interval
     stage removed.
+
+    Every pair's active-pixel interval ``(r0, r1, c0, c1)`` (half-open,
+    tile-local; outside it the pair's alpha is provably below
+    ``ALPHA_MIN``) is computed from ``projection`` when first read and
+    kept in ``pair_intervals``, which a grid built by hand passes instead.
     """
 
     width: int
@@ -126,13 +128,17 @@ class TileGrid:
     pairs_culled: int
     culled_pixels: np.ndarray = dataclasses.field(repr=False)
     pixels_total: int
-    pixels_culled: int
+    projection: ProjectionResult | None = dataclasses.field(default=None, repr=False)
+    # (pairs, 4) intervals of every pair in table order, once computed.
+    pair_intervals: np.ndarray | None = dataclasses.field(default=None, repr=False)
     # Per-shape pixel-offset cache shared by every consumer of this grid
     # (forward tiles, bucketed backward, stats recording).  A grid only has
     # a handful of distinct tile shapes (interior + ragged edge tiles), so
     # the meshgrid work happens once per shape instead of once per tile per
     # render/backward call.
     _shape_cache: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+    # Offsets of each table's pairs in ``pair_intervals``.
+    _table_starts: list | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -179,6 +185,48 @@ class TileGrid:
         x1 = min(x0 + self.tile_size, self.width)
         y1 = min(y0 + self.tile_size, self.height)
         return x0, x1, y0, y1
+
+    @property
+    def intervals(self) -> np.ndarray:
+        """(pairs, 4) int64 intervals of every pair, in table order; kept once computed."""
+        if self.pair_intervals is None:
+            lengths = [len(table) for table in self.tables]
+            self.pair_intervals = self.intervals_at(
+                np.concatenate([table.gaussian_ids for table in self.tables]),
+                np.repeat([table.tile_x for table in self.tables], lengths),
+                np.repeat([table.tile_y for table in self.tables], lengths),
+            )
+        return self.pair_intervals
+
+    def intervals_of(self, tables: list[GaussianTable]) -> np.ndarray:
+        """(pairs, 4) int64 intervals of the pairs of ``tables``, in list order."""
+        if self._table_starts is None:
+            self._table_starts = np.cumsum([0, *(len(table) for table in self.tables)]).tolist()
+        starts, intervals = self._table_starts, self.intervals
+        spans = [
+            intervals[starts[index] : starts[index + 1]]
+            for index in (table.tile_y * self.tiles_x + table.tile_x for table in tables)
+        ]
+        return np.concatenate([np.zeros((0, 4), dtype=np.int64), *spans])
+
+    @property
+    def pixels_culled(self) -> int:
+        """Entries of ``pixels_total`` outside the pairs' active intervals."""
+        iv = self.intervals
+        return self.pixels_total - int(((iv[:, 1] - iv[:, 0]) * (iv[:, 3] - iv[:, 2])).sum())
+
+    def intervals_at(self, gaussian_ids, tile_x, tile_y, rows_only: bool = False) -> np.ndarray:
+        """(pairs, 4) int64 intervals of the given (Gaussian, tile) pairs, computed now.
+
+        ``rows_only`` scans rows only (the rows the masked schedule reads)
+        and keeps every column.
+        """
+        size = self.tile_size
+        tile_w = np.minimum((tile_x + 1) * size, self.width) - tile_x * size
+        tile_h = np.minimum((tile_y + 1) * size, self.height) - tile_y * size
+        return _active_intervals(
+            self.projection, gaussian_ids, tile_x, tile_y, tile_w, tile_h, size, rows_only
+        )
 
     def total_assignments(self) -> int:
         """Total number of (Gaussian, tile) pairs — the rendering workload."""
@@ -280,6 +328,7 @@ def _active_intervals(
     tile_w: np.ndarray,
     tile_h: np.ndarray,
     tile_size: int,
+    rows_only: bool = False,
 ) -> np.ndarray:
     """Per-pair active row/column intervals ``(r0, r1, c0, c1)``, half-open.
 
@@ -296,14 +345,18 @@ def _active_intervals(
     conservative superset even for ill-conditioned conics.  Degenerate
     conics (non-positive diagonal, non-finite minima) keep the full tile.
 
-    Pairs with no surviving row or column (the tile test keeps a pair
-    whose continuous minimum reaches the cut-off between pixel centers)
-    get the empty interval ``(0, 0, 0, 0)``.
+    An axis with no surviving strip (the tile test keeps a pair whose
+    continuous minimum reaches the cut-off between pixel centers) gets
+    the empty range ``(0, 0)``; the pair's area is then zero.  The axes
+    are independent: a pair's rows do not depend on its columns.
 
     Pairs whose inscribed active circle (``sqrt(limit / lambda_max)``)
     provably covers every pixel center of the tile take a closed-form
     full-tile fast path and skip the strip scan entirely — in dense maps
     that is most pairs, and keeping the full tile is always conservative.
+
+    ``rows_only`` skips the column strips and keeps every column; the
+    rows are those of the full scan.
     """
     conics = projection.conics
     a00 = conics[gid_pairs, 0, 0]
@@ -358,6 +411,7 @@ def _active_intervals(
     tile_h = tile_h[idx]
 
     n = len(idx)
+    axes = 1 if rows_only else 2
     steps = np.arange(tile_size)
     # Both axes in one stacked (pair, axis, strip) evaluation: axis slot 0
     # holds row strips (dy fixed, minimize over dx in [lx, ux]), slot 1
@@ -368,31 +422,23 @@ def _active_intervals(
     # instead of last); any rounding difference is within the _CULL_SLACK
     # margin already carried by ``limit``, so the interval stays a
     # conservative superset of the alpha >= ALPHA_MIN support.
-    amin = np.empty((n, 2, 1))
-    amin[:, 0, 0] = a00
-    amin[:, 1, 0] = a11
-    aoth = np.empty((n, 2, 1))
-    aoth[:, 0, 0] = a11
-    aoth[:, 1, 0] = a00
-    lo = np.empty((n, 2, 1))
-    lo[:, 0, 0] = lx
-    lo[:, 1, 0] = ly
-    hi = np.empty((n, 2, 1))
-    hi[:, 0, 0] = ux
-    hi[:, 1, 0] = uy
-    origin = np.empty((n, 2, 1))
-    origin[:, 0, 0] = y0
-    origin[:, 1, 0] = x0
-    center = np.empty((n, 2, 1))
-    center[:, 0, 0] = cy
-    center[:, 1, 0] = cx
+    stacked = [
+        (a00, a11),  # amin
+        (a11, a00),  # aoth
+        (lx, ly),  # lo
+        (ux, uy),  # hi
+        (y0, x0),  # origin
+        (cy, cx),  # center
+        (tile_h, tile_w),  # strips per axis
+    ]
+    amin, aoth, lo, hi, origin, center, extent = (
+        np.stack(pair[:axes], axis=1)[:, :, None] for pair in stacked
+    )
     c_strips = origin + (steps + 0.5) - center
     with np.errstate(divide="ignore", invalid="ignore"):
         q = conic_strip_min(amin, a01[:, None, None], aoth, c_strips, lo, hi, fixed="y")
 
-    real = np.empty((n, 2, tile_size), dtype=bool)
-    real[:, 0, :] = steps[None, :] < tile_h[:, None]
-    real[:, 1, :] = steps[None, :] < tile_w[:, None]
+    real = steps[None, None, :] < extent
     act = real & (q <= limit[:, None, None])
     # A non-finite strip sum implies a non-finite (or overflowed) strip
     # minimum somewhere — conservative either way, since degenerate pairs
@@ -404,18 +450,18 @@ def _active_intervals(
     # First/last active strip per axis (a conservative hull even if float
     # round-off ever nicked a middle strip out of the convex run); an
     # all-false axis yields first = 0 and, via the any-mask product,
-    # last = 0 — the canonical empty interval.
+    # last = 0 — an empty range.
     first = act.argmax(axis=2)
     last = (tile_size - act[:, :, ::-1].argmax(axis=2)) * act.any(axis=2)
     sub = np.empty((n, 4), dtype=np.int64)
     sub[:, 0] = first[:, 0]
     sub[:, 1] = last[:, 0]
-    sub[:, 2] = first[:, 1]
-    sub[:, 3] = last[:, 1]
-    # An empty axis means the pair touches nothing: normalize both axes to
-    # the canonical empty interval so active-pixel counts multiply cleanly.
-    empty = (sub[:, 1] == sub[:, 0]) | (sub[:, 3] == sub[:, 2])
-    sub[empty] = 0
+    if rows_only:
+        sub[:, 2] = 0
+        sub[:, 3] = tile_w
+    else:
+        sub[:, 2] = first[:, 1]
+        sub[:, 3] = last[:, 1]
     intervals[idx] = sub
     return intervals
 
@@ -431,17 +477,17 @@ def assign_tiles(
 
     Candidate pairs come from the opacity-aware bounding boxes; the conic
     tile test then removes every pair whose alpha is provably below
-    ``ALPHA_MIN`` at all pixel centers of the tile, and every retained
-    pair gets its active row/column interval.  Both stages are exact:
-    rendered output is unchanged, only the workload shrinks.
+    ``ALPHA_MIN`` at all pixel centers of the tile.  The retained pairs'
+    active row/column intervals are left to the grid, which computes them
+    when first read.  Both stages are exact: rendered output is
+    unchanged, only the workload shrinks.
 
     Args:
         projection: output of :func:`repro.gaussians.projection.project_gaussians`.
         width, height: image size in pixels.
         tile_size: tile edge length in pixels.
         perf: optional :class:`repro.perf.PerfRecorder`; receives the
-            ``raster.pairs_total`` / ``raster.pairs_culled`` and
-            ``raster.pixels_total`` / ``raster.pixels_culled`` counters.
+            ``raster.pairs_total`` / ``raster.pairs_culled`` counters.
 
     Returns:
         A :class:`TileGrid` whose tables list the overlapping Gaussians of
@@ -452,10 +498,9 @@ def assign_tiles(
     visible_ids = np.nonzero(projection.visible)[0]
     depths = projection.depths
     culled_pixels = np.zeros(len(projection.visible), dtype=np.int64)
-    pairs_total = pairs_culled = pixels_total = pixels_culled = 0
+    pairs_total = pairs_culled = pixels_total = 0
     gid_sorted = np.zeros(0, dtype=np.int64)
     depths_sorted = np.zeros(0)
-    intervals_sorted = np.zeros((0, 4), dtype=np.int64)
     bounds = np.zeros(num_tiles + 1, dtype=np.int64)
 
     # Vectorized (Gaussian, tile) pair expansion: per-Gaussian tile ranges,
@@ -517,13 +562,7 @@ def assign_tiles(
         culled_pixels[visible_ids] = base_pixels
         culled_pixels -= survived.astype(np.int64)
 
-        intervals = _active_intervals(
-            projection, gid_pairs, tile_x, tile_y, tile_w_pairs, tile_h_pairs, tile_size
-        )
-        active_pix = (intervals[:, 1] - intervals[:, 0]) * (intervals[:, 3] - intervals[:, 2])
-        pixels_culled = pixels_total - int(active_pix.sum())
-
-        # One global stable sort by (tile, depth): per-table id/depth/interval
+        # One global stable sort by (tile, depth): per-table id/depth
         # arrays then fall out as contiguous zero-copy slices.  Tie-breaking
         # matches the former per-tile stable depth argsort exactly (lexsort is
         # stable, primary key last), so table order — and therefore every
@@ -532,14 +571,11 @@ def assign_tiles(
         tile_sorted = tile_pairs[order]
         gid_sorted = gid_pairs[order]
         depths_sorted = depths[gid_sorted]
-        intervals_sorted = intervals[order]
         bounds = np.searchsorted(tile_sorted, np.arange(num_tiles + 1))
 
     if perf is not None:
         perf.count("raster.pairs_total", pairs_total)
         perf.count("raster.pairs_culled", pairs_culled)
-        perf.count("raster.pixels_total", pixels_total)
-        perf.count("raster.pixels_culled", pixels_culled)
 
     bounds = bounds.tolist()
     tables = [
@@ -548,7 +584,6 @@ def assign_tiles(
             tile_y=tile_index // tiles_x,
             gaussian_ids=gid_sorted[start:end],
             depths=depths_sorted[start:end],
-            intervals=intervals_sorted[start:end],
         )
         for tile_index, (start, end) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
@@ -563,5 +598,5 @@ def assign_tiles(
         pairs_culled=pairs_culled,
         culled_pixels=culled_pixels,
         pixels_total=pixels_total,
-        pixels_culled=pixels_culled,
+        projection=projection,
     )

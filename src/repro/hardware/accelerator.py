@@ -100,11 +100,6 @@ class SimulationResult:
             return 0.0
         return self.total_seconds / len(self.frames)
 
-    def speedup_over(self, other: "SimulationResult") -> float:
-        """Speedup of this platform relative to ``other`` on the same trace."""
-        if self.total_seconds <= 0:
-            return float("inf")
-        return other.total_seconds / self.total_seconds
 
 
 class AgsAccelerator:

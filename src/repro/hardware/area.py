@@ -49,10 +49,6 @@ class AreaReport:
         """Total chip area."""
         return float(sum(c.area_mm2 for c in self.components))
 
-    def engine_total(self, engine: str) -> float:
-        """Total area of one engine."""
-        return float(sum(c.area_mm2 for c in self.components if c.engine == engine))
-
     def as_rows(self) -> list[tuple[str, str, str, float]]:
         """Rows suitable for printing a Table-3-style breakdown."""
         return [(c.engine, c.component, c.detail, round(c.area_mm2, 3)) for c in self.components]

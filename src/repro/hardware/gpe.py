@@ -42,19 +42,6 @@ class GpeWork:
             + self.gradient_operations * CYCLES_GRADIENT_STAGE
         )
 
-    @property
-    def schedulable_cycles(self) -> float:
-        """Cycles of stage-1 work that an idle GPE could take over."""
-        return self.alpha_evaluations * CYCLES_ALPHA_STAGE
-
-    @property
-    def serial_cycles(self) -> float:
-        """Cycles that must stay on the owning GPE (stages 2 and backward)."""
-        return (
-            self.blend_operations * CYCLES_BLEND_STAGE
-            + self.gradient_operations * CYCLES_GRADIENT_STAGE
-        )
-
 
 class Gpe:
     """A single GPE: accumulates work and reports busy cycles."""

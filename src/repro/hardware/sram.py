@@ -74,7 +74,3 @@ class SramBuffer:
     def area_mm2(self) -> float:
         """Estimated macro area."""
         return self.capacity_kb * SRAM_AREA_MM2_PER_KB
-
-    def access_energy_joules(self) -> float:
-        """Energy of all recorded accesses."""
-        return (self.read_bytes + self.write_bytes) * SRAM_ENERGY_PJ_PER_BYTE * 1e-12

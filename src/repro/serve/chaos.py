@@ -63,19 +63,6 @@ class StormReport:
     num_frames: int
     clients: list = dataclasses.field(default_factory=list)
 
-    @property
-    def survivors(self) -> list:
-        """Clients that streamed every frame and fetched a result."""
-        return [c for c in self.clients if c.error is None and c.result is not None]
-
-    @property
-    def total_sheds(self) -> int:
-        return sum(c.sheds for c in self.clients)
-
-    def admitted_latencies(self) -> list:
-        """Every admitted-POST latency across clients (seconds)."""
-        return [latency for c in self.clients for latency in c.latencies]
-
 
 def _tear_upload(base_url: str, session_id: str, body: bytes, client_id: str) -> None:
     """Send a frame POST's headers plus half its body, then kill the socket.

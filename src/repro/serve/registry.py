@@ -306,11 +306,6 @@ class SessionRegistry:
         with self._lock:
             return session_id in self._entries
 
-    @property
-    def live_count(self) -> int:
-        with self._lock:
-            return len(self._live)
-
     def live_ids(self) -> list[str]:
         """Live session ids, least- to most-recently touched."""
         with self._lock:

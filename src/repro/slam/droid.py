@@ -423,6 +423,7 @@ class DroidLiteSlam(SessionRunner):
         Map-free odometry: the track/map split is degenerate (everything
         happens here; :meth:`_map` passes the result through).
         """
+        gray = np.asarray(frame.gray)  # a property: computed on every read
         if index == 0 or self._prev_gray is None:
             pose = frame.gt_pose.copy()
         else:
@@ -431,14 +432,14 @@ class DroidLiteSlam(SessionRunner):
                     self._prev_gray,
                     self._prev_depth,
                     self._prev_pose,
-                    frame.gray,
+                    gray,
                     velocity_prior=self._last_relative,
                 )
             pose = outcome.pose
             self._last_relative = outcome.relative.copy()
             self.perf.count("droid.coarse_flops", outcome.flops)
         self.perf.count("frames.processed")
-        self._prev_gray = np.asarray(frame.gray)
+        self._prev_gray = gray
         self._prev_depth = np.asarray(frame.depth)
         self._prev_pose = pose
         return FrameResult(frame_index=index, estimated_pose=pose.copy())

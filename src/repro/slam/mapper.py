@@ -211,7 +211,7 @@ class GaussianMapper:
                     view_camera,
                     active_mask=mask,
                     contribution_threshold=config.contribution_threshold,
-                    record_workloads=collect_workload or want_contributions,
+                    record_workloads=collect_workload,
                     record_contributions=want_contributions,
                     cache=cache,
                     perf=self.perf,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.gaussians.camera import Pose
 from repro.gaussians.model import GaussianModel
 from repro.workloads import FrameTrace, SequenceTrace
@@ -101,12 +99,6 @@ class SlamResult:
         if not self.frames:
             return 0.0
         return sum(frame.used_coarse_only for frame in self.frames) / len(self.frames)
-
-    def covisibility_values(self) -> np.ndarray:
-        """Return the recorded covisibility values (NaN when absent)."""
-        return np.array(
-            [np.nan if frame.covisibility is None else frame.covisibility for frame in self.frames]
-        )
 
     def frame_trace(self, index: int) -> FrameTrace:
         """Return the workload trace of one frame (requires a trace)."""

@@ -586,7 +586,9 @@ class SessionRunner:
         accumulators become exactly the snapshot's copies — restoring
         into a non-fresh session must never duplicate or interleave
         history.  Frames queued by :meth:`feed_nowait` are dropped, as a
-        resume into a fresh stream position must.
+        resume into a fresh stream position must.  The session takes the
+        snapshot's trace setting (``collect_trace`` is whether the snapshot
+        carries traces), so a parked session resumes as it was built.
         """
         if state.algorithm != self.algorithm:
             raise ValueError(
@@ -600,6 +602,7 @@ class SessionRunner:
             sequence=state.sequence,
             frames=copy.deepcopy(state.frames),
         )
+        self.collect_trace = state.traces is not None
         if self.collect_trace:
             self._session_trace = self._new_trace()
             self._session_trace.frames = (

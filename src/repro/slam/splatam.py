@@ -62,7 +62,9 @@ class SplaTamConfig:
 
     ``collect_trace`` is the session's initial ``collect_trace``; the
     system reads the session attribute, so setting it before ``begin``
-    takes effect.
+    takes effect.  Traces are off by default: only the hardware
+    simulators and the figure path read them, and that path
+    (:func:`repro.eval.service._build_system`) turns them on.
     """
 
     tracking_iterations: int = 30
@@ -71,7 +73,7 @@ class SplaTamConfig:
     mapper: MapperConfig = dataclasses.field(default_factory=MapperConfig)
     keyframe_every: int = 4
     max_keyframes: int = 8
-    collect_trace: bool = True
+    collect_trace: bool = False
     health: HealthConfig = dataclasses.field(default_factory=HealthConfig)
 
 
@@ -168,7 +170,7 @@ class SplaTam(SessionRunner):
         self._prev_depth = None if prev_depth is None else np.asarray(prev_depth).copy()
 
     # ------------------------------------------------------------------
-    def _track(self, index: int, frame) -> TrackedFrame:
+    def _track(self, index: int, frame, gray: np.ndarray | None = None) -> TrackedFrame:
         """Tracking sub-stage: optimize the pose against the current map.
 
         Frame 0 is anchored at its ground-truth pose.  Later frames run
@@ -176,7 +178,12 @@ class SplaTam(SessionRunner):
         tracking-health ladder, whose retries use the same tracker and
         budget.  The tracker renders the map, so past frame 0 this stage
         depends on the previous frame's mapping.
+
+        ``gray`` is the frame's luma when the caller already read it
+        (``RGBDFrame.gray`` recomputes it on every read).
         """
+        if gray is None:
+            gray = np.asarray(frame.gray)
         if index == 0:
             tracked = TrackedFrame(
                 pose=frame.gt_pose.copy(),
@@ -187,7 +194,7 @@ class SplaTam(SessionRunner):
             model = self.model
             section = f"{self._timer_prefix}/tracking"
             with self.perf.section(section):
-                tracked = self._primary_track(frame, model)
+                tracked = self._primary_track(frame, model, gray)
             tracked = self.health.moderate(
                 index,
                 tracked,
@@ -199,7 +206,7 @@ class SplaTam(SessionRunner):
                     index,
                     self._prev_gray,
                     self._prev_depth,
-                    frame.gray,
+                    gray,
                     frame.depth,
                     prev_pose,
                     perf=self.perf,
@@ -207,12 +214,12 @@ class SplaTam(SessionRunner):
                 perf=self.perf,
             )
         self._pose_history = [*self._pose_history[-1:], tracked.pose.copy()]
-        self._prev_gray = np.asarray(frame.gray)
+        self._prev_gray = gray
         self._prev_depth = np.asarray(frame.depth)
         self.perf.count("tracking.refine_iterations", tracked.iterations)
         return tracked
 
-    def _primary_track(self, frame, model: GaussianModel) -> TrackedFrame:
+    def _primary_track(self, frame, model: GaussianModel, gray: np.ndarray) -> TrackedFrame:
         """The primary pass: constant-velocity warm start plus ``N_T`` iterations."""
         initial = self.tracker.initial_guess(self._pose_history)
         outcome = self.tracker.track(

@@ -181,13 +181,6 @@ class SequenceTrace:
         """Sum of refinement iterations across frames."""
         return int(sum(f.tracking.refine_iterations for f in self.frames))
 
-    def total_mapping_pairs(self) -> int:
-        """Sum of mapping (pixel, Gaussian) pairs across frames."""
-        return int(sum(f.mapping.total_pairs for f in self.frames))
-
-    def total_tracking_pairs(self) -> int:
-        """Sum of tracking (pixel, Gaussian) pairs across frames."""
-        return int(sum(f.tracking.total_pairs for f in self.frames))
 
 
 def scale_trace(

@@ -51,7 +51,7 @@ def small_render(small_model, small_camera):
 @pytest.fixture(scope="session")
 def baseline_run(tiny_sequence):
     """A cached baseline (SplaTAM) run on the tiny sequence."""
-    config = SplaTamConfig(tracking_iterations=8, mapping_iterations=4)
+    config = SplaTamConfig(tracking_iterations=8, mapping_iterations=4, collect_trace=True)
     return SplaTam(tiny_sequence.intrinsics, config).run(tiny_sequence, num_frames=6)
 
 
@@ -59,7 +59,7 @@ def baseline_run(tiny_sequence):
 def ags_run(tiny_sequence):
     """A cached AGS run on the tiny sequence."""
     config = AGSConfig(iter_t=3, baseline_tracking_iterations=8)
-    system = AgsSlam(tiny_sequence.intrinsics, config, mapping_iterations=4)
+    system = AgsSlam(tiny_sequence.intrinsics, config, mapping_iterations=4, collect_trace=True)
     return system.run(tiny_sequence, num_frames=6)
 
 
@@ -67,7 +67,7 @@ def ags_run(tiny_sequence):
 def ags_walk_run(walk_sequence):
     """A cached AGS run on the walking sequence (exercises refinement)."""
     config = AGSConfig(iter_t=3, baseline_tracking_iterations=8)
-    system = AgsSlam(walk_sequence.intrinsics, config, mapping_iterations=4)
+    system = AgsSlam(walk_sequence.intrinsics, config, mapping_iterations=4, collect_trace=True)
     return system.run(walk_sequence, num_frames=6)
 
 

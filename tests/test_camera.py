@@ -66,12 +66,6 @@ def test_pose_identity_transform_is_noop():
     assert np.allclose(Pose.identity().transform(points), points)
 
 
-def test_pose_matrix_inverse_consistency():
-    pose = Pose(quat=[0.9, 0.1, -0.2, 0.3], trans=[1.0, -2.0, 0.5])
-    product = pose.as_matrix() @ pose.inverse_matrix()
-    assert np.allclose(product, np.eye(4), atol=1e-10)
-
-
 def test_pose_camera_center_maps_to_origin():
     pose = Pose(quat=[0.8, 0.2, 0.1, -0.3], trans=[0.4, 0.2, -1.0])
     assert np.allclose(pose.transform(pose.camera_center[None]), np.zeros((1, 3)), atol=1e-10)

@@ -47,10 +47,10 @@ NUM_FRAMES = 4
 
 @pytest.fixture(scope="module")
 def session_state(tiny_sequence):
-    """A mid-stream SplaTAM session state shared by the corruption tests."""
+    """A mid-stream traced SplaTAM session state shared by the corruption tests."""
     system = SplaTam(
         tiny_sequence.intrinsics,
-        SplaTamConfig(tracking_iterations=4, mapping_iterations=2),
+        SplaTamConfig(tracking_iterations=4, mapping_iterations=2, collect_trace=True),
     )
     system.begin(tiny_sequence.name)
     for index, frame in tiny_sequence.stream(stop=NUM_FRAMES):

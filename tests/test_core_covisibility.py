@@ -34,12 +34,6 @@ def test_explicit_thresh_n_is_respected():
     assert AGSConfig(thresh_n=99).thresh_n_for_resolution(640, 480) == 99
 
 
-def test_iteration_reduction_factor():
-    config = AGSConfig(iter_t=5, baseline_tracking_iterations=30)
-    assert config.iteration_reduction_factor() == pytest.approx(6.0)
-    assert AGSConfig(iter_t=0).iteration_reduction_factor() > 1.0
-
-
 # ----------------------------- covisibility ----------------------------------
 def test_covisibility_level_boundaries():
     assert covisibility_level(0.0) == 1
@@ -163,16 +157,6 @@ def test_contribution_table_clear():
     table.clear()
     assert len(table) == 0
     assert table.keyframe_index is None
-
-
-def test_false_positive_rate_computation():
-    table = GaussianContributionTable()
-    table.record(0, np.array([100, 100, 0]), np.array([0, 0, 10]))
-    # Gaussians 0 and 1 are skipped; in the actual frame Gaussian 1 contributes.
-    actual_contrib = np.array([0, 5, 20])
-    assert table.false_positive_rate(actual_contrib, thresh_n=10) == pytest.approx(0.5)
-    # No skipping -> FP rate 0.
-    assert table.false_positive_rate(actual_contrib, thresh_n=10**6) == 0.0
 
 
 @settings(max_examples=20, deadline=None)

@@ -20,6 +20,7 @@ from repro.hardware import (
 from repro.hardware.config import HBM2, LPDDR4_3200
 from repro.hardware.dram import DramModel
 from repro.hardware.fc_engine import FcDetectionEngine
+from repro.hardware.costs import CYCLES_ALPHA_STAGE, CYCLES_BLEND_STAGE, CYCLES_GRADIENT_STAGE
 from repro.hardware.gpe import GpeWork
 from repro.hardware.gpe_scheduler import simulate_tile_schedule, utilization_factor
 from repro.hardware.gs_array import GsArray
@@ -72,13 +73,15 @@ def test_sram_capacity_and_area():
     assert buffer.area_mm2 > 0
     buffer.read(128)
     buffer.write(64)
-    assert buffer.access_energy_joules() > 0
+    assert (buffer.read_bytes, buffer.write_bytes) == (128, 64)
 
 
 # ----------------------------- GPE / scheduler --------------------------------
 def test_gpe_work_cycles_split():
     work = GpeWork(alpha_evaluations=10, blend_operations=5, gradient_operations=2)
-    assert work.cycles() == pytest.approx(work.schedulable_cycles + work.serial_cycles)
+    assert work.cycles() == pytest.approx(
+        10 * CYCLES_ALPHA_STAGE + 5 * CYCLES_BLEND_STAGE + 2 * CYCLES_GRADIENT_STAGE
+    )
 
 
 def test_scheduler_improves_unbalanced_tile():
@@ -181,7 +184,7 @@ def test_platform_simulations_on_traces(baseline_run, ags_run):
     assert a100.total_seconds > 0
     assert len(a100.frames) == len(baseline_trace.frames)
     # The accelerator running the AGS algorithm must beat the GPU baseline.
-    assert ags_server.speedup_over(a100) > 1.0
+    assert a100.total_seconds / ags_server.total_seconds > 1.0
     # The server configuration must not be slower than the edge one.
     assert ags_server.total_seconds <= ags_edge.total_seconds
     assert gscore.total_seconds > 0
@@ -219,7 +222,9 @@ def test_area_report_matches_paper_totals():
     assert edge.total_mm2 == pytest.approx(7.25, rel=0.05)
     assert server.total_mm2 == pytest.approx(14.38, rel=0.05)
     # Tracking + mapping engines dominate (paper: > 90 % of area).
-    engines = edge.engine_total("Pose Tracking Engine") + edge.engine_total("Mapping Engine")
+    engines = sum(
+        c.area_mm2 for c in edge.components if c.engine in ("Pose Tracking Engine", "Mapping Engine")
+    )
     assert engines / edge.total_mm2 > 0.9
 
 

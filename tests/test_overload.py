@@ -435,11 +435,11 @@ def _storm(tiny_sequence, num_clients, max_in_flight, num_shards, pool_workers, 
             plan=get_serving_fault_plan("serve-chaos"),
         )
         assert [c.error for c in report.clients] == [None] * num_clients
-        assert len(report.survivors) == num_clients
-        assert report.total_sheds > 0  # the storm really overloaded it
+        assert all(c.result is not None for c in report.clients)
+        assert sum(c.sheds for c in report.clients) > 0  # the storm really overloaded it
         # Overload slows admitted posts down (back-off); it never wedges
         # them.  SlamClient's 60 s socket timeout would surface as an error.
-        assert max(report.admitted_latencies()) < 60.0
+        assert max(latency for c in report.clients for latency in c.latencies) < 60.0
         # Every admitted frame landed exactly once, in order, and every
         # stream is bit-identical to a synchronous feed.
         expected = _sync_feed(tiny_sequence.intrinsics, frames)

@@ -122,8 +122,8 @@ def _brute_force_grid(model, camera, active_mask=None, radius="sigma", cull="aab
     width, height = camera.width, camera.height
     tiles_x, tiles_y = build_tile_grid(width, height, TILE_SIZE)
     culled_pixels = np.zeros(len(model), dtype=np.int64)
-    tables = []
-    pairs_total = pixels_total = pixels_kept = 0
+    tables, table_intervals = [], []
+    pairs_total = pixels_total = 0
     for ty in range(tiles_y):
         for tx in range(tiles_x):
             tile_w = min(TILE_SIZE, width - tx * TILE_SIZE)
@@ -153,27 +153,25 @@ def _brute_force_grid(model, camera, active_mask=None, radius="sigma", cull="aab
             culled_pixels[np.setdiff1d(baseline, ids)] += tile_w * tile_h
             pairs_total += len(baseline)
             pixels_total += len(ids) * tile_w * tile_h
-            pixels_kept += int(
-                ((intervals[:, 1] - intervals[:, 0]) * (intervals[:, 3] - intervals[:, 2])).sum()
-            )
-            tables.append(GaussianTable(tx, ty, ids, projection.depths[ids], intervals))
+            tables.append(GaussianTable(tx, ty, ids, projection.depths[ids]))
+            table_intervals.append(intervals)
     return TileGrid(
         width=width, height=height, tile_size=TILE_SIZE, tiles_x=tiles_x,
         tiles_y=tiles_y, tables=tables, pairs_total=pairs_total,
         pairs_culled=pairs_total - sum(len(table) for table in tables),
         culled_pixels=culled_pixels, pixels_total=pixels_total,
-        pixels_culled=pixels_total - pixels_kept,
+        pair_intervals=np.concatenate(table_intervals),
     )
 
 
 def _with_tile_intervals(grid) -> TileGrid:
     """``grid``'s own tables with every interval widened to the full tile."""
-    tables = []
-    for table in grid.tables:
-        tile_w, tile_h = grid.tile_shape(table)
-        full = np.tile(np.array([0, tile_h, 0, tile_w], dtype=np.int64), (len(table), 1))
-        tables.append(dataclasses.replace(table, intervals=full))
-    return dataclasses.replace(grid, tables=tables, pixels_culled=0)
+    full = [
+        np.tile(np.array([0, tile_h, 0, tile_w], dtype=np.int64), (len(table), 1))
+        for table in grid.tables
+        for tile_w, tile_h in [grid.tile_shape(table)]
+    ]
+    return dataclasses.replace(grid, projection=None, pair_intervals=np.concatenate(full))
 
 
 def _grads(width=WIDTH, height=HEIGHT, seed=0):
@@ -240,7 +238,7 @@ def test_intervals_are_conservative_supersets():
 
     checked_partial = 0
     for table in grid.tables:
-        iv = table.intervals
+        iv = grid.intervals_of([table])
         assert iv.shape == (len(table.gaussian_ids), 4)
         x0, y0 = table.tile_x * ts, table.tile_y * ts
         tile_w, tile_h = grid.tile_shape(table)
@@ -498,10 +496,8 @@ def test_pixel_counters_consistent_with_grid_and_perf():
     tile_area = sum(
         len(table) * int(np.prod(grid.tile_shape(table))) for table in grid.tables
     )
-    kept = sum(
-        int(((iv[:, 1] - iv[:, 0]) * (iv[:, 3] - iv[:, 2])).sum())
-        for iv in (table.intervals for table in grid.tables)
-    )
+    iv = grid.intervals
+    kept = int(((iv[:, 1] - iv[:, 0]) * (iv[:, 3] - iv[:, 2])).sum())
     assert tile_area == grid.pixels_total
     assert kept == grid.pixels_total - grid.pixels_culled
 

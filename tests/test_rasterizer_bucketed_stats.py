@@ -104,7 +104,7 @@ def test_workloads_exact_without_early_termination():
     # No pixel reaches the termination threshold, and some pairs have
     # sub-tile intervals, so the area formula is exercised non-trivially.
     assert reference.final_transmittance.min() >= TRANSMITTANCE_EPS
-    intervals = np.concatenate([t.intervals for t in bucketed.tile_grid.tables if len(t)])
+    intervals = bucketed.tile_grid.intervals
     area = (intervals[:, 1] - intervals[:, 0]) * (intervals[:, 3] - intervals[:, 2])
     assert (area < 16 * 16).any() and bucketed.total_pairs_computed > 0
     _assert_workloads_equal(reference, bucketed)

@@ -188,7 +188,7 @@ def test_registry_parks_lru_session_beyond_budget(tiny_sequence):
     factory = _factory("orb", tiny_sequence.intrinsics)
     for sid in ("a", "b", "c"):
         registry.open(sid, factory)
-    assert registry.live_count == 2
+    assert len(registry.live_ids()) == 2
     assert registry.parked_ids() == ["a"]  # least-recently touched
     assert registry.live_ids() == ["b", "c"]
     assert perf.counters.as_dict()["serve.sessions_parked"] == 1
@@ -209,7 +209,7 @@ def test_registry_checkout_pins_against_eviction(tiny_sequence):
         with pytest.raises(ValueError, match="checked out"):
             registry.park("pinned")
     # Pin released: eviction resumes; the LRU entry ("other") parks.
-    assert registry.live_count == 1
+    assert len(registry.live_ids()) == 1
     assert registry.parked_ids() == ["other"]
     registry.shutdown()
 
@@ -249,7 +249,7 @@ def test_registry_concurrent_touch_evict_hammer(tiny_sequence):
     for t in threads:
         t.join()
     assert not errors
-    assert registry.live_count <= 2
+    assert len(registry.live_ids()) <= 2
     reference = build_session("orb", tiny_sequence.intrinsics, **CHEAP).run(
         tiny_sequence, num_frames=4
     )
@@ -336,7 +336,7 @@ def test_park_resume_under_scenario_and_faults_is_bit_identical(
     handle.close()
 
     assert_results_identical(reference, served)
-    assert injector.total_fired >= 1  # the run really crossed fault points
+    assert sum(injector.fired.values()) >= 1  # the run really crossed fault points
     shards[1].shutdown()
 
 

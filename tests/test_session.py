@@ -36,7 +36,7 @@ NUM_FRAMES = 5
 def _make_splatam(sequence, **kwargs):
     return SplaTam(
         sequence.intrinsics,
-        SplaTamConfig(tracking_iterations=5, mapping_iterations=3),
+        SplaTamConfig(tracking_iterations=5, mapping_iterations=3, collect_trace=True),
         **kwargs,
     )
 
@@ -46,6 +46,7 @@ def _make_ags(sequence, **kwargs):
         sequence.intrinsics,
         AGSConfig(iter_t=2, baseline_tracking_iterations=5),
         mapping_iterations=3,
+        collect_trace=True,
         **kwargs,
     )
 
@@ -53,7 +54,7 @@ def _make_ags(sequence, **kwargs):
 def _make_gaussian_slam(sequence, **kwargs):
     return GaussianSlam(
         sequence.intrinsics,
-        GaussianSlamConfig(tracking_iterations=4, mapping_iterations=3),
+        GaussianSlamConfig(tracking_iterations=4, mapping_iterations=3, collect_trace=True),
         **kwargs,
     )
 
@@ -103,8 +104,9 @@ def assert_results_identical(a, b):
         assert a.trace is None and b.trace is None
     else:
         assert len(a.trace.frames) == len(b.trace.frames)
-        assert a.trace.total_tracking_pairs() == b.trace.total_tracking_pairs()
-        assert a.trace.total_mapping_pairs() == b.trace.total_mapping_pairs()
+        for fa, fb in zip(a.trace.frames, b.trace.frames):
+            assert fa.tracking.total_pairs == fb.tracking.total_pairs
+            assert fa.mapping.total_pairs == fb.mapping.total_pairs
 
 
 @pytest.fixture(scope="module")

@@ -35,8 +35,8 @@ def test_baseline_first_frame_has_no_tracking(baseline_run):
 def test_baseline_trace_matches_frames(baseline_run):
     assert baseline_run.trace is not None
     assert len(baseline_run.trace.frames) == len(baseline_run)
-    assert baseline_run.trace.total_tracking_pairs() > 0
-    assert baseline_run.trace.total_mapping_pairs() > 0
+    assert sum(frame.tracking.total_pairs for frame in baseline_run.trace.frames) > 0
+    assert sum(frame.mapping.total_pairs for frame in baseline_run.trace.frames) > 0
 
 
 def test_baseline_result_summaries(baseline_run):
@@ -45,7 +45,7 @@ def test_baseline_result_summaries(baseline_run):
     )
     assert baseline_run.keyframe_fraction == 1.0  # baseline maps every frame fully
     assert baseline_run.coarse_only_fraction == 0.0
-    assert np.isnan(baseline_run.covisibility_values()).all()
+    assert all(frame.covisibility is None for frame in baseline_run.frames)
 
 
 def test_baseline_mapping_reduces_loss(baseline_run):
