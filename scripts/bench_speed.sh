@@ -6,9 +6,10 @@
 # harness.
 #
 # If a gated timing regressed by more than 20% against a committed
-# BENCH_*.json, or a gated timing is missing from the new run, the script
-# exits non-zero and leaves that previous file untouched — wire it into
-# CI so perf regressions fail PRs.
+# BENCH_*.json, or a gated timing is missing from the new run, that bench
+# leaves its previous file untouched.  Every bench runs even when an
+# earlier one refused; the script then exits non-zero, naming the benches
+# that refused — wire it into CI so perf regressions fail PRs.
 #
 # Usage: scripts/bench_speed.sh [--only <bench>] [extra bench args]
 #   e.g. scripts/bench_speed.sh --max-regression 0.1
@@ -40,15 +41,22 @@ if [[ "${1:-}" == "--only" ]]; then
     esac
 fi
 
+FAILED=()
+
 run_bench() {
     local name="$1"
     shift
     if [[ -n "$ONLY" && "$ONLY" != "$name" ]]; then
         return 0
     fi
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python "$@"
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python "$@" || FAILED+=("$name")
 }
 
 run_bench hotpaths benchmarks/bench_speed_hotpaths.py --gate "$@"
 run_bench backward benchmarks/bench_speed_backward.py --gate "$@"
 run_bench sparse benchmarks/bench_speed_sparse.py --gate "$@"
+
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+    echo "bench_speed: refused: ${FAILED[*]}" >&2
+    exit 1
+fi

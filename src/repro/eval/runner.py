@@ -62,59 +62,22 @@ class EvalSettings:
 DEFAULT_SETTINGS = EvalSettings()
 
 
-def run_slam(
-    algorithm: str,
-    sequence_name: str,
-    num_frames: int = DEFAULT_SETTINGS.num_frames,
-    tracking_iterations: int = 20,
-    mapping_iterations: int = 5,
-    iter_t: int = 4,
-    thresh_m: float = 0.5,
-    thresh_n: int | None = None,
-    enable_mat: bool = True,
-    enable_gcm: bool = True,
-    faults: str | None = None,
-):
+def run_slam(algorithm: str, sequence_name: str, **overrides):
     """Run (and cache) one SLAM configuration on one sequence.
 
     Compatibility shim over the process-default
-    :class:`repro.eval.service.SlamService`: the arguments form a
-    :class:`repro.eval.service.RunKey` and repeated calls return the
-    stored result instance (bounded LRU, unlike the unbounded
-    ``lru_cache`` this replaces).
-
-    Args:
-        algorithm: ``"splatam"``, ``"ags"``, ``"gaussian-slam"``,
-            ``"orb"``, ``"droid"`` or ``"droid-splatam"``.
-        sequence_name: registered sequence name.
-        num_frames: frames to process.
-        tracking_iterations: baseline N_T.
-        mapping_iterations: N_M.
-        iter_t: AGS refinement iterations.
-        thresh_m / thresh_n: AGS mapping thresholds.
-        enable_mat / enable_gcm: AGS ablation switches.
-        faults: deterministic fault plan injected into the run (a name
-            from :data:`repro.faults.FAULT_PLANS`), or ``None`` for a
-            fault-free run.  Fault runs engage the service's recovery
-            driver (bounded retries; resume from valid checkpoints).
+    :class:`repro.eval.service.SlamService`: returns the run of
+    ``RunKey(algorithm, sequence_name, **overrides)``, so every keyword
+    is a :class:`repro.eval.service.RunKey` field (``num_frames``,
+    iteration budgets, AGS knobs, ``scenario``, ``fallbacks``,
+    ``faults``) with RunKey's default, and an unknown or invalid one
+    raises.  Repeated calls return the stored result instance (bounded
+    LRU).
 
     Returns:
         The :class:`repro.slam.results.SlamResult` of the run.
     """
-    key = RunKey(
-        algorithm=algorithm,
-        sequence=sequence_name,
-        num_frames=num_frames,
-        tracking_iterations=tracking_iterations,
-        mapping_iterations=mapping_iterations,
-        iter_t=iter_t,
-        thresh_m=thresh_m,
-        thresh_n=thresh_n,
-        enable_mat=enable_mat,
-        enable_gcm=enable_gcm,
-        faults=faults,
-    )
-    return default_service().run(key)
+    return default_service().run(RunKey(algorithm, sequence_name, **overrides))
 
 
 def scaled_trace_for_platforms(result):

@@ -31,6 +31,7 @@ over the process-default service.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,6 +44,7 @@ __all__ = [
     "KNOWN_ALGORITHMS",
     "RetryPolicy",
     "RunKey",
+    "SESSION_OPTIONS",
     "SlamService",
     "build_session",
     "configure_default_service",
@@ -163,14 +165,14 @@ class RunKey:
 def build_session(
     algorithm: str,
     intrinsics,
-    tracking_iterations: int = 20,
-    mapping_iterations: int = 5,
-    iter_t: int = 4,
-    thresh_m: float = 0.5,
-    thresh_n: int | None = None,
-    enable_mat: bool = True,
-    enable_gcm: bool = True,
-    fallbacks: bool = True,
+    tracking_iterations: int = RunKey.tracking_iterations,
+    mapping_iterations: int = RunKey.mapping_iterations,
+    iter_t: int = RunKey.iter_t,
+    thresh_m: float = RunKey.thresh_m,
+    thresh_n: int | None = RunKey.thresh_n,
+    enable_mat: bool = RunKey.enable_mat,
+    enable_gcm: bool = RunKey.enable_gcm,
+    fallbacks: bool = RunKey.fallbacks,
     perf: PerfRecorder | None = None,
 ):
     """Instantiate one configured :class:`SlamSession` for ``algorithm``.
@@ -180,7 +182,7 @@ def build_session(
     (:func:`repro.serve.api.default_session_factory` builds registry
     session factories from it) — both layers configuring a system the
     same way is what makes a session parked by one resumable by the
-    other.  The defaults mirror :class:`RunKey`'s.
+    other.  The defaults are :class:`RunKey`'s.
     """
     if algorithm not in KNOWN_ALGORITHMS:
         raise ValueError(
@@ -257,6 +259,14 @@ def build_session(
     )
 
 
+# build_session's configuration keywords — each one a RunKey field too.
+SESSION_OPTIONS = tuple(
+    name
+    for name in inspect.signature(build_session).parameters
+    if name not in ("algorithm", "intrinsics", "perf")
+)
+
+
 def _build_system(key: RunKey, perf: PerfRecorder):
     """Instantiate the system + sequence for ``key``.
 
@@ -273,15 +283,8 @@ def _build_system(key: RunKey, perf: PerfRecorder):
     system = build_session(
         key.algorithm,
         sequence.intrinsics,
-        tracking_iterations=key.tracking_iterations,
-        mapping_iterations=key.mapping_iterations,
-        iter_t=key.iter_t,
-        thresh_m=key.thresh_m,
-        thresh_n=key.thresh_n,
-        enable_mat=key.enable_mat,
-        enable_gcm=key.enable_gcm,
-        fallbacks=key.fallbacks,
         perf=perf,
+        **{name: getattr(key, name) for name in SESSION_OPTIONS},
     )
     # The hardware simulators read the 3DGS systems' workload traces.
     from repro.slam import SplaTam
@@ -453,13 +456,14 @@ class SlamService:
     ) -> list[SlamResult]:
         """Execute several run keys, optionally on a worker pool.
 
-        Duplicate keys are executed once.  With ``workers > 1`` the
-        missing runs execute concurrently, each recording into a private
-        :class:`PerfRecorder` that is merged into the service recorder on
-        completion; results are bit-identical to sequential execution.
-        Worker results are returned directly (not re-fetched through the
-        store), so a batch larger than ``max_entries`` still executes
-        every run exactly once — eviction only limits what is *retained*.
+        Duplicate keys are executed once, each through :meth:`run` — on
+        the caller's thread with ``workers <= 1``, on a pool of
+        ``workers`` threads otherwise.  Concurrent runs record into
+        private recorders merged into the service recorder, so results
+        are bit-identical to sequential execution.  Results are returned
+        directly (not re-fetched through the store), so a batch larger
+        than ``max_entries`` still executes every run exactly once —
+        eviction only limits what is *retained*.
 
         Failures are isolated per key: one run raising (after its
         retries) never poisons the batch — every surviving key still
@@ -472,54 +476,24 @@ class SlamService:
         Returns the results in the order of ``keys``.
         """
         keys = list(keys)
-        failures: dict[RunKey, BaseException] = {}
+        unique = list(dict.fromkeys(keys))
+
+        def attempt(key: RunKey):
+            try:
+                return self.run(key)
+            except Exception as exc:  # isolated per key, reported below
+                return exc
 
         if workers <= 1:
-            outcomes: dict[RunKey, SlamResult] = {}
-            for key in dict.fromkeys(keys):
-                try:
-                    outcomes[key] = self.run(key)
-                except Exception as exc:
-                    failures[key] = exc
-            if failures and not return_exceptions:
-                raise RunManyError(failures)
-            return [outcomes.get(key, failures.get(key)) for key in keys]
-
-        results: dict[RunKey, SlamResult] = {}
-        with self._lock:
-            for key in keys:
-                if key not in results:
-                    cached = self._get(key)
-                    if cached is not None:
-                        results[key] = cached
-            missing = [key for key in dict.fromkeys(keys) if key not in results]
-            self.misses += len(missing)
-
-        def _worker(key: RunKey):
-            recorder = PerfRecorder()
-            try:
-                result = self._execute(key, recorder)
-            except Exception as exc:
-                return key, None, recorder, exc
-            return key, result, recorder, None
-
-        if missing:
+            outcomes = [attempt(key) for key in unique]
+        else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for key, result, recorder, error in pool.map(_worker, missing):
-                    with self._lock:
-                        self.perf.merge(recorder)
-                        if error is not None:
-                            failures[key] = error
-                            continue
-                        existing = self._store.get(key)
-                        if existing is not None:
-                            result = existing
-                        else:
-                            self._put(key, result)
-                    results[key] = result
+                outcomes = list(pool.map(attempt, unique))
+        by_key = dict(zip(unique, outcomes))
+        failures = {key: out for key, out in by_key.items() if isinstance(out, Exception)}
         if failures and not return_exceptions:
             raise RunManyError(failures)
-        return [results.get(key, failures.get(key)) for key in keys]
+        return [by_key[key] for key in keys]
 
 
 _DEFAULT_LOCK = threading.Lock()

@@ -228,15 +228,6 @@ class TileGrid:
             self.projection, gaussian_ids, tile_x, tile_y, tile_w, tile_h, size, rows_only
         )
 
-    def total_assignments(self) -> int:
-        """Total number of (Gaussian, tile) pairs — the rendering workload."""
-        return int(sum(len(table) for table in self.tables))
-
-    def occupancy(self) -> np.ndarray:
-        """Return per-tile Gaussian counts as a (tiles_y, tiles_x) array."""
-        counts = np.array([len(table) for table in self.tables])
-        return counts.reshape(self.tiles_y, self.tiles_x)
-
 
 def build_tile_grid(width: int, height: int, tile_size: int = TILE_SIZE) -> tuple[int, int]:
     """Return the number of tiles ``(tiles_x, tiles_y)`` covering the image."""

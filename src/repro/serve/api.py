@@ -70,7 +70,6 @@ fully disarmed and the server behaves exactly like the PR 9 one.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import struct
@@ -273,7 +272,7 @@ def default_session_factory(spec: dict):
     Imported lazily: the service layer itself depends on
     :mod:`repro.serve.registry`.
     """
-    from repro.eval.service import build_session
+    from repro.eval.service import SESSION_OPTIONS, build_session
     from repro.gaussians.camera import Intrinsics
 
     spec = dict(spec)
@@ -285,18 +284,13 @@ def default_session_factory(spec: dict):
     except KeyError as exc:
         raise ValueError(f"session spec is missing {exc.args[0]!r}") from None
     fov_x_deg = float(spec.pop("fov_x_deg", 75.0))
-    # The builder's configuration keywords; ``perf`` is a process-side
-    # recorder, not something a wire spec can carry.
-    accepted = set(inspect.signature(build_session).parameters) - {
-        "algorithm",
-        "intrinsics",
-        "perf",
-    }
-    unknown = sorted(set(spec) - accepted)
+    # ``perf`` is a process-side recorder, not something a wire spec can
+    # carry, so it is not among the options.
+    unknown = sorted(set(spec) - set(SESSION_OPTIONS))
     if unknown:
         raise ValueError(
             f"session spec has unknown key(s) {unknown}; "
-            f"accepted: {sorted(accepted)}"
+            f"accepted: {sorted(SESSION_OPTIONS)}"
         )
     intrinsics = Intrinsics.from_fov(width, height, fov_x_deg)
     return lambda: build_session(algorithm, intrinsics, **spec)

@@ -25,6 +25,7 @@ from repro.slam.trajectory_eval import align_trajectories, ate_rmse, rpe_rmse
 from repro.slam.tracker import GaussianPoseTracker, TrackerConfig, TrackingOutcome
 from repro.slam.mapper import GaussianMapper, MapperConfig, MappingOutcome
 from repro.slam.keyframes import KeyframeManager, Keyframe
+from repro.slam.odometry import OdometrySession
 from repro.slam.droid import DroidLiteTracker, DroidLiteConfig, DroidLiteSlam
 from repro.slam.orb import OrbLiteSlam, OrbLiteConfig
 from repro.slam.splatam import SplaTam, SplaTamConfig
@@ -46,6 +47,7 @@ __all__ = [
     "KeyframeManager",
     "MapperConfig",
     "MappingOutcome",
+    "OdometrySession",
     "OrbLiteConfig",
     "OrbLiteSlam",
     "SessionRunner",

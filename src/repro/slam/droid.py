@@ -9,11 +9,13 @@ AGS hardware maps it onto a systolic array.
 
 This module reproduces that component without PyTorch:
 
-* feature extraction is a small fixed convolutional pyramid (smoothing +
-  oriented-gradient channels + one mixing layer with deterministic
-  weights), and
+* feature extraction is billed as a small convolutional extractor (four
+  fixed smoothing / oriented-gradient convolutions plus one mixing
+  convolution per feature channel) but not computed: the alignment
+  reads the smoothed intensity, the best conditioned signal at the small
+  working resolution, and
 * the recurrent refinement is an iterative Gauss-Newton alignment of the
-  feature images under an SE(3) warp using the previous frame's depth —
+  smoothed images under an SE(3) warp using the previous frame's depth —
   the same direct RGB-D alignment objective Droid-SLAM's update operator
   learns to approximate.
 
@@ -31,8 +33,7 @@ from scipy.ndimage import convolve
 
 from repro.gaussians.camera import Intrinsics, Pose, rotmat_to_quat, so3_exp
 from repro.perf import PerfRecorder
-from repro.slam.results import FrameResult
-from repro.slam.session import SessionRunner, pack_pose, unpack_pose
+from repro.slam.odometry import OdometrySession
 
 __all__ = ["DroidLiteConfig", "DroidLiteTracker", "DroidLiteSlam", "CoarseTrackingOutcome"]
 
@@ -42,13 +43,12 @@ class DroidLiteConfig:
     """Configuration of the coarse tracker.
 
     Attributes:
-        num_feature_channels: channels of the extracted feature map.
+        num_feature_channels: channels of the billed feature extractor.
         num_gru_iterations: iterative refinement steps (ConvGRU unrollings).
         pixel_stride: subsampling stride of the alignment residuals.
         damping: Levenberg-Marquardt damping of the Gauss-Newton solve.
         min_valid_pixels: minimum usable residuals; below this the tracker
             falls back to the constant-velocity prior.
-        seed: seed of the deterministic mixing-layer weights.
     """
 
     num_feature_channels: int = 4
@@ -56,7 +56,6 @@ class DroidLiteConfig:
     pixel_stride: int = 2
     damping: float = 1e-3
     min_valid_pixels: int = 32
-    seed: int = 7
 
 
 @dataclasses.dataclass
@@ -101,38 +100,10 @@ class DroidLiteTracker:
     def __init__(self, intrinsics: Intrinsics, config: DroidLiteConfig | None = None) -> None:
         self.intrinsics = intrinsics
         self.config = config or DroidLiteConfig()
-        rng = np.random.default_rng(self.config.seed)
-        # Deterministic 3x3 mixing kernels applied on top of the fixed
-        # smoothing / gradient channels (the "learned" part of the
-        # extractor, kept fixed so runs are reproducible).
-        self._mixing_kernels = rng.normal(
-            scale=0.3, size=(self.config.num_feature_channels, 3, 3)
-        )
         self._flops = 0.0
 
-    # ------------------------------------------------------------------
-    # Feature extraction
-    # ------------------------------------------------------------------
-    def extract_features(self, gray: np.ndarray) -> np.ndarray:
-        """Return a (H, W, C) feature map for a grayscale image."""
-        gray = np.asarray(gray, dtype=np.float64)
-        smooth_kernel = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float64) / 16.0
-        sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
-        sobel_y = sobel_x.T
-        smoothed = convolve(gray, smooth_kernel, mode="nearest")
-        grad_x = convolve(smoothed, sobel_x, mode="nearest")
-        grad_y = convolve(smoothed, sobel_y, mode="nearest")
-        base = np.stack([smoothed, grad_x, grad_y, np.abs(grad_x) + np.abs(grad_y)], axis=-1)
-        channels = []
-        for channel in range(self.config.num_feature_channels):
-            mixed = convolve(base[..., channel % base.shape[-1]], self._mixing_kernels[channel], mode="nearest")
-            channels.append(np.maximum(mixed, 0.0))
-        features = np.stack(channels, axis=-1)
-        self._flops += self.extractor_flops(gray)
-        return features
-
     def extractor_flops(self, gray: np.ndarray) -> int:
-        """FLOPs :meth:`extract_features` bills for one ``gray`` frame."""
+        """FLOPs the convolutional feature extractor bills for one ``gray`` frame."""
         # 4 fixed convs + C mixing convs, 9 MACs per output pixel each.
         return np.size(gray) * 9 * 2 * (4 + self.config.num_feature_channels)
 
@@ -378,14 +349,15 @@ class DroidLiteTracker:
         return outcome
 
 
-class DroidLiteSlam(SessionRunner):
+class DroidLiteSlam(OdometrySession):
     """Pure coarse-tracking odometry as a streaming :class:`SlamSession`.
 
-    Runs the neural-style coarse tracker frame-to-frame with a
-    constant-velocity prior and no map — the "Droid-only" operating point
-    the paper's Table 4 composes with SplaTAM mapping.  Exposing it as a
-    session makes the coarse path streamable, checkpointable and usable
-    by the eval service exactly like the full systems.
+    Runs the neural-style coarse tracker frame-to-frame with the last
+    relative motion as its constant-velocity prior and no map — the
+    "Droid-only" operating point the paper's Table 4 composes with
+    SplaTAM mapping.  Exposing it as a session makes the coarse path
+    streamable, checkpointable and usable by the eval service exactly
+    like the full systems.
     """
 
     algorithm = "droid-lite"
@@ -397,69 +369,17 @@ class DroidLiteSlam(SessionRunner):
         perf: PerfRecorder | None = None,
     ) -> None:
         self.config = config or DroidLiteConfig()
-        super().__init__(
-            intrinsics,
-            collect_trace=False,
-            perf=perf,
-        )
+        super().__init__(intrinsics, perf=perf)
         self.tracker = DroidLiteTracker(intrinsics, self.config)
-        self._prev_gray: np.ndarray | None = None
-        self._prev_depth: np.ndarray | None = None
-        self._prev_pose: Pose | None = None
-        self._last_relative: Pose | None = None
 
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Forget the previous frame and the velocity prior."""
-        self._prev_gray = None
-        self._prev_depth = None
-        self._prev_pose = None
-        self._last_relative = None
-
-    # ------------------------------------------------------------------
-    def _track(self, index: int, frame) -> FrameResult:
-        """Coarse-track one frame against the previous observation.
-
-        Map-free odometry: the track/map split is degenerate (everything
-        happens here; :meth:`_map` passes the result through).
-        """
-        gray = np.asarray(frame.gray)  # a property: computed on every read
-        if index == 0 or self._prev_gray is None:
-            pose = frame.gt_pose.copy()
-        else:
-            with self.perf.section("droid/coarse"):
-                outcome = self.tracker.track(
-                    self._prev_gray,
-                    self._prev_depth,
-                    self._prev_pose,
-                    gray,
-                    velocity_prior=self._last_relative,
-                )
-            pose = outcome.pose
-            self._last_relative = outcome.relative.copy()
-            self.perf.count("droid.coarse_flops", outcome.flops)
-        self.perf.count("frames.processed")
-        self._prev_gray = gray
-        self._prev_depth = np.asarray(frame.depth)
-        self._prev_pose = pose
-        return FrameResult(frame_index=index, estimated_pose=pose.copy())
-
-    def _map(self, index: int, frame, tracked: FrameResult) -> tuple[FrameResult, None]:
-        """Degenerate mapping sub-stage: the coarse tracker builds no map."""
-        return tracked, None
-
-    def _state_payload(self) -> dict:
-        return {
-            "prev_gray": None if self._prev_gray is None else self._prev_gray.copy(),
-            "prev_depth": None if self._prev_depth is None else self._prev_depth.copy(),
-            "prev_pose": pack_pose(self._prev_pose),
-            "last_relative": pack_pose(self._last_relative),
-        }
-
-    def _restore_payload(self, payload: dict) -> None:
-        prev_gray = payload["prev_gray"]
-        prev_depth = payload["prev_depth"]
-        self._prev_gray = None if prev_gray is None else np.asarray(prev_gray).copy()
-        self._prev_depth = None if prev_depth is None else np.asarray(prev_depth).copy()
-        self._prev_pose = unpack_pose(payload["prev_pose"])
-        self._last_relative = unpack_pose(payload["last_relative"])
+    def _relative(self, frame, gray: np.ndarray) -> Pose:
+        with self.perf.section("droid/coarse"):
+            outcome = self.tracker.track(
+                self._prev_gray,
+                self._prev_depth,
+                self._prev_pose,
+                gray,
+                velocity_prior=self._prev_relative,
+            )
+        self.perf.count("droid.coarse_flops", outcome.flops)
+        return outcome.relative

@@ -20,8 +20,8 @@ from scipy.ndimage import maximum_filter, uniform_filter
 
 from repro.gaussians.camera import Intrinsics, Pose, rotmat_to_quat
 from repro.perf import NULL_RECORDER, PerfRecorder
-from repro.slam.results import FrameResult
-from repro.slam.session import SessionRunner, pack_pose, pack_rng, restore_rng, unpack_pose
+from repro.slam.odometry import OdometrySession
+from repro.slam.session import pack_rng, restore_rng
 
 __all__ = [
     "OrbFeatures",
@@ -298,11 +298,13 @@ def estimate_relative_rigid(
     )
 
 
-class OrbLiteSlam(SessionRunner):
+class OrbLiteSlam(OdometrySession):
     """Frame-to-frame sparse feature odometry with depth.
 
     A streaming :class:`SlamSession`: ``feed`` consumes one RGB-D frame
-    and estimates its pose against the previously fed frame.
+    and estimates its pose against the previously fed frame.  When too
+    little geometry survives, the frame keeps the last relative motion
+    (constant velocity) and counts ``orb.fallbacks``.
 
     Each frame's features (:func:`frame_features`) are computed once:
     the session keeps the last frame's in memory for the next frame's
@@ -321,123 +323,39 @@ class OrbLiteSlam(SessionRunner):
         perf: PerfRecorder | None = None,
     ) -> None:
         self.config = config or OrbLiteConfig()
-        super().__init__(
-            intrinsics,
-            collect_trace=False,
-            perf=perf,
-        )
-        self._rng = np.random.default_rng(self.config.seed)
-        self._prev_gray: np.ndarray | None = None
-        self._prev_depth: np.ndarray | None = None
-        self._prev_pose: Pose | None = None
-        self._prev_relative = Pose.identity()
-        self._prev_features: OrbFeatures | None = None
+        super().__init__(intrinsics, perf=perf)
 
-    # ------------------------------------------------------------------
     def reset(self) -> None:
         """Reset all state (including the RANSAC RNG) for a new sequence."""
+        super().reset()
         self._rng = np.random.default_rng(self.config.seed)
-        self._prev_gray = None
-        self._prev_depth = None
-        self._prev_pose = None
-        self._prev_relative = Pose.identity()
-        self._prev_features = None
+        self._prev_features: OrbFeatures | None = None
 
-    # ------------------------------------------------------------------
-    def estimate_relative_pose(
-        self,
-        prev_gray: np.ndarray,
-        prev_depth: np.ndarray,
-        cur_gray: np.ndarray,
-        cur_depth: np.ndarray,
-    ) -> tuple[Pose | None, int]:
-        """Estimate the motion between two RGB-D frames.
-
-        Returns the relative pose (mapping previous-camera coordinates to
-        current-camera coordinates) and the number of inlier matches, or
-        ``(None, 0)`` when not enough geometry is available.  Thin wrapper
-        over :func:`estimate_relative_rigid` bound to this session's
-        intrinsics, RANSAC RNG stream and perf recorder; it neither reads
-        nor replaces the features ``feed`` hands from frame to frame.
-        """
-        return estimate_relative_rigid(
-            prev_gray,
-            prev_depth,
-            cur_gray,
-            cur_depth,
+    def _relative(self, frame, gray: np.ndarray) -> Pose:
+        with self.perf.section("orb/features"):
+            prev_features = self._prev_features
+            if prev_features is None:
+                prev_features = frame_features(self._prev_gray, self.config)
+            features = frame_features(gray, self.config)
+        relative, _ = relative_rigid_from_features(
+            prev_features,
+            self._prev_depth,
+            features,
+            frame.depth,
             self.intrinsics,
             self.config,
             self._rng,
             perf=self.perf,
         )
-
-    # ------------------------------------------------------------------
-    def _track(self, index: int, frame) -> FrameResult:
-        """Estimate one frame's pose against the previously fed frame.
-
-        The first frame's pose is anchored to the ground truth (standard
-        practice: SLAM trajectories are defined up to a global transform).
-        Pure odometry has no mapping stage, so the track/map split is
-        degenerate: everything happens here and :meth:`_map` passes the
-        result through.
-        """
-        gray = np.asarray(frame.gray)  # a property: computed on every read
-        features = None
-        if index == 0 or self._prev_gray is None:
-            estimated = frame.gt_pose.copy()
-            frame_result = FrameResult(frame_index=index, estimated_pose=estimated.copy())
-        else:
-            with self.perf.section("orb/features"):
-                prev_features = self._prev_features
-                if prev_features is None:
-                    prev_features = frame_features(self._prev_gray, self.config)
-                features = frame_features(gray, self.config)
-            relative, _ = relative_rigid_from_features(
-                prev_features,
-                self._prev_depth,
-                features,
-                frame.depth,
-                self.intrinsics,
-                self.config,
-                self._rng,
-                perf=self.perf,
-            )
-            self.perf.count("frames.processed")
-            if relative is None:
-                relative = self._prev_relative  # constant velocity fallback
-                self.perf.count("orb.fallbacks")
-            estimated = relative.compose(self._prev_pose)
-            frame_result = FrameResult(
-                frame_index=index,
-                estimated_pose=estimated.copy(),
-                tracking_iterations=0,
-                mapping_iterations=0,
-            )
-            self._prev_relative = relative
-        self._prev_gray = gray
-        self._prev_depth = np.asarray(frame.depth)
-        self._prev_pose = estimated
         self._prev_features = features
-        return frame_result
-
-    def _map(self, index: int, frame, tracked: FrameResult) -> tuple[FrameResult, None]:
-        """Degenerate mapping sub-stage: odometry produces no map."""
-        return tracked, None
+        if relative is None:
+            self.perf.count("orb.fallbacks")
+            return self._prev_relative
+        return relative
 
     def _state_payload(self) -> dict:
-        return {
-            "rng": pack_rng(self._rng),
-            "prev_gray": None if self._prev_gray is None else self._prev_gray.copy(),
-            "prev_depth": None if self._prev_depth is None else self._prev_depth.copy(),
-            "prev_pose": pack_pose(self._prev_pose),
-            "prev_relative": pack_pose(self._prev_relative),
-        }
+        return {"rng": pack_rng(self._rng), **super()._state_payload()}
 
     def _restore_payload(self, payload: dict) -> None:
+        super()._restore_payload(payload)
         self._rng = restore_rng(payload["rng"])
-        prev_gray = payload["prev_gray"]
-        prev_depth = payload["prev_depth"]
-        self._prev_gray = None if prev_gray is None else np.asarray(prev_gray).copy()
-        self._prev_depth = None if prev_depth is None else np.asarray(prev_depth).copy()
-        self._prev_pose = unpack_pose(payload["prev_pose"])
-        self._prev_relative = unpack_pose(payload["prev_relative"])

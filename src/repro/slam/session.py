@@ -16,10 +16,13 @@ only a batch ``run(sequence)``:
   owns the frame loop, result/trace accumulation, the frame counter and
   the repo's one transient-recovery mechanism (``retry_frame``: roll a
   failed frame back and retry it);
-  systems (``SplaTam``, ``AgsSlam``, ``GaussianSlam``, ``OrbLiteSlam``,
-  ``DroidLiteSlam``) only provide the per-frame sub-stages (``_track`` /
+  systems only provide the per-frame sub-stages (``_track`` /
   ``_map``), the models that make up their map (``map_models``) and
   their checkpoint payload (``_state_payload`` / ``_restore_payload``).
+  The 3DGS systems (``AgsSlam``, ``GaussianSlam``) do so through
+  ``SplaTam``, the odometry systems (``OrbLiteSlam``,
+  ``DroidLiteSlam``) through
+  :class:`~repro.slam.odometry.OdometrySession`.
 * :class:`SessionState` — an in-memory checkpoint;
   :func:`save_session_state` / :func:`load_session_state` persist it as
   a directory with one raw array blob plus a JSON manifest.

@@ -272,7 +272,7 @@ def test_sub_alpha_min_opacity_gaussians_fully_culled():
     model, camera = _scene(count=8)
     model.opacities[:] = -8.0  # sigmoid ~3.4e-4 < 1/255: invisible everywhere
     result = render(model, camera)
-    assert result.tile_grid.total_assignments() == 0
+    assert sum(len(t) for t in result.tile_grid.tables) == 0
     assert np.array_equal(result.color, np.zeros_like(result.color))
 
 
@@ -469,9 +469,10 @@ def test_scratch_pool_bounded_under_alternating_schedules(monkeypatch):
 def test_tile_grid_pair_accounting_consistent():
     model, camera = _mixed_opacity_scene()
     grid = render(model, camera).tile_grid
-    assert grid.pairs_total - grid.pairs_culled == grid.total_assignments()
+    assert grid.pairs_total - grid.pairs_culled == sum(len(t) for t in grid.tables)
     # The baseline is exactly the classic sigma-AABB pair count.
-    assert grid.pairs_total == _brute_force_grid(model, camera).total_assignments()
+    brute = _brute_force_grid(model, camera)
+    assert grid.pairs_total == sum(len(t) for t in brute.tables)
 
 
 def test_pair_counters_recorded():

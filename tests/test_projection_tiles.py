@@ -111,4 +111,9 @@ def test_tile_grid_occupancy_and_assignments_consistent():
     model = _frontal_model(60, seed=5)
     camera = _camera()
     grid = assign_tiles(project_gaussians(model, camera), camera.width, camera.height)
-    assert grid.occupancy().sum() == grid.total_assignments()
+    # One table per tile in row-major order, and every listed pair is one
+    # the culling kept.
+    assert [(t.tile_y, t.tile_x) for t in grid.tables] == [
+        (y, x) for y in range(grid.tiles_y) for x in range(grid.tiles_x)
+    ]
+    assert sum(len(t) for t in grid.tables) == grid.pairs_total - grid.pairs_culled > 0

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core import AGSConfig, AgsSlam
+from repro.eval.service import KNOWN_ALGORITHMS, build_session
+from repro.perf import PerfRecorder
 from repro.slam import (
     DroidLiteSlam,
     GaussianSlam,
@@ -237,3 +239,19 @@ def test_feed_auto_begins_a_stream_session(tiny_sequence):
     result = system.finalize()
     assert result.sequence == "stream"
     assert len(result) == 1
+
+
+@pytest.mark.parametrize("algorithm", KNOWN_ALGORITHMS)
+def test_every_system_counts_each_fed_frame_once(algorithm, tiny_sequence):
+    perf = PerfRecorder()
+    session = build_session(
+        algorithm,
+        tiny_sequence.intrinsics,
+        tracking_iterations=2,
+        mapping_iterations=1,
+        iter_t=1,
+        perf=perf,
+    )
+    for index in range(3):
+        session.feed(tiny_sequence[index], index)
+    assert perf.counters.get("frames.processed") == 3

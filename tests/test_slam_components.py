@@ -16,7 +16,13 @@ from repro.slam import (
     rpe_rmse,
 )
 from repro.slam.droid import DroidLiteConfig, DroidLiteTracker
-from repro.slam.orb import detect_corners, extract_descriptors, match_descriptors, OrbLiteConfig
+from repro.slam.orb import (
+    OrbLiteConfig,
+    detect_corners,
+    estimate_relative_rigid,
+    extract_descriptors,
+    match_descriptors,
+)
 
 
 # ----------------------------- trajectory metrics ----------------------------
@@ -229,13 +235,12 @@ def test_droid_falls_back_without_depth(tiny_sequence):
 
 def test_droid_feature_extractor_shape(tiny_sequence):
     tracker = DroidLiteTracker(tiny_sequence.intrinsics)
-    features = tracker.extract_features(tiny_sequence[0].gray)
-    assert features.shape == (tiny_sequence.spec.height, tiny_sequence.spec.width, 4)
-    assert (features >= 0).all()  # ReLU output
+    frame = tiny_sequence[0]
+    # 4 fixed + 4 mixing 3x3 convolutions over every pixel, 2 FLOPs a MAC.
+    billed = tracker.extractor_flops(frame.gray)
+    assert billed == tiny_sequence.spec.height * tiny_sequence.spec.width * 9 * 2 * (4 + 4)
     # With no depth the coarse tracker stops before aligning, so it bills
     # exactly both frames' extraction (without computing the maps).
-    billed = tracker._flops
-    frame = tiny_sequence[0]
     outcome = tracker.track(frame.gray, np.zeros_like(frame.depth), frame.gt_pose, frame.gray)
     assert outcome.fell_back_to_prior
     assert outcome.flops == 2 * billed > 0
@@ -275,9 +280,16 @@ def test_orb_matches_identical_frames(tiny_sequence):
 
 
 def test_orb_relative_pose_identical_frames_is_identity(tiny_sequence):
-    orb = OrbLiteSlam(tiny_sequence.intrinsics)
     frame = tiny_sequence[0]
-    relative, inliers = orb.estimate_relative_pose(frame.gray, frame.depth, frame.gray, frame.depth)
+    relative, inliers = estimate_relative_rigid(
+        frame.gray,
+        frame.depth,
+        frame.gray,
+        frame.depth,
+        tiny_sequence.intrinsics,
+        OrbLiteConfig(),
+        np.random.default_rng(OrbLiteConfig().seed),
+    )
     assert relative is not None
     assert np.linalg.norm(relative.trans) < 1e-3
     assert inliers >= OrbLiteConfig().min_matches
